@@ -279,7 +279,7 @@ def cmd_bound(args) -> int:
     d = resolve_d(_resolve_d_rule(args.d_rule), args.n)
     quad = _quadrature_from(args)
     res: BoundResult = upper_bound(args.rho_max, args.n - args.p, args.n,
-                                   d, args.alpha, quad)
+                                   d, args.alpha, quad, check_convergence=True)
     print(f"upper bound on minimum coverage = {_fmt(res.upper_bound)} "
           f"(gamma* = {_fmt(res.gamma_star)})")
     _emit_rows([(args.n, args.n - args.p, d, args.alpha, args.rho_max,
@@ -298,7 +298,8 @@ def _parse_rho_grid(text: str) -> list[float]:
             raise CliError(f"cannot parse --rho-grid {text!r}") from None
         if step <= 0:
             raise CliError("--rho-grid step must be positive")
-        return [float(r) for r in np.arange(start, stop + step / 2.0, step)]
+        count = math.floor((stop - start) / step + 0.5) + 1
+        return [round(start + i * step, 12) for i in range(count)]
     return [float(v) for v in _parse_vector(text, "--rho-grid")]
 
 
@@ -312,7 +313,7 @@ def cmd_curve(args) -> int:
     d_rule = _resolve_d_rule(args.d_rule)
     quad = _quadrature_from(args)
     result = bound_curve(rho_grid, [(n - args.p, n) for n in n_list],
-                         d_rule, args.alpha, quad)
+                         d_rule, args.alpha, quad, check_convergence=True)
     _emit_rows(
         [(r.n, r.m, r.d, r.alpha, r.rho_max_abs, r.gamma_star, r.upper_bound)
          for r in result.rows],
@@ -334,16 +335,23 @@ def cmd_verify(args) -> int:
 
 
 def _apply_config_defaults(argv: list[str]) -> list[str]:
-    """Inject values from --config as defaults (explicit flags win)."""
-    if "--config" not in argv:
+    """Inject values from --config as defaults (explicit flags win).
+
+    The file is named as ``--config PATH`` or ``--config=PATH``.
+    """
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 == len(argv):
+                raise CliError("--config needs a file path")
+            path, tail = argv[i + 1], argv[i + 2:]
+            break
+        if token.startswith("--config="):
+            path, tail = token[len("--config="):], argv[i + 1:]
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    try:
-        path = argv[i + 1]
-    except IndexError:
-        raise CliError("--config needs a file path") from None
     conf = _load_config(path)
-    head, tail = argv[: i], argv[i + 2:]
+    head = argv[:i]
     if not tail:
         raise CliError("--config must precede a subcommand")
     cmd, rest = tail[0], tail[1:]

@@ -20,8 +20,9 @@ and ``d_u(x, y)`` solves the mixed tail-area equation
 for u = alpha/2 and 1 - alpha/2.  The left side is continuous and
 strictly increasing in ``d`` from 0 to 1, so the root is unique; it is
 bracketed exactly by the two pure-model closed forms (the w1 = 1 and
-w1 = 0 solutions) and located by vectorized bisection over the whole
-quadrature grid at once.
+w1 = 0 solutions).  The equation depends on (x, y) only through
+t = x/y, with ``d_u(x, y) = y D_u(x/y)``; ``D_u`` is located by a
+safeguarded Newton iteration, vectorized over the whole quadrature grid.
 
 The integral is evaluated by tensor-product Gauss-Legendre quadrature on
 a truncated rectangle: x within ``x_halfwidth`` (default 8) of gamma,
@@ -46,6 +47,13 @@ from .weights import w1
 
 _RHO_CLAMP = 1.0 - 1e-9
 _NODE_DOUBLING_TOL = 1e-5
+# The pure-model roots bracket delta_u exactly.  The pad, in t-quantile
+# units, covers scipy's stdtrit, which returns 0 for u within ~1e-8 of 1/2
+# at some degrees of freedom (4 and 6): a quantile error up to 4e-8.
+_QUANTILE_PAD = 1e-7
+_NEWTON_STEP_RTOL = 1e-13
+_NEWTON_MAX_ITER = 100
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -139,13 +147,39 @@ def _y_domain(m: int, quad: QuadratureConfig) -> tuple[float, float]:
     return lo, hi
 
 
+def _t_cdf(z, nu: int):
+    """Student-t cdf.
+
+    ``nu = 1`` (Cauchy) uses its closed form: scipy's stdtr(1, z) is off by
+    up to 1.6e-9 for |z| near 1e-8, which stalls Newton steps near z = 0.
+    """
+    if nu == 1:
+        return np.arctan2(1.0, -z) / math.pi
+    return stdtr(nu, z)
+
+
+def _t_pdf(z, nu: int):
+    """Student-t density with ``nu`` degrees of freedom, in closed form."""
+    log_const = gammaln(0.5 * (nu + 1)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+    return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
+
+
 def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = 1e-10):
     """Solve the mixed tail-area equation for its unique root.
 
-    Vectorized over ``x``, ``y`` and ``u`` (broadcast together).  The
-    root lies between the two pure-model closed-form solutions; that
-    bracket is widened by 20% and refined by bisection until the
-    residual of the equation is below ``tol`` everywhere.
+    Vectorized over ``x``, ``y`` and ``u`` (broadcast together).  With
+    ``t = x/y`` and ``D = delta/y`` the equation depends on ``t`` alone:
+
+        g(D) = w1(t^2) T_{m+1}(c(t) (D - rho t) / s) + (1 - w1(t^2)) T_m(D) - u
+
+    with ``c(t) = sqrt((m+1)/(t^2+m))``.  Upper-tail targets are solved
+    as ``D_u(t) = -D_{1-u}(-t)``, so that ``g`` is always evaluated where
+    the t cdfs keep full relative precision.  The root lies between the two
+    pure-model closed-form roots, which bracket a safeguarded Newton
+    iteration started from their ``w1``-weighted blend: a step that
+    leaves the bracket is replaced by the bracket midpoint, and the
+    bracket is tightened by the sign of ``g``.  Returns ``y * D``; the
+    residual of the equation must be below ``tol`` everywhere.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -154,37 +188,75 @@ def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = 1e-10):
         raise DomainError("delta_u requires y > 0")
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("delta_u requires 0 < u < 1")
-    x, y, u = np.broadcast_arrays(x, y, u)
 
+    upper = u > 0.5
+    u = np.where(upper, 1.0 - u, u)
+    # Pure-model quantiles before broadcasting: u is one value per call
+    # from the coverage grid, and stdtrit costs more than a Newton step.
+    q_sub, q_full = stdtrit(cfg.m + 1, u), stdtrit(cfg.m, u)
+    sign = np.where(upper, -1.0, 1.0)
+    x, y, sign, u, q_sub, q_full = np.broadcast_arrays(x, y, sign, u, q_sub, q_full)
+    t = (sign * x / y).ravel()
+    u, q_sub, q_full = u.ravel(), q_sub.ravel(), q_full.ravel()
+    D = np.empty_like(t)
+    # Fixed-size blocks bound the solver's working memory on large grids.
+    for i in range(0, t.size, _BLOCK):
+        part = slice(i, i + _BLOCK)
+        D[part] = _solve_reduced(t[part], u[part], q_sub[part], q_full[part], cfg, tol)
+    delta = sign * y * D.reshape(x.shape)
+    return float(delta) if delta.ndim == 0 else delta
+
+
+def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
+    """Root ``D`` of ``g`` (see ``delta_u``) for ``u <= 1/2``, one entry per t.
+
+    ``q_sub`` and ``q_full`` are the t_{m+1} and t_m quantiles of ``u``.
+    """
     m, rho = cfg.m, cfg.rho
     s = math.sqrt(1.0 - rho * rho)
-    w = w1(x * x / (y * y), m, cfg.n, cfg.d)
-    c = np.sqrt((m + 1.0) / (x * x + m * y * y))
+    w = w1(t * t, m, cfg.n, cfg.d)
+    a = np.sqrt((m + 1.0) / (t * t + m)) / s   # c(t) / s
+    b = rho * t
 
-    root_sub = rho * x + (s / c) * stdtrit(m + 1, u)   # all weight on the submodel
-    root_full = y * stdtrit(m, u)                      # all weight on the full model
-    lo = np.minimum(root_sub, root_full)
-    hi = np.maximum(root_sub, root_full)
-    pad = 0.2 * (hi - lo) + 1e-9
-    lo = lo - pad
-    hi = hi + pad
+    def g(D, w, a, b, u):
+        return w * stdtr(m + 1, a * (D - b)) + (1.0 - w) * _t_cdf(D, m) - u
 
-    def lhs(delta):
-        return w * stdtr(m + 1, c * (delta - rho * x) / s) + (1.0 - w) * stdtr(m, delta / y)
+    # Roots with all weight on the submodel (q_sub) or the full model (q_full).
+    lo = np.minimum(b + (q_sub - _QUANTILE_PAD) / a, q_full - _QUANTILE_PAD)
+    hi = np.maximum(b + (q_sub + _QUANTILE_PAD) / a, q_full + _QUANTILE_PAD)
+    D = w * (b + q_sub / a) + (1.0 - w) * q_full
 
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = lhs(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < 1e-14 * max(1.0, float(np.max(np.abs(mid)))):
+    # Compressed state of the points still iterating; ``idx`` maps it back.
+    idx = np.arange(D.size)
+    Dk, wk, ak, bk, uk = D, w, a, b, u
+    for _ in range(_NEWTON_MAX_ITER):
+        gk = g(Dk, wk, ak, bk, uk)
+        lo = np.where(gk < 0.0, Dk, lo)
+        hi = np.where(gk > 0.0, Dk, hi)
+        slope = wk * ak * _t_pdf(ak * (Dk - bk), m + 1) + (1.0 - wk) * _t_pdf(Dk, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = Dk - gk / slope
+        small = _NEWTON_STEP_RTOL * np.maximum(1.0, np.abs(Dk))
+        # A converged step may round onto the bracket end it started from.
+        newton = ((nxt > lo) & (nxt < hi)) | (np.abs(nxt - Dk) <= small)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        done = np.abs(nxt - Dk) <= small
+        Dk = nxt
+        D[idx] = Dk
+        keep = ~done
+        if not keep.any():
             break
-    delta = 0.5 * (lo + hi)
-    resid = np.abs(lhs(delta) - u)
-    worst = float(np.max(resid))
+        idx, Dk, lo, hi, wk, ak, bk, uk = (
+            v[keep] for v in (idx, Dk, lo, hi, wk, ak, bk, uk))
+    else:
+        raise QuadratureError(
+            f"delta_u: {idx.size} points unconverged after {_NEWTON_MAX_ITER} iterations"
+        )
+
+    worst = float(np.max(np.abs(g(D, w, a, b, u))))
     if worst > tol:
         raise QuadratureError(f"delta_u residual {worst:.3e} exceeds tolerance {tol:.1e}")
-    return float(delta) if delta.ndim == 0 else delta
+    return D
 
 
 def _integrate(cfg, gamma, xn, wx, yn, wy, dlo, dhi) -> float:
@@ -196,12 +268,14 @@ def _integrate(cfg, gamma, xn, wx, yn, wy, dlo, dhi) -> float:
 
 
 def _solve_grid(cfg, quad, xn, yn):
-    """delta_u for both tail targets on the tensor grid; returns (dlo, dhi)."""
-    u = np.array([cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
-    d = delta_u(
-        xn[None, :, None], yn[None, None, :], u[:, None, None], cfg, tol=quad.delta_tol
+    """delta_u for both tail targets on the tensor grid; returns (dlo, dhi).
+
+    One tail per call halves the per-point arrays that delta_u holds.
+    """
+    return tuple(
+        delta_u(xn[:, None], yn[None, :], u, cfg, tol=quad.delta_tol)
+        for u in (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
     )
-    return d[0], d[1]
 
 
 def coverage_probability(

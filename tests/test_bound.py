@@ -7,6 +7,7 @@ import pytest
 
 from matabound import QuadratureConfig, coverage_probability, upper_bound
 from matabound.bound import bound_curve, max_threads, resolve_d
+from matabound.errors import QuadratureError
 
 LIGHT_QUAD = QuadratureConfig(nodes_x=100, nodes_y=100)
 
@@ -66,6 +67,17 @@ class TestUpperBound:
                           check_convergence=True)
         assert 0.0 < res.upper_bound < 1.0
 
+    # Cells whose default-node bound moves by 1.1e-4, 1.1e-3 and 5.5e-4
+    # under node doubling: the check must reject them, not return them.
+    @pytest.mark.parametrize("rho, m, n, rule", [
+        (0.99, 1, 3, "aic"),
+        (0.95, 5, 10**6, "bic"),
+        (0.999999, 5, 7, "aic"),
+    ])
+    def test_convergence_check_rejects_known_bad_cells(self, rho, m, n, rule):
+        with pytest.raises(QuadratureError, match="node doubling"):
+            upper_bound(rho, m, n, resolve_d(rule, n), 0.05, check_convergence=True)
+
 
 class TestBoundCurve:
     def test_rows_ordered_and_monotonicity_reported(self):
@@ -92,6 +104,10 @@ class TestBoundCurve:
         threaded = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05, quad=LIGHT_QUAD)
         assert [r.upper_bound for r in serial.rows] == \
             [r.upper_bound for r in threaded.rows]
+
+    def test_forwards_convergence_check(self):
+        with pytest.raises(QuadratureError, match="node doubling"):
+            bound_curve([0.99], [(1, 3)], "aic", 0.05, check_convergence=True)
 
     def test_validates_empty_grids(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 from matabound import QuadratureConfig, upper_bound
 from matabound.bound import bound_curve
-from matabound.cli import main, read_csv_matrix
+from matabound.cli import _parse_rho_grid, main, read_csv_matrix
 
 from helpers import random_problem
 
@@ -46,6 +46,14 @@ class TestBoundCommand:
         row = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(row.split(",")[2]) == 3.0
 
+    def test_unconverged_quadrature_exits_3(self, capsys):
+        # node doubling moves this bound by 1.1e-4 at the default nodes
+        code = main(["bound", "--rho-max", "0.99", "--n", "3", "--p", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "node doubling" in captured.err
+        assert captured.out == ""
+
     def test_validation_errors_exit_2(self, capsys):
         assert main(["bound", "--rho-max", "1.5", "--n", "12", "--p", "4"]) == 2
         assert main(["bound", "--rho-max", "0.5", "--n", "4", "--p", "4"]) == 2
@@ -78,6 +86,9 @@ class TestCurveCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3  # header + rho in {0, 0.2, 0.4}
+
+    def test_rho_grid_range_values_are_exact(self):
+        assert _parse_rho_grid("0:0.95:0.05") == [i / 20 for i in range(20)]
 
     def test_bad_grid_rejected(self, capsys):
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0:1:0"]) == 2
@@ -210,6 +221,15 @@ class TestConfigFile:
         _, rho_max, argmax = correlation_profile(prob)
         assert f"rho_max_abs = {rho_max:.6g} at column {argmax}" in capsys.readouterr().out
         assert main(["--config", str(conf), "interval"]) == 0
+
+    def test_config_equals_form(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("rho-max = 0.6\nn = 14\np = 4\nnodes-x = 100\nnodes-y = 100\n")
+        code = main([f"--config={conf}", "bound"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1]
+        assert row.split(",")[:2] == ["14", "10"]
+        assert float(row.split(",")[4]) == 0.6
 
     def test_bad_config_line(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.optimize import brentq
+from scipy.special import stdtr
 
 from matabound import (
     CoverageGrid,
@@ -16,6 +20,7 @@ from matabound import (
 )
 from matabound.coverage import _gauss_legendre, _y_domain
 from matabound.errors import DomainError, QuadratureError
+from matabound.weights import w1
 
 
 def make_cfg(m=8, n=12, rho=0.6, d=2.0, alpha=0.05):
@@ -106,6 +111,71 @@ class TestDeltaU:
             delta_u(0.0, -1.0, 0.5, cfg)
         with pytest.raises(DomainError):
             delta_u(0.0, 1.0, 1.0, cfg)
+
+
+@st.composite
+def delta_u_cases(draw):
+    """(cfg, x, y, u): |x/y| up to 1e10 over the paper's m, rho and n ranges."""
+    m = draw(st.sampled_from([1, 5, 44, 200]))
+    n = draw(st.integers(m + 1, 10**6))
+    rho = draw(st.floats(-0.999999, 0.999999))
+    d = draw(st.sampled_from([2.0, math.log(n)]))
+    y = draw(st.floats(1e-3, 10.0))
+    t = draw(st.one_of(st.floats(-20.0, 20.0), st.floats(-1e10, 1e10)))
+    u = draw(st.floats(1e-4, 1.0 - 1e-4))
+    return TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=0.05), t * y, y, u
+
+
+def direct_lhs(delta, x, y, cfg):
+    """Left side of the tail-area equation in the original (x, y) form.
+
+    T_1 is the Cauchy cdf from scipy.stats: scipy.special.stdtr(1, z) is
+    off by up to 1.6e-9 near z = 0.
+    """
+    m, rho = cfg.m, cfg.rho
+    s = math.sqrt(1.0 - rho * rho)
+    w = w1(x * x / (y * y), m, cfg.n, cfg.d)
+    c = math.sqrt((m + 1.0) / (x * x + m * y * y))
+    full = sps.cauchy.cdf(delta / y) if m == 1 else stdtr(m, delta / y)
+    return w * stdtr(m + 1, c * (delta - rho * x) / s) + (1.0 - w) * full
+
+
+class TestDeltaUProperties:
+    # delta is measured in units of y, so tolerances are relative to
+    # max(|delta|, y): a root at delta = 0 has no relative scale of its own.
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta_u_cases(), st.floats(1e-3, 1e3))
+    def test_scale_equivariance(self, case, k):
+        cfg, x, y, u = case
+        base = delta_u(x, y, u, cfg)
+        scaled = delta_u(k * x, k * y, u, cfg)
+        assert abs(scaled - k * base) <= 1e-12 * k * max(abs(base), y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta_u_cases(), st.sampled_from([1e-10, 1e-12]))
+    def test_residual_within_tolerance(self, case, tol):
+        cfg, x, y, u = case
+        delta = delta_u(x, y, u, cfg, tol=tol)
+        assert abs(direct_lhs(delta, x, y, cfg) - u) <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta_u_cases())
+    # stdtr(1, z) is flat to 1e-9 near z = 0, and stdtrit(4, u) is 0 near
+    # u = 1/2: each broke the solve at these points.
+    @example((TwoModelConfig(m=1, n=209, rho=0.5, d=2.0, alpha=0.05), 0.5, 1.0, 0.5))
+    @example((TwoModelConfig(m=3, n=5, rho=0.0, d=2.0, alpha=0.05), 0.0, 1.0, 0.49999999))
+    def test_agrees_with_brentq(self, case):
+        cfg, x, y, u = case
+        delta = delta_u(x, y, u, cfg)
+        lo, hi = delta - 1e-3 * max(abs(delta), y), delta + 1e-3 * max(abs(delta), y)
+        while direct_lhs(lo, x, y, cfg) > u:
+            lo -= hi - lo
+        while direct_lhs(hi, x, y, cfg) < u:
+            hi += hi - lo
+        ref = brentq(lambda v: direct_lhs(v, x, y, cfg) - u, lo, hi,
+                     xtol=1e-15 * max(abs(delta), y))
+        assert abs(delta - ref) <= 1e-9 * max(abs(ref), y)
 
 
 class TestCoverageProbability:
