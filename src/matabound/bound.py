@@ -171,14 +171,13 @@ def bound_curve(
     d_rule,
     alpha: float,
     quad: QuadratureConfig | None = None,
-    check_convergence: bool = False,
 ) -> CurveResult:
     """Curves of the bound against |rho|_max, one per (m, n) pair.
 
     Rows are ordered by (m, n) pair then rho.  Cell evaluations are
     independent; MATA_THREADS > 1 runs them on a thread pool (results are
     placed by index, so output is identical either way).
-    ``check_convergence`` is passed to every ``upper_bound`` call.
+    Every cell runs the node-doubling check of ``upper_bound``.
     """
     rho_grid = [float(r) for r in rho_grid]
     m_n_pairs = [(int(m), int(n)) for m, n in m_n_pairs]
@@ -192,7 +191,7 @@ def bound_curve(
     def run(cell):
         m, n, rho = cell
         return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha, quad,
-                           check_convergence)
+                           check_convergence=True)
 
     workers = max_threads()
     if workers > 1:

@@ -298,7 +298,7 @@ def _parse_rho_grid(text: str) -> list[float]:
             raise CliError(f"cannot parse --rho-grid {text!r}") from None
         if step <= 0:
             raise CliError("--rho-grid step must be positive")
-        count = math.floor((stop - start) / step + 0.5) + 1
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 12) for i in range(count)]
     return [float(v) for v in _parse_vector(text, "--rho-grid")]
 
@@ -313,7 +313,7 @@ def cmd_curve(args) -> int:
     d_rule = _resolve_d_rule(args.d_rule)
     quad = _quadrature_from(args)
     result = bound_curve(rho_grid, [(n - args.p, n) for n in n_list],
-                         d_rule, args.alpha, quad, check_convergence=True)
+                         d_rule, args.alpha, quad)
     _emit_rows(
         [(r.n, r.m, r.d, r.alpha, r.rho_max_abs, r.gamma_star, r.upper_bound)
          for r in result.rows],

@@ -105,9 +105,9 @@ class TestBoundCurve:
         assert [r.upper_bound for r in serial.rows] == \
             [r.upper_bound for r in threaded.rows]
 
-    def test_forwards_convergence_check(self):
+    def test_runs_convergence_check(self):
         with pytest.raises(QuadratureError, match="node doubling"):
-            bound_curve([0.99], [(1, 3)], "aic", 0.05, check_convergence=True)
+            bound_curve([0.99], [(1, 3)], "aic", 0.05)
 
     def test_validates_empty_grids(self):
         with pytest.raises(ValueError):

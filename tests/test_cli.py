@@ -89,6 +89,7 @@ class TestCurveCommand:
 
     def test_rho_grid_range_values_are_exact(self):
         assert _parse_rho_grid("0:0.95:0.05") == [i / 20 for i in range(20)]
+        assert _parse_rho_grid("0:0.5:0.2") == [0.0, 0.2, 0.4]
 
     def test_bad_grid_rejected(self, capsys):
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0:1:0"]) == 2
