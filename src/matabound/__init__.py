@@ -9,7 +9,7 @@ from .coverage import (
     delta_u,
     f_m_pdf,
 )
-from .interval import MataInterval, MataRequest, h_value, solve_interval
+from .interval import MataInterval, MataRequest, solve_interval
 from .linreg import (
     ModelFit,
     ModelSubset,
@@ -52,7 +52,6 @@ __all__ = [
     "fit_full",
     "fit_restricted",
     "gic",
-    "h_value",
     "min_coverage_scan",
     "model_weights",
     "noncentrality",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
+from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig, check_node_doubling
 from .errors import QuadratureError
 
 _GRID_STEP = 0.25
@@ -108,8 +108,8 @@ def upper_bound(
 
     The gamma grid runs to ``quad.gamma_grid_max``; if the coarse minimum
     lands on the right edge the domain is doubled once before giving up.
-    With ``check_convergence`` the minimized value is recomputed at
-    doubled quadrature nodes and must agree to 1e-5.
+    With ``check_convergence`` the minimized value must survive
+    ``check_node_doubling`` at gamma*.
     """
     if not 0.0 <= rho_max_abs < 1.0:
         raise ValueError("rho_max_abs must lie in [0, 1)")
@@ -119,7 +119,7 @@ def upper_bound(
 
     gamma_max = quad.gamma_grid_max
     for attempt in range(2):
-        grid = CoverageGrid(cfg, quad, gamma_max=gamma_max)
+        grid = CoverageGrid(cfg, quad, (0.0, gamma_max))
         gammas = np.arange(0.0, gamma_max + _GRID_STEP / 2.0, _GRID_STEP)
         values = [grid.coverage_at(g) for g in gammas]
         i = int(np.argmin(values))
@@ -138,14 +138,7 @@ def upper_bound(
         g_star, v_star = float(gammas[i]), values[i]
 
     if check_convergence:
-        from dataclasses import replace
-
-        doubled = replace(quad, nodes_x=2 * quad.nodes_x, nodes_y=2 * quad.nodes_y)
-        refined = CoverageGrid(cfg, doubled, gamma_max=gamma_max).coverage_at(g_star)
-        if abs(refined - v_star) > 1e-5:
-            raise QuadratureError(
-                f"node doubling moved the bound by {abs(refined - v_star):.3e}"
-            )
+        check_node_doubling(v_star, g_star, cfg, quad)
 
     return BoundResult(
         upper_bound=v_star,

@@ -27,9 +27,10 @@ safeguarded Newton iteration, vectorized over the whole quadrature grid.
 The integral is evaluated by tensor-product Gauss-Legendre quadrature on
 a truncated rectangle: x within ``x_halfwidth`` (default 8) of gamma,
 where the normal factor has mass below 1e-15 outside, and y between
-extreme quantiles of ``f_m``.  ``CoverageGrid`` caches the ``d_u``
-solves on a gamma-independent x grid so that a gamma search costs one
-root-solve pass total.
+extreme quantiles of ``f_m``.  ``CoverageGrid`` holds the ``d_u``
+solves on an x grid covering a whole gamma range, so that a gamma search
+costs one root-solve pass total; a single coverage value is the grid for
+a one-point range.
 """
 
 from __future__ import annotations
@@ -287,57 +288,54 @@ def coverage_probability(
 ) -> float:
     """Coverage probability of the two-model interval at the given gamma.
 
-    Evaluated on an x domain centered at gamma.  With
-    ``check_convergence`` the computation is repeated at doubled node
-    counts and a discrepancy above 1e-5 raises ``QuadratureError``.
+    Evaluated on the grid for the one-point range ``(gamma, gamma)``, whose
+    x domain is centered at gamma.  With ``check_convergence`` the value
+    must survive ``check_node_doubling``.
     """
     if quad is None:
         quad = QuadratureConfig()
-
-    def evaluate(q: QuadratureConfig) -> float:
-        xn, wx = _gauss_legendre(gamma - q.x_halfwidth, gamma + q.x_halfwidth, q.nodes_x)
-        y_lo, y_hi = _y_domain(cfg.m, q)
-        yn, wy = _gauss_legendre(y_lo, y_hi, q.nodes_y)
-        dlo, dhi = _solve_grid(cfg, q, xn, yn)
-        return _integrate(cfg, gamma, xn, wx, yn, wy, dlo, dhi)
-
-    value = evaluate(quad)
+    value = CoverageGrid(cfg, quad, (gamma, gamma)).coverage_at(gamma)
     if check_convergence:
-        doubled = replace(quad, nodes_x=2 * quad.nodes_x, nodes_y=2 * quad.nodes_y)
-        refined = evaluate(doubled)
-        if abs(refined - value) > _NODE_DOUBLING_TOL:
-            raise QuadratureError(
-                f"node doubling moved the integral by {abs(refined - value):.3e}"
-            )
-    if not 0.0 < value < 1.0:
-        raise QuadratureError(f"coverage estimate {value!r} escaped (0, 1)")
+        check_node_doubling(value, gamma, cfg, quad)
     return value
 
 
+def check_node_doubling(value: float, gamma: float, cfg: TwoModelConfig,
+                        quad: QuadratureConfig) -> None:
+    """Raise ``QuadratureError`` unless ``value``, the coverage at gamma,
+    moves by at most 1e-5 when recomputed at doubled node counts."""
+    doubled = replace(quad, nodes_x=2 * quad.nodes_x, nodes_y=2 * quad.nodes_y)
+    refined = coverage_probability(gamma, cfg, doubled)
+    if abs(refined - value) > _NODE_DOUBLING_TOL:
+        raise QuadratureError(
+            f"node doubling moved the coverage by {abs(refined - value):.3e}"
+        )
+
+
 class CoverageGrid:
-    """Cached coverage evaluator for repeated gamma evaluations.
+    """Coverage evaluator for the gamma range ``gammas = (lo, hi)``.
 
     The expensive part of the integral, the ``delta_u`` root solves, does
     not depend on gamma.  This class solves them once on a fixed x grid
-    covering ``[-x_halfwidth, gamma_max + x_halfwidth]`` (node count
-    scaled up to keep the per-unit density of the single-evaluation
-    path), after which each ``coverage_at(gamma)`` costs four normal-cdf
-    passes over the grid.  Intended for gamma in ``[0, gamma_max]``.
+    covering ``[lo - x_halfwidth, hi + x_halfwidth]``, with ``nodes_x``
+    nodes per ``2 x_halfwidth`` of x, after which each
+    ``coverage_at(gamma)`` for gamma in the range costs four normal-cdf
+    passes over the grid.  The default range is ``[0, gamma_grid_max]``.
     """
 
     def __init__(self, cfg: TwoModelConfig, quad: QuadratureConfig | None = None,
-                 gamma_max: float | None = None):
+                 gammas: tuple[float, float] | None = None):
         if quad is None:
             quad = QuadratureConfig()
-        if gamma_max is None:
-            gamma_max = quad.gamma_grid_max
+        lo, hi = (0.0, quad.gamma_grid_max) if gammas is None else map(float, gammas)
+        if not lo <= hi:
+            raise ValueError(f"empty gamma range ({lo}, {hi})")
         self.cfg = cfg
         self.quad = quad
-        self.gamma_max = float(gamma_max)
-        x_lo = -quad.x_halfwidth
-        x_hi = self.gamma_max + quad.x_halfwidth
-        nx = int(math.ceil(quad.nodes_x * (x_hi - x_lo) / (2.0 * quad.x_halfwidth)))
-        self.xn, self.wx = _gauss_legendre(x_lo, x_hi, nx)
+        self.gammas = (lo, hi)
+        hw = quad.x_halfwidth
+        nx = quad.nodes_x + int(math.ceil(quad.nodes_x * (hi - lo) / (2.0 * hw)))
+        self.xn, self.wx = _gauss_legendre(lo - hw, hi + hw, nx)
         y_lo, y_hi = _y_domain(cfg.m, quad)
         self.yn, self.wy = _gauss_legendre(y_lo, y_hi, quad.nodes_y)
         self.dlo, self.dhi = _solve_grid(cfg, quad, self.xn, self.yn)
@@ -345,8 +343,9 @@ class CoverageGrid:
             raise QuadratureError("tail-area quantiles out of order on the grid")
 
     def coverage_at(self, gamma: float) -> float:
-        if not -1e-9 <= gamma <= self.gamma_max + 1e-9:
-            raise ValueError(f"gamma {gamma} outside the cached range [0, {self.gamma_max}]")
+        lo, hi = self.gammas
+        if not lo - 1e-9 <= gamma <= hi + 1e-9:
+            raise ValueError(f"gamma {gamma} outside the cached range [{lo}, {hi}]")
         value = _integrate(self.cfg, gamma, self.xn, self.wx, self.yn, self.wy,
                            self.dlo, self.dhi)
         if not 0.0 < value < 1.0:

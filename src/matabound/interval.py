@@ -8,20 +8,21 @@ where ``h(z)`` is the weighted average, over the candidate models, of the
 t tail areas of ``(a @ beta_hat_K - z) / (s_K sqrt(v_K))``.  For a fixed
 dataset ``h`` is continuous and strictly decreasing from 1 to 0, so both
 roots exist and are unique; they are located by bracket expansion from
-the weighted center followed by safeguarded secant/bisection steps.
+the weighted center followed by Brent's method (``scipy.optimize.brentq``).
+The same ``h`` serves the Monte Carlo oracle, with replicates on a
+leading axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import stdtr
 
 from .errors import BracketFailure, DegenerateFit
 from .linreg import (
-    DesignStats,
     ModelFit,
     ModelSubset,
     RegressionProblem,
@@ -30,7 +31,6 @@ from .linreg import (
 )
 from .weights import WeightSpec, model_weights
 
-_H_TOL = 1e-12
 _WIDTH_TOL_FACTOR = 1e-12
 _MAX_BRACKET_DOUBLINGS = 100
 
@@ -76,80 +76,54 @@ class MataInterval:
     h_residuals: tuple[float, float]
 
 
-class _TailAreaSystem:
-    """Vectorized h(z) for a fixed dataset, family and weights."""
+def h(w, theta, scale, df, z):
+    """Weighted average of per-model t tail areas at ``z``.
 
-    def __init__(self, fits: dict[ModelSubset, ModelFit], weights, a: np.ndarray):
-        subsets = sorted(fits)
-        self.w = np.array([weights[K] for K in subsets])
-        self.theta = np.array([float(a @ fits[K].beta_hat) for K in subsets])
-        scale2 = np.array([fits[K].s2 * fits[K].v for K in subsets])
-        if np.any(scale2 <= 0.0):
-            raise DegenerateFit("zero residual scale: tail areas undefined")
-        self.scale = np.sqrt(scale2)
-        self.df = np.array([float(fits[K].df) for K in subsets])
+    ``w``, ``theta``, ``scale`` and ``df`` hold one entry per model along
+    their last axis; any leading axes (such as Monte Carlo replicates)
+    broadcast against the shape of ``z``.
+    """
+    z = np.asarray(z, dtype=float)[..., None]
+    return np.sum(w * stdtr(df, (theta - z) / scale), axis=-1)
 
-    def h(self, z: float) -> float:
-        return float(np.sum(self.w * stdtr(self.df, (self.theta - z) / self.scale)))
 
-    @property
-    def center(self) -> float:
-        return float(np.sum(self.w * self.theta))
+def _family_arrays(fits: dict[ModelSubset, ModelFit], weights, a: np.ndarray):
+    """(w, theta, scale, df) of a fitted family, models in mask order."""
+    subsets = sorted(fits)
+    w = np.array([weights[K] for K in subsets])
+    theta = np.array([float(a @ fits[K].beta_hat) for K in subsets])
+    scale2 = np.array([fits[K].s2 * fits[K].v for K in subsets])
+    if np.any(scale2 <= 0.0):
+        raise DegenerateFit("zero residual scale: tail areas undefined")
+    df = np.array([float(fits[K].df) for K in subsets])
+    return w, theta, np.sqrt(scale2), df
 
-    @property
-    def step(self) -> float:
-        return float(self.scale.max())
 
-    def solve(self, target: float) -> tuple[float, float]:
-        """Root of h(z) = target; returns (z, |h(z) - target|)."""
-        lo, hi = self._bracket(target)
-        # h decreasing: f(lo) = h(lo) - target >= 0 >= f(hi).
-        flo, fhi = self.h(lo) - target, self.h(hi) - target
-        width_tol = _WIDTH_TOL_FACTOR * self.step
-        z, fz = lo, flo
-        for _ in range(256):
-            if hi - lo <= max(width_tol, 4.0 * np.spacing(max(abs(lo), abs(hi)))) and abs(fz) <= _H_TOL:
-                break
-            if fhi != flo:
-                z = lo + (hi - lo) * flo / (flo - fhi)
-            else:
-                z = 0.5 * (lo + hi)
-            margin = 0.05 * (hi - lo)
-            if not lo + margin <= z <= hi - margin:
-                z = 0.5 * (lo + hi)
-            fz = self.h(z) - target
-            if fz > 0.0:
-                lo, flo = z, fz
-            elif fz < 0.0:
-                hi, fhi = z, fz
-            else:
-                lo = hi = z
-        return z, abs(fz)
+def _solve_tail(w, theta, scale, df, target: float) -> tuple[float, float]:
+    """Root of h(z) = target; returns (z, |h(z) - target|).
 
-    def _bracket(self, target: float) -> tuple[float, float]:
-        c, s = self.center, self.step
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            if self.h(c - s) >= target >= self.h(c + s):
-                return c - s, c + s
-            s *= 2.0
+    h decreases from 1 to 0, so doubling a window around the weighted
+    center brackets the root, which ``brentq`` then locates.
+    """
+    def f(z):
+        return float(h(w, theta, scale, df, z)) - target
+
+    center, step = float(np.sum(w * theta)), float(scale.max())
+    s = step
+    for _ in range(_MAX_BRACKET_DOUBLINGS):
+        if f(center - s) >= 0.0 >= f(center + s):
+            break
+        s *= 2.0
+    else:
         raise BracketFailure(f"no bracket for tail target {target} after doublings")
-
-
-def h_value(
-    z: float,
-    req: MataRequest,
-    fits: dict[ModelSubset, ModelFit],
-    weights: dict[ModelSubset, float],
-) -> float:
-    """Weighted average of per-model t tail areas at the point ``z``."""
-    return _TailAreaSystem(fits, weights, req.prob.a).h(z)
+    z = brentq(f, center - s, center + s, xtol=_WIDTH_TOL_FACTOR * step)
+    return z, abs(f(z))
 
 
 def solve_interval(
     req: MataRequest,
     fits: dict[ModelSubset, ModelFit] | None = None,
     weights: dict[ModelSubset, float] | None = None,
-    stats: DesignStats | None = None,
 ) -> MataInterval:
     """Solve the two tail-area equations for the interval endpoints.
 
@@ -158,15 +132,15 @@ def solve_interval(
     possible to study degenerate mixtures.
     """
     if fits is None:
-        fits = fit_family(req.prob, req.resolved_family(), stats=stats)
+        fits = fit_family(req.prob, req.resolved_family())
     if weights is None:
         rss_full = fits[ModelSubset(0)].rss
         if rss_full <= 0.0:
             raise DegenerateFit("zero residual sum of squares")
         weights = model_weights(fits, rss_full, req.spec)
-    system = _TailAreaSystem(fits, weights, req.prob.a)
-    lower, res_lo = system.solve(1.0 - req.alpha / 2.0)
-    upper, res_up = system.solve(req.alpha / 2.0)
+    arrays = _family_arrays(fits, weights, req.prob.a)
+    lower, res_lo = _solve_tail(*arrays, 1.0 - req.alpha / 2.0)
+    upper, res_up = _solve_tail(*arrays, req.alpha / 2.0)
     if lower > upper:
         raise BracketFailure("endpoints crossed; h is not behaving monotonically")
     return MataInterval(

@@ -16,6 +16,7 @@ aimed at.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +53,16 @@ class RegressionProblem:
     y : ndarray, shape (n,), optional
         Response vector.  May be omitted for design-only computations
         (e.g. the correlation profile).
+
+    The design's QR factor and its contractions are computed once, at
+    construction, and kept in ``stats``; the rank check reads that QR.
     """
 
     X: np.ndarray
     a: np.ndarray
     q: int
     y: np.ndarray | None = None
+    stats: DesignStats = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float)
@@ -75,18 +80,14 @@ class RegressionProblem:
             raise ValueError("interest vector a is zero")
         if np.any(a[self.q:] != 0.0):
             raise ValueError("a[q:] must be exactly zero")
-        y = self.y
-        if y is not None:
-            y = np.array(y, dtype=float)
-            if y.shape != (n,):
-                raise ValueError(f"y must have length n={n}, got shape {y.shape}")
-            y.setflags(write=False)
-        _check_rank(X)
+        y = None if self.y is None else _frozen_response(self.y, n)
+        stats = DesignStats(X, a)
         X.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "stats", stats)
 
     @property
     def n(self) -> int:
@@ -97,8 +98,21 @@ class RegressionProblem:
         return self.X.shape[1]
 
     def with_response(self, y) -> "RegressionProblem":
-        """Return a copy of this problem with response ``y`` attached."""
-        return RegressionProblem(self.X, self.a, self.q, y)
+        """Return a copy of this problem with response ``y`` attached.
+
+        The copy shares this problem's design arrays and ``stats``.
+        """
+        out = copy.copy(self)
+        object.__setattr__(out, "y", _frozen_response(y, self.n))
+        return out
+
+
+def _frozen_response(y, n: int) -> np.ndarray:
+    y = np.array(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"y must have length n={n}, got shape {y.shape}")
+    y.setflags(write=False)
+    return y
 
 
 @dataclass(frozen=True, order=True)
@@ -172,33 +186,26 @@ def all_subsets(p: int, q: int) -> list[ModelSubset]:
     return [ModelSubset(t << q) for t in range(1 << free)]
 
 
-def _check_rank(X: np.ndarray) -> None:
-    r = np.abs(np.diag(np.linalg.qr(X, mode="r")))
-    if r.min() < _RANK_RTOL * r.max():
-        raise RankDeficient(
-            f"design matrix is numerically rank deficient "
-            f"(diag(R) ratio {r.min() / r.max():.2e})"
-        )
-
-
 class DesignStats:
     """Shared per-design quantities: QR factor, (X'X)^-1 and contractions.
 
     Everything here depends on (X, a) only, so one instance serves every
-    candidate model and every response vector.
+    candidate model and every response vector.  A numerically rank
+    deficient ``X`` raises ``RankDeficient``.
     """
 
-    def __init__(self, prob: RegressionProblem):
-        self.prob = prob
-        X, a = prob.X, prob.a
+    def __init__(self, X: np.ndarray, a: np.ndarray):
         Q, R = np.linalg.qr(X, mode="reduced")
-        rdiag = np.abs(np.diag(R))
-        if rdiag.min() < _RANK_RTOL * rdiag.max():
-            raise RankDeficient("design matrix is numerically rank deficient")
+        r = np.abs(np.diag(R))
+        if r.min() < _RANK_RTOL * r.max():
+            raise RankDeficient(
+                f"design matrix is numerically rank deficient "
+                f"(diag(R) ratio {r.min() / r.max():.2e})"
+            )
         self.Q = Q
         self.R = R
         # (X'X)^-1 = G' G with G = R^-T, formed through triangular solves.
-        G = scipy.linalg.solve_triangular(R.T, np.eye(prob.p), lower=True)
+        G = scipy.linalg.solve_triangular(R.T, np.eye(X.shape[1]), lower=True)
         self.xtx_inv = G.T @ G
         self.xtx_inv_a = self.xtx_inv @ a
         self.v_theta = float(a @ self.xtx_inv_a)
@@ -228,8 +235,7 @@ def fit_full(prob: RegressionProblem) -> tuple[np.ndarray, float]:
     """
     if prob.y is None:
         raise MissingResponse("fit_full requires a response vector")
-    stats = DesignStats(prob)
-    beta_hat = stats.solve_ls(prob.y)
+    beta_hat = prob.stats.solve_ls(prob.y)
     resid = prob.y - prob.X @ beta_hat
     return beta_hat, float(resid @ resid)
 
@@ -247,7 +253,6 @@ def fit_restricted(prob: RegressionProblem, K: ModelSubset) -> ModelFit:
 def fit_family(
     prob: RegressionProblem,
     family: list[ModelSubset] | None = None,
-    stats: DesignStats | None = None,
 ) -> dict[ModelSubset, ModelFit]:
     """Fit every model in ``family`` (default: all subsets), sharing one QR.
 
@@ -255,8 +260,7 @@ def fit_family(
     """
     if prob.y is None:
         raise MissingResponse("fitting requires a response vector")
-    if stats is None:
-        stats = DesignStats(prob)
+    stats = prob.stats
     if family is None:
         family = all_subsets(prob.p, prob.q)
     _validate_family_masks(prob, family)
@@ -339,7 +343,7 @@ def correlation_profile(
         Column index (0-based) attaining the maximum; ties broken by the
         smallest index.
     """
-    stats = DesignStats(prob)
+    stats = prob.stats
     q, p = prob.q, prob.p
     cov = stats.xtx_inv_a[q:]
     var_j = np.diag(stats.xtx_inv)[q:]
@@ -365,7 +369,6 @@ def noncentrality(
     b = np.asarray(beta_over_sigma, dtype=float)
     if b.shape != (prob.p,):
         raise ValueError(f"beta_over_sigma must have length p={prob.p}")
-    stats = DesignStats(prob)
-    L, idx = stats.subset_chol(K)
+    L, idx = prob.stats.subset_chol(K)
     bk = b[idx]
     return 0.5 * float(bk @ scipy.linalg.cho_solve((L, True), bk))

@@ -4,10 +4,11 @@ Simulates regression data and estimates coverage of the averaged-tail-area
 interval without solving the estimating equations: since ``h`` is
 decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
-replicate.  A deterministic audit subsample is additionally pushed
-through the actual endpoint solver and must agree replicate by
-replicate; disagreement raises ``EventMismatch`` and means a bug, not bad
-luck.
+replicate.  The weights and ``h`` are the interval solver's own,
+evaluated for all replicates at once.  A deterministic audit subsample is
+additionally pushed through the actual endpoint solver and must agree
+replicate by replicate; disagreement raises ``EventMismatch`` and means a
+bug, not bad luck.
 
 Coverage depends on the parameters only through the scaled droppable
 coefficients ``beta[q:] / sigma``, so scenarios store that vector and
@@ -24,17 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import stdtr
 
 from .errors import EventMismatch
-from .interval import MataRequest, solve_interval
+from .interval import MataRequest, h, solve_interval
 from .linreg import (
-    DesignStats,
     ModelSubset,
     RegressionProblem,
     all_subsets,
 )
-from .weights import WeightSpec, w1
+from .weights import WeightSpec, normalized_weights, w1
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
@@ -101,7 +100,9 @@ class _SimKernel:
     The noise-only least-squares coefficients and residual sum of squares
     are precomputed once; changing the coefficient vector is a shift, so
     scanning a parameter grid reuses the same draws (common random
-    numbers).
+    numbers).  The restricted fits are formed here from those shifts,
+    independently of ``fit_family``; weights and ``h`` are the package's
+    single implementations, with replicates on the leading axis.
     """
 
     def __init__(self, prob: RegressionProblem, family, spec: WeightSpec,
@@ -112,82 +113,51 @@ class _SimKernel:
         self.spec = spec
         self.alpha = alpha
         self.family = sorted(set(family))
-        self.stats = DesignStats(prob)
+        stats = prob.stats
 
         rng = np.random.Generator(np.random.Philox(key=seed))
         self.noise = rng.standard_normal((reps, prob.n))
-        self.bn = self.noise @ (prob.X @ self.stats.xtx_inv)
+        self.bn = self.noise @ (prob.X @ stats.xtx_inv)
         resid = self.noise - self.bn @ prob.X.T
         self.rss = np.einsum("ij,ij->i", resid, resid)
 
-        self.models = []
-        for K in self.family:
-            df = prob.n - prob.p + K.cardinality
-            if K.mask == 0:
-                self.models.append((K, None, None, None, self.stats.v_theta, df))
-                continue
-            L, idx = self.stats.subset_chol(K)
-            g = self.stats.xtx_inv_a[idx]
-            v = self.stats.v_theta - float(g @ scipy.linalg.cho_solve((L, True), g))
-            self.models.append((K, L, idx, g, v, df))
+        self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
+        self.card = np.array([K.cardinality for K in self.family[1:]], dtype=int)
+        self.v = np.empty(len(self.family))
+        self.v[0] = stats.v_theta
+        self.restricted = []
+        for j, K in enumerate(self.family[1:], start=1):
+            L, idx = stats.subset_chol(K)
+            g = stats.xtx_inv_a[idx]
+            self.v[j] = stats.v_theta - float(g @ scipy.linalg.cho_solve((L, True), g))
+            self.restricted.append((L, idx, g))
+
+    def family_arrays(self, beta_over_sigma: np.ndarray):
+        """(w, theta, scale) per replicate and model, models in mask order,
+        for data y = X b + noise with b = beta/sigma."""
+        b_hat = self.bn + np.asarray(beta_over_sigma, dtype=float)
+        reps, n_models = self.rss.shape[0], len(self.family)
+        theta = np.empty((reps, n_models))
+        u = np.zeros((reps, n_models))
+        theta[:, 0] = b_hat @ self.prob.a
+        for j, (L, idx, g) in enumerate(self.restricted, start=1):
+            bk = b_hat[:, idx]
+            z = scipy.linalg.cho_solve((L, True), bk.T)
+            theta[:, j] = theta[:, 0] - g @ z
+            u[:, j] = np.einsum("kr,rk->r", z, bk)
+        w = normalized_weights(self.spec.log_kernel(u[:, 1:] / self.rss[:, None], self.card))
+        scale = np.sqrt((self.rss[:, None] + u) / self.df * self.v)
+        return w, theta, scale
 
     def h_at_truth(self, beta_over_sigma: np.ndarray) -> np.ndarray:
         """h(theta) per replicate for data y = X b + noise, b = beta/sigma."""
-        beta = np.asarray(beta_over_sigma, dtype=float)
-        theta = float(self.prob.a @ beta)
-        b_hat = self.bn + beta
-        theta_hat = b_hat @ self.prob.a
-
-        n_sub = len(self.models) - 1
-        reps = self.rss.shape[0]
-        args = np.empty((len(self.models), reps))
-        dfs = np.empty(len(self.models))
-        log_r = np.empty((reps, n_sub)) if n_sub else None
-        j = 0
-        for pos, (K, L, idx, g, v, df) in enumerate(self.models):
-            dfs[pos] = df
-            if K.mask == 0:
-                s2 = self.rss / df
-                args[pos] = (theta_hat - theta) / np.sqrt(s2 * v)
-                continue
-            bk = b_hat[:, idx]
-            z = scipy.linalg.cho_solve((L, True), bk.T)
-            u = np.einsum("kr,rk->r", z, bk)
-            theta_k = theta_hat - g @ z
-            s2 = (self.rss + u) / df
-            args[pos] = (theta_k - theta) / np.sqrt(s2 * v)
-            if self.spec.d is not None:
-                log_r[:, j] = 0.5 * self.spec.d * K.cardinality - \
-                    0.5 * self.spec.n * np.log1p(u / self.rss)
-            else:
-                log_r[:, j] = np.log(
-                    [self.spec.kernel(float(x), K.cardinality) for x in u / self.rss]
-                )
-            j += 1
-
-        if n_sub == 0:
-            weights = np.ones((reps, 1))
-        else:
-            shift = np.maximum(0.0, log_r.max(axis=1))
-            terms = np.exp(log_r - shift[:, None])
-            w_empty = np.exp(-shift)
-            denom = w_empty + terms.sum(axis=1)
-            weights = np.empty((reps, len(self.models)))
-            pos_empty = next(i for i, mdl in enumerate(self.models) if mdl[0].mask == 0)
-            weights[:, pos_empty] = w_empty / denom
-            j = 0
-            for pos, mdl in enumerate(self.models):
-                if mdl[0].mask == 0:
-                    continue
-                weights[:, pos] = terms[:, j] / denom
-                j += 1
-
-        tails = stdtr(dfs[:, None], args)
-        return np.einsum("rk,kr->r", weights, tails)
+        theta = float(self.prob.a @ np.asarray(beta_over_sigma, dtype=float))
+        w, theta_k, scale = self.family_arrays(beta_over_sigma)
+        return h(w, theta_k, scale, self.df, theta)
 
     def covered(self, beta_over_sigma: np.ndarray) -> np.ndarray:
-        h = self.h_at_truth(beta_over_sigma)
-        return (self.alpha / 2.0 <= h) & (h <= 1.0 - self.alpha / 2.0)
+        h_theta = self.h_at_truth(beta_over_sigma)
+        return (self.alpha / 2.0 <= h_theta) & (h_theta <= 1.0 - self.alpha / 2.0)
 
     def response(self, i: int, beta_over_sigma: np.ndarray) -> np.ndarray:
         return self.prob.X @ np.asarray(beta_over_sigma, dtype=float) + self.noise[i]
@@ -220,7 +190,7 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
         for i in range(0, sc.reps, stride):
             prob_i = sc.prob.with_response(kernel.response(i, sc.beta_over_sigma))
             req = MataRequest(prob_i, sc.spec, sc.alpha, fam)
-            iv = solve_interval(req, stats=kernel.stats)
+            iv = solve_interval(req)
             contained = iv.lower <= theta <= iv.upper
             if contained != bool(covered[i]):
                 raise EventMismatch(
@@ -228,13 +198,6 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
                     f"h-event {bool(covered[i])}"
                 )
     return _estimate(covered, sc.reps, sc.seed)
-
-
-def coverage_indicators(sc: SimScenario) -> np.ndarray:
-    """Per-replicate coverage indicators (h-event form), no audit."""
-    kernel = _SimKernel(sc.prob, sc.resolved_family(), sc.spec, sc.alpha,
-                        sc.reps, sc.seed)
-    return kernel.covered(sc.beta_over_sigma)
 
 
 def min_coverage_scan(

@@ -77,17 +77,39 @@ class WeightSpec:
         probe_kernel_conditions(kernel, k_max)
         return cls(n=n, kernel=kernel)
 
-    def log_kernel(self, x: np.ndarray | float, k: int) -> np.ndarray | float:
-        """log r(x, k); vectorized over x."""
+    def log_kernel(self, x, k) -> np.ndarray:
+        """log r(x, k), broadcast over arrays ``x`` and ``k``.
+
+        Custom-kernel values must be positive and finite; any other value
+        raises ``InvalidKernel``.
+        """
+        x, k = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(k))
         if self.d is not None:
             return 0.5 * self.d * k - 0.5 * self.n * np.log1p(x)
-        vals = np.asarray(
-            [self.kernel(float(xi), k) for xi in np.atleast_1d(np.asarray(x, dtype=float))]
-        )
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise InvalidKernel(f"kernel returned a non-positive or non-finite value at k={k}")
-        out = np.log(vals)
-        return out if np.ndim(x) else float(out[0])
+        vals = np.array([self.kernel(float(xi), int(ki)) for xi, ki in zip(x.flat, k.flat)],
+                        dtype=float).reshape(x.shape)
+        bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0.0)))
+        if bad.size:
+            i = bad[0]
+            raise InvalidKernel(
+                f"kernel returned {vals.flat[i]:g} at x={x.flat[i]:g}, k={k.flat[i]}")
+        return np.log(vals)
+
+
+def normalized_weights(log_r: np.ndarray) -> np.ndarray:
+    """Weights from the log kernels of the restricted models.
+
+    ``log_r`` holds ``log r(u_K / rss, |K|)`` for every model but the
+    full one along its last axis; the full model (kernel value 1) is put
+    in slot 0 of the result.  Terms are shifted so the largest is at most
+    1 before summing, which keeps the normalization exact when the
+    kernel values overflow.
+    """
+    shift = np.max(log_r, axis=-1, keepdims=True, initial=0.0)
+    terms = np.exp(log_r - shift)
+    full = np.exp(-shift)
+    denom = full + terms.sum(axis=-1, keepdims=True)
+    return np.concatenate([full / denom, terms / denom], axis=-1)
 
 
 def probe_kernel_conditions(kernel: Callable[[float, int], float], k_max: int) -> None:
@@ -141,29 +163,13 @@ def model_weights(
     if rss_full <= 0.0:
         raise DegenerateFit("rss must be positive to form weight ratios")
     subsets = sorted(fits)
-    nonempty = [K for K in subsets if K.mask]
-    if not nonempty:
-        return {ModelSubset(0): 1.0}
-    x = np.array([fits[K].u for K in nonempty]) / rss_full
+    restricted = subsets[1:]
+    x = np.array([fits[K].u for K in restricted], dtype=float) / rss_full
     if np.any(x < 0.0):
         raise ValueError("negative restriction statistic u_K")
-    card = np.array([K.cardinality for K in nonempty])
-    if spec.d is not None:
-        log_r = 0.5 * spec.d * card - 0.5 * spec.n * np.log1p(x)
-    else:
-        log_r = np.array(
-            [spec.log_kernel(float(xi), int(k)) for xi, k in zip(x, card)]
-        )
-    if not np.all(np.isfinite(log_r)):
-        raise InvalidKernel("kernel produced a non-finite log value")
-    # Shift so the largest term is 1 before summing; exact normalization.
-    shift = max(0.0, float(log_r.max()))
-    terms = np.exp(log_r - shift)
-    denom = math.exp(-shift) + float(np.sum(terms))
-    out = {ModelSubset(0): math.exp(-shift) / denom}
-    for K, t in zip(nonempty, terms):
-        out[K] = float(t) / denom
-    return dict(sorted(out.items()))
+    card = np.array([K.cardinality for K in restricted], dtype=int)
+    weights = normalized_weights(spec.log_kernel(x, card))
+    return dict(zip(subsets, map(float, weights)))
 
 
 def w1(z: float | np.ndarray, m: int, n: int, d: float) -> float | np.ndarray:

@@ -222,10 +222,12 @@ class TestCoverageProbability:
 class TestCoverageGrid:
     def test_matches_direct_evaluation(self):
         cfg = make_cfg(m=9, n=13, rho=0.85, d=2.0)
-        grid = CoverageGrid(cfg)
-        for gamma in (0.0, 0.7, 2.0, 5.0):
-            direct = coverage_probability(gamma, cfg)
-            assert grid.coverage_at(gamma) == pytest.approx(direct, abs=1e-7)
+        for grid in (CoverageGrid(cfg), CoverageGrid(cfg, gammas=(0.7, 5.0))):
+            for gamma in (0.7, 2.0, 5.0):
+                direct = coverage_probability(gamma, cfg)
+                assert grid.coverage_at(gamma) == pytest.approx(direct, abs=1e-7)
+        assert CoverageGrid(cfg).coverage_at(0.0) == pytest.approx(
+            coverage_probability(0.0, cfg), abs=1e-7)
 
     def test_rejects_gamma_outside_cached_range(self):
         grid = CoverageGrid(make_cfg())
@@ -233,6 +235,8 @@ class TestCoverageGrid:
             grid.coverage_at(50.0)
         with pytest.raises(ValueError):
             grid.coverage_at(-1.0)
+        with pytest.raises(ValueError, match="empty"):
+            CoverageGrid(make_cfg(), gammas=(2.0, 1.0))
 
 
 class TestConfigValidation:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from matabound import (
@@ -13,13 +15,18 @@ from matabound import (
     WeightSpec,
     fit_family,
     fit_full,
-    h_value,
     model_weights,
     solve_interval,
     w1,
 )
+from matabound.interval import _family_arrays, h
 
 from helpers import random_problem
+
+
+def h_of(z, prob, fits, weights):
+    """h at ``z`` for a fitted family, through the solver's own arrays."""
+    return float(h(*_family_arrays(fits, weights, prob.a), z))
 
 
 def classical_t_interval(prob, alpha):
@@ -49,17 +56,15 @@ class TestSingleModel:
         fam = [ModelSubset(0)]
         fits = fit_family(prob, fam)
         weights = {ModelSubset(0): 1.0}
-        req = MataRequest(prob, WeightSpec.aic(prob.n), family=tuple(fam))
         theta_hat = float(prob.a @ fits[ModelSubset(0)].beta_hat)
-        assert h_value(theta_hat, req, fits, weights) == pytest.approx(0.5, abs=1e-14)
+        assert h_of(theta_hat, prob, fits, weights) == pytest.approx(0.5, abs=1e-14)
 
     def test_h_limits(self):
         prob = random_problem(203)
-        req = MataRequest(prob, WeightSpec.aic(prob.n))
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, req.spec)
-        assert h_value(-1e9, req, fits, weights) == pytest.approx(1.0, abs=1e-12)
-        assert h_value(1e9, req, fits, weights) == pytest.approx(0.0, abs=1e-12)
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        assert h_of(-1e9, prob, fits, weights) == pytest.approx(1.0, abs=1e-12)
+        assert h_of(1e9, prob, fits, weights) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestTwoModelDisplayForm:
@@ -72,7 +77,6 @@ class TestTwoModelDisplayForm:
         fits = fit_family(prob, list(fam))
         rss = fits[ModelSubset(0)].rss
         weights = model_weights(fits, rss, spec)
-        req = MataRequest(prob, spec, family=fam)
 
         m = prob.n - prob.p
         C = np.linalg.inv(prob.X.T @ prob.X)
@@ -91,7 +95,7 @@ class TestTwoModelDisplayForm:
                     / (math.sqrt(v_theta) * sigma_hat * math.sqrt(1.0 - rho**2)))
             arg0 = (theta_hat - z) / (sigma_hat * math.sqrt(v_theta))
             expected = wsub * sps.t.cdf(arg1, m + 1) + (1.0 - wsub) * sps.t.cdf(arg0, m)
-            assert h_value(z, req, fits, weights) == pytest.approx(expected, abs=1e-12)
+            assert h_of(z, prob, fits, weights) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSolveInterval:
@@ -157,12 +161,47 @@ class TestSolveInterval:
             fits = fit_family(prob)
             weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
             req = MataRequest(prob, spec, alpha=alpha)
-            hv = h_value(theta, req, fits, weights)
+            hv = h_of(theta, prob, fits, weights)
             iv = solve_interval(req, fits=fits, weights=weights)
             h_event = alpha / 2.0 <= hv <= 1.0 - alpha / 2.0
             containment = iv.lower <= theta <= iv.upper
             mism += h_event != containment
         assert mism == 0
+
+
+@st.composite
+def requests(draw):
+    """MATA requests on random problems with up to 5 droppable columns."""
+    p = draw(st.integers(2, 6))
+    q = draw(st.integers(max(1, p - 5), p - 1))
+    n = draw(st.integers(p + 2, 60))
+    prob = random_problem(draw(st.integers(0, 2**32 - 1)), n=n, p=p, q=q,
+                          y_scale=draw(st.floats(1e-3, 1e3)))
+    spec = WeightSpec.gic(n, draw(st.floats(0.0, 20.0)))
+    return MataRequest(prob, spec, alpha=draw(st.floats(1e-3, 0.5)))
+
+
+class TestTailAreaProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(requests())
+    def test_h_strictly_decreasing(self, req):
+        # on the 99.9% interval, where h stays in [5e-4, 1 - 5e-4]
+        wide = solve_interval(MataRequest(req.prob, req.spec, alpha=1e-3))
+        fits = fit_family(req.prob)
+        arrays = _family_arrays(fits, wide.weights_used, req.prob.a)
+        hs = h(*arrays, np.linspace(wide.lower, wide.upper, 200))
+        assert hs.shape == (200,)
+        assert np.all(np.diff(hs) < 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(requests())
+    def test_endpoint_residuals(self, req):
+        iv = solve_interval(req)
+        fits = fit_family(req.prob)
+        assert max(iv.h_residuals) <= 1e-12
+        assert abs(h_of(iv.lower, req.prob, fits, iv.weights_used)
+                   - (1.0 - req.alpha / 2.0)) <= 1e-12
+        assert abs(h_of(iv.upper, req.prob, fits, iv.weights_used) - req.alpha / 2.0) <= 1e-12
 
 
 class TestRequestValidation:

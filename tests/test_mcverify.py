@@ -1,22 +1,29 @@
 """Simulation layer: reproducibility, invariance, and analytic cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matabound import (
     ModelSubset,
     SimScenario,
     TwoModelConfig,
     WeightSpec,
+    all_subsets,
     coverage_probability,
+    fit_family,
     min_coverage_scan,
+    model_weights,
     simulate_coverage,
     w1_decay_scan,
 )
-from matabound.errors import EventMismatch
-from matabound.mcverify import coverage_indicators
+from matabound.errors import EventMismatch, InvalidKernel
+from matabound.interval import _family_arrays, h
+from matabound.mcverify import _SimKernel
 from matabound.suites import two_model_problem, two_model_scenario
 
 from helpers import random_problem
@@ -64,8 +71,12 @@ class TestSimulateCoverage:
         sc1 = SimScenario.from_beta_sigma(prob, beta, 1.0, **kwargs)
         sc2 = SimScenario.from_beta_sigma(prob, 2.0 * beta, 2.0, **kwargs)
         np.testing.assert_array_equal(sc1.beta_over_sigma, sc2.beta_over_sigma)
-        np.testing.assert_array_equal(coverage_indicators(sc1),
-                                      coverage_indicators(sc2))
+        covered = [
+            _SimKernel(sc.prob, sc.resolved_family(), sc.spec, sc.alpha, sc.reps,
+                       sc.seed).covered(sc.beta_over_sigma)
+            for sc in (sc1, sc2)
+        ]
+        np.testing.assert_array_equal(*covered)
 
     def test_audit_detects_broken_solver(self, monkeypatch):
         import matabound.mcverify as mcv
@@ -80,11 +91,51 @@ class TestSimulateCoverage:
         with pytest.raises(EventMismatch):
             simulate_coverage(sc)
 
+    @pytest.mark.parametrize("bad_value", [0.0, -1.0])
+    @pytest.mark.parametrize("audit_fraction", [0.0, 0.01])
+    def test_invalid_custom_kernel_value_raises(self, bad_value, audit_fraction):
+        # The registration probes sample a finite x grid, so a kernel can
+        # pass them and still return an invalid value elsewhere; such a
+        # spec is built here directly.
+        def kernel(x, k):
+            return bad_value if x > 0.5 else k / (1.0 + x) ** 4
+
+        sc = dataclasses.replace(
+            two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05, reps=10_000, seed=3,
+                               audit_fraction=audit_fraction),
+            spec=WeightSpec(n=7, kernel=kernel),
+        )
+        with pytest.raises(InvalidKernel):
+            simulate_coverage(sc)
+
     def test_reps_floor_enforced(self):
         prob = random_problem(505, with_y=False)
         with pytest.raises(ValueError, match="reps"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=100,
                         seed=1, spec=WeightSpec.aic(prob.n))
+
+
+class TestSimKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3),
+           st.integers(2, 40), st.floats(0.0, 20.0), st.data())
+    def test_matches_fitted_path_per_replicate(self, seed, p, free, extra, d, data):
+        # The kernel's shift-based fits must give the weights and h(theta)
+        # of fit_family -> model_weights on each replicate's own data.
+        q = max(1, p - free)
+        prob = random_problem(seed, n=p + extra, p=p, q=q, with_y=False)
+        beta = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)))
+        spec = WeightSpec.gic(prob.n, d)
+        kernel = _SimKernel(prob, all_subsets(p, q), spec, 0.05, reps=8, seed=seed)
+        w, _, _ = kernel.family_arrays(beta)
+        h_theta = kernel.h_at_truth(beta)
+        theta = float(prob.a @ beta)
+        for i in range(8):
+            fits = fit_family(prob.with_response(kernel.response(i, beta)))
+            ref = model_weights(fits, fits[ModelSubset(0)].rss, spec)
+            np.testing.assert_allclose(w[i], [ref[K] for K in sorted(ref)], rtol=0, atol=1e-14)
+            h_ref = float(h(*_family_arrays(fits, ref, prob.a), theta))
+            assert abs(h_theta[i] - h_ref) <= 1e-12
 
 
 class TestMinCoverageScan:

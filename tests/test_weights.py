@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from matabound import (
@@ -16,7 +18,7 @@ from matabound import (
     w1,
 )
 from matabound.errors import DegenerateFit, InvalidKernel
-from matabound.weights import probe_kernel_conditions
+from matabound.weights import normalized_weights, probe_kernel_conditions
 
 from helpers import random_problem
 
@@ -114,6 +116,23 @@ class TestModelWeights:
         del fits[ModelSubset(0)]
         with pytest.raises(ValueError, match="full model"):
             model_weights(fits, 1.0, WeightSpec.aic(prob.n))
+
+
+class TestWeightProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10**6), st.floats(0.0, 20.0), st.integers(1, 3),
+           st.integers(0, 12), st.data())
+    def test_gic_weights_on_simplex(self, n, d, rows, models, data):
+        # ``rows`` replicates of a family with ``models`` restricted members
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=rows * models,
+                                        max_size=rows * models))).reshape(rows, models)
+        card = np.array(data.draw(st.lists(st.integers(1, 30), min_size=models,
+                                           max_size=models)), dtype=int)
+        w = normalized_weights(WeightSpec.gic(n, d).log_kernel(x, card))
+        assert w.shape == (rows, models + 1)
+        assert np.all((w >= 0.0) & (w <= 1.0))
+        for row in w:
+            assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestW1:
