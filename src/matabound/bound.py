@@ -5,8 +5,8 @@ two-model family built on the most-correlated droppable coefficient gives
 an upper bound: fix the design correlation at ``|rho|_max`` and minimize
 the two-model coverage integral over the scaled coefficient ``gamma``.
 Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
-grid (step 0.25) guards against multiple local minima, then a
-golden-section refinement polishes the grid minimum.
+grid (step 0.25) guards against multiple local minima, then bounded
+Brent minimization polishes the grid minimum.
 """
 
 from __future__ import annotations
@@ -17,22 +17,27 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig, check_node_doubling
+from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
 
 _GRID_STEP = 0.25
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Minimized coverage with search diagnostics."""
+    """Minimized coverage with search diagnostics.
+
+    ``error_estimate`` is the quadrature error estimate of the coverage
+    at ``gamma_star``, at most 1e-6.
+    """
 
     upper_bound: float
     gamma_star: float
     rho_max_abs: float
     cfg: TwoModelConfig
+    error_estimate: float
     diagnostics: list[tuple[float, float]] = field(default_factory=list)
 
 
@@ -74,27 +79,6 @@ def resolve_d(d_rule, n: int) -> float:
     return d
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Minimize f on [lo, hi]; returns the best (x, f(x)) seen."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best = (x1, f1) if f1 <= f2 else (x2, f2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        cand = (x1, f1) if f1 <= f2 else (x2, f2)
-        if cand[1] < best[1]:
-            best = cand
-    return best
-
-
 def upper_bound(
     rho_max_abs: float,
     m: int,
@@ -102,14 +86,13 @@ def upper_bound(
     d: float,
     alpha: float,
     quad: QuadratureConfig | None = None,
-    check_convergence: bool = False,
 ) -> BoundResult:
     """Minimize the two-model coverage over gamma >= 0 at rho = |rho|_max.
 
     The gamma grid runs to ``quad.gamma_grid_max``; if the coarse minimum
     lands on the right edge the domain is doubled once before giving up.
-    With ``check_convergence`` the minimized value must survive
-    ``check_node_doubling`` at gamma*.
+    Every coverage value meets the error estimate tolerance of
+    ``CoverageGrid``, or ``QuadratureError`` is raised.
     """
     if not 0.0 <= rho_max_abs < 1.0:
         raise ValueError("rho_max_abs must lie in [0, 1)")
@@ -133,18 +116,18 @@ def upper_bound(
 
     lo = float(gammas[max(i - 1, 0)])
     hi = float(gammas[min(i + 1, len(gammas) - 1)])
-    g_star, v_star = _golden_section(grid.coverage_at, lo, hi, quad.gamma_refine_tol)
+    res = minimize_scalar(grid.coverage_at, bounds=(lo, hi), method="bounded",
+                          options={"xatol": quad.gamma_refine_tol})
+    g_star, v_star = float(res.x), float(res.fun)
     if values[i] < v_star:
         g_star, v_star = float(gammas[i]), values[i]
-
-    if check_convergence:
-        check_node_doubling(v_star, g_star, cfg, quad)
 
     return BoundResult(
         upper_bound=v_star,
         gamma_star=g_star,
         rho_max_abs=rho_max_abs,
         cfg=cfg,
+        error_estimate=grid.coverage_with_error(g_star)[1],
         diagnostics=list(zip(map(float, gammas), values)),
     )
 
@@ -170,7 +153,6 @@ def bound_curve(
     Rows are ordered by (m, n) pair then rho.  Cell evaluations are
     independent; MATA_THREADS > 1 runs them on a thread pool (results are
     placed by index, so output is identical either way).
-    Every cell runs the node-doubling check of ``upper_bound``.
     """
     rho_grid = [float(r) for r in rho_grid]
     m_n_pairs = [(int(m), int(n)) for m, n in m_n_pairs]
@@ -183,8 +165,7 @@ def bound_curve(
 
     def run(cell):
         m, n, rho = cell
-        return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha, quad,
-                           check_convergence=True)
+        return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha, quad)
 
     workers = max_threads()
     if workers > 1:

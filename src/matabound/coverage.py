@@ -22,23 +22,34 @@ strictly increasing in ``d`` from 0 to 1, so the root is unique; it is
 bracketed exactly by the two pure-model closed forms (the w1 = 1 and
 w1 = 0 solutions).  The equation depends on (x, y) only through
 t = x/y, with ``d_u(x, y) = y D_u(x/y)``; ``D_u`` is located by a
-safeguarded Newton iteration, vectorized over the whole quadrature grid.
+safeguarded Newton iteration, vectorized over the quadrature nodes.
 
-The integral is evaluated by tensor-product Gauss-Legendre quadrature on
-a truncated rectangle: x within ``x_halfwidth`` (default 8) of gamma,
-where the normal factor has mass below 1e-15 outside, and y between
-extreme quantiles of ``f_m``.  ``CoverageGrid`` holds the ``d_u``
-solves on an x grid covering a whole gamma range, so that a gamma search
-costs one root-solve pass total; a single coverage value is the grid for
-a one-point range.
+With ``x = t y`` the coverage is
+
+    int dt int_0^inf dy  y f_m(y) phi(t y - gamma)
+        [ Phi((y (D_hi(t) - rho t) + rho gamma) / s) - (the same for D_lo) ]
+
+so roots are needed per t node only, and ``D_u(-t) = -D_{1-u}(t)`` folds
+t < 0 onto t > 0.  Both variables are integrated by adaptive QUADPACK
+qk15 panels (Piessens et al., *QUADPACK*, 1983).  The t panels do not
+depend on gamma: they break at the w1 transition ``t* = sqrt(m (e^(d/n) -
+1))``, at ``t* +- k w`` with ``w = (m + t*^2) / (n t*)`` its width, and
+where a root enters, crosses or leaves the submodel step
+``D = |rho| t``; they widen geometrically to t = 64 and map the rest by
+``t = 64 / v``.  Per gamma and t node, y panels cover
+``|t y - gamma| <= 8`` within extreme quantiles of ``f_m`` and break at
+``gamma / t`` and around each normal cdf step.  Every value carries a
+Kronrod-Gauss error estimate in both variables, at most 1e-6, or
+``QuadratureError`` is raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gammaln, ndtr, stdtr, stdtrit
 from scipy.stats import chi2
 
@@ -47,14 +58,36 @@ from .linreg import RegressionProblem, correlation_profile
 from .weights import w1
 
 _RHO_CLAMP = 1.0 - 1e-9
-_NODE_DOUBLING_TOL = 1e-5
+# Bound on the error estimate of every coverage value.
+_TOL = 1e-6
+# Normal mass beyond 8 standard deviations is below 1.3e-15.
+_X_HALFWIDTH = 8.0
+_T_LADDER_END = 64.0
+_BAND_STEPS = (1.0, 3.0, 10.0, 30.0, 100.0)
+_PHI_STEPS = (-10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0)
+# Refinement gives up after _MAX_ROUNDS rounds of bisection, or before a
+# round that would integrate more than _MAX_T_PANELS t panels: each holds
+# 30 t nodes (both signs) with tens of y nodes apiece.
+_MAX_ROUNDS = 30
+_MAX_T_PANELS = 256
 # The pure-model roots bracket delta_u exactly.  The pad, in t-quantile
 # units, covers scipy's stdtrit, which returns 0 for u within ~1e-8 of 1/2
 # at some degrees of freedom (4 and 6): a quantile error up to 4e-8.
 _QUANTILE_PAD = 1e-7
 _NEWTON_STEP_RTOL = 1e-13
 _NEWTON_MAX_ITER = 100
-_BLOCK = 16384
+
+# QUADPACK qk15 on [-1, 1]: the 7-point Gauss nodes interlaced with the
+# Kronrod nodes below; the Kronrod weights make the rule exact to degree 14.
+_G7_NODES, _G7_WEIGHTS = np.polynomial.legendre.leggauss(7)
+_KRONROD_EXTRA = np.array([0.991455371120812639, 0.864864423359769073,
+                           0.586087235467691130, 0.207784955007898468])
+_NODES = np.sort(np.concatenate([_G7_NODES, _KRONROD_EXTRA, -_KRONROD_EXTRA]))
+_W_KRONROD = np.linalg.solve(np.polynomial.legendre.legvander(_NODES, 14).T,
+                             np.eye(15)[0] * 2.0)
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1::2] = _G7_WEIGHTS
+_W_DIFF = _W_KRONROD - _W_GAUSS
 
 
 @dataclass(frozen=True)
@@ -98,25 +131,20 @@ class TwoModelConfig:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation, node counts and solver tolerances for the integral."""
+    """y truncation, root-solve tolerance and gamma search settings."""
 
-    x_halfwidth: float = 8.0
     y_lo_quantile: float = 1e-10
     y_hi_quantile: float = 1.0 - 1e-10
-    nodes_x: int = 200
-    nodes_y: int = 200
     delta_tol: float = 1e-10
     gamma_grid_max: float = 12.0
     gamma_refine_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.x_halfwidth, self.y_lo_quantile, self.delta_tol,
+        if min(self.y_lo_quantile, self.delta_tol,
                self.gamma_grid_max, self.gamma_refine_tol) <= 0.0:
             raise ValueError("quadrature parameters must be positive")
         if not self.y_lo_quantile < self.y_hi_quantile < 1.0:
             raise ValueError("need y_lo_quantile < y_hi_quantile < 1")
-        if min(self.nodes_x, self.nodes_y) < 20:
-            raise ValueError("node counts must be at least 20")
 
 
 def f_m_pdf(y, m: int):
@@ -137,9 +165,10 @@ def f_m_pdf(y, m: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _gauss_legendre(a: float, b: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk15 nodes of the panels [a, b], shape (panels, 15), and half widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
 
 
 def _y_domain(m: int, quad: QuadratureConfig) -> tuple[float, float]:
@@ -198,13 +227,7 @@ def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = 1e-10):
     sign = np.where(upper, -1.0, 1.0)
     x, y, sign, u, q_sub, q_full = np.broadcast_arrays(x, y, sign, u, q_sub, q_full)
     t = (sign * x / y).ravel()
-    u, q_sub, q_full = u.ravel(), q_sub.ravel(), q_full.ravel()
-    D = np.empty_like(t)
-    # Fixed-size blocks bound the solver's working memory: one call over a
-    # whole 350x200 grid raises a bound's peak RSS by about 10 MB.
-    for i in range(0, t.size, _BLOCK):
-        part = slice(i, i + _BLOCK)
-        D[part] = _solve_reduced(t[part], u[part], q_sub[part], q_full[part], cfg, tol)
+    D = _solve_reduced(t, u.ravel(), q_sub.ravel(), q_full.ravel(), cfg, tol)
     delta = sign * y * D.reshape(x.shape)
     return float(delta) if delta.ndim == 0 else delta
 
@@ -261,66 +284,73 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
     return D
 
 
-def _integrate(cfg, gamma, xn, wx, yn, wy, dlo, dhi) -> float:
-    s = math.sqrt(1.0 - cfg.rho * cfg.rho)
-    shift = cfg.rho * (xn[:, None] - gamma)
-    psi = ndtr((dhi - shift) / s) - ndtr((dlo - shift) / s)
-    px = np.exp(-0.5 * (xn - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-    return float((wx * px) @ psi @ (wy * f_m_pdf(yn, cfg.m)))
+def _t_panels(cfg: TwoModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base panels ``(a, b, tail)`` of the folded t rule.
 
-
-def _solve_grid(cfg, quad, xn, yn):
-    """delta_u for both tail targets on the tensor grid; returns (dlo, dhi).
-
-    One tail per call halves the per-point arrays that delta_u holds.
+    Panels with ``tail`` set are in ``v``, with ``t = _T_LADDER_END / v``.
     """
-    return tuple(
-        delta_u(xn[:, None], yn[None, :], u, cfg, tol=quad.delta_tol)
-        for u in (cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0)
-    )
+    m, n = cfg.m, cfg.n
+    t_star = math.sqrt(m * math.expm1(cfg.d / n))
+    w = (m + t_star * t_star) / (n * t_star) if t_star > 0.0 else math.sqrt(m / n)
+    cuts = {t_star, _T_LADDER_END, *_root_regime_changes(cfg)}
+    cuts.update(t_star + sign * k * w for k in _BAND_STEPS for sign in (-1.0, 1.0))
+    edges = [0.0]
+    for cut in sorted(c for c in cuts if 0.0 < c <= _T_LADDER_END):
+        while cut - edges[-1] > max(0.25, 0.5 * edges[-1]):
+            edges.append(edges[-1] + max(0.25, 0.5 * edges[-1]))
+        edges.append(cut)
+    v_edges = np.linspace(0.0, 1.0, 5)
+    a = np.concatenate([edges[:-1], v_edges[:-1]])
+    b = np.concatenate([edges[1:], v_edges[1:]])
+    tail = np.arange(a.size) >= len(edges) - 1
+    return a, b, tail
+
+
+def _root_regime_changes(cfg: TwoModelConfig) -> list[float]:
+    """t > 0 where a root D_u(t) enters, crosses or leaves the submodel
+    step ``D = |rho| t``: there ``e w1 + (1 - w1) T_m(|rho| t) = u`` for
+    e = 0, 1/2, 1.  The root, and with it the integrand, changes regime
+    over a width in t proportional to s."""
+    def excess(t, e, u):
+        w = w1(t * t, cfg.m, cfg.n, cfg.d)
+        return e * w + (1.0 - w) * _t_cdf(abs(cfg.rho) * t, cfg.m) - u
+
+    t = np.geomspace(1e-8, _T_LADDER_END, 4001)
+    roots = []
+    for u in (0.5 * cfg.alpha, 1.0 - 0.5 * cfg.alpha):
+        for e in (0.0, 0.5, 1.0):
+            sign = np.sign(excess(t, e, u))
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+                roots.append(brentq(excess, t[i], t[i + 1], args=(e, u), xtol=1e-14))
+    return roots
+
+
+def _t_nodes(a, b, tail) -> tuple[np.ndarray, np.ndarray]:
+    """t at the qk15 nodes of each panel and the matching weight factor
+    (half width times the Jacobian of the tail map)."""
+    s, half = _panel_nodes(a, b)
+    tail = tail[:, None]
+    t = np.where(tail, _T_LADDER_END / s, s)
+    return t, half[:, None] * np.where(tail, _T_LADDER_END / (s * s), 1.0)
 
 
 def coverage_probability(
     gamma: float,
     cfg: TwoModelConfig,
     quad: QuadratureConfig | None = None,
-    check_convergence: bool = False,
 ) -> float:
-    """Coverage probability of the two-model interval at the given gamma.
-
-    Evaluated on the grid for the one-point range ``(gamma, gamma)``, whose
-    x domain is centered at gamma.  With ``check_convergence`` the value
-    must survive ``check_node_doubling``.
-    """
-    if quad is None:
-        quad = QuadratureConfig()
-    value = CoverageGrid(cfg, quad, (gamma, gamma)).coverage_at(gamma)
-    if check_convergence:
-        check_node_doubling(value, gamma, cfg, quad)
-    return value
-
-
-def check_node_doubling(value: float, gamma: float, cfg: TwoModelConfig,
-                        quad: QuadratureConfig) -> None:
-    """Raise ``QuadratureError`` unless ``value``, the coverage at gamma,
-    moves by at most 1e-5 when recomputed at doubled node counts."""
-    doubled = replace(quad, nodes_x=2 * quad.nodes_x, nodes_y=2 * quad.nodes_y)
-    refined = coverage_probability(gamma, cfg, doubled)
-    if abs(refined - value) > _NODE_DOUBLING_TOL:
-        raise QuadratureError(
-            f"node doubling moved the coverage by {abs(refined - value):.3e}"
-        )
+    """Coverage probability of the two-model interval at the given gamma:
+    ``CoverageGrid`` for the one-point range ``(gamma, gamma)``."""
+    return CoverageGrid(cfg, quad, (gamma, gamma)).coverage_at(gamma)
 
 
 class CoverageGrid:
-    """Coverage evaluator for the gamma range ``gammas = (lo, hi)``.
+    """Coverage evaluator for the gamma range ``gammas = (lo, hi)``
+    (default ``[0, gamma_grid_max]``).
 
-    The expensive part of the integral, the ``delta_u`` root solves, does
-    not depend on gamma.  This class solves them once on a fixed x grid
-    covering ``[lo - x_halfwidth, hi + x_halfwidth]``, with ``nodes_x``
-    nodes per ``2 x_halfwidth`` of x, after which each
-    ``coverage_at(gamma)`` for gamma in the range costs four normal-cdf
-    passes over the grid.  The default range is ``[0, gamma_grid_max]``.
+    Roots on the base t panels are solved once; ``coverage_at`` solves
+    roots only on t panels it bisects.  The rule does not depend on the
+    range, so every grid gives the same value at a gamma.
     """
 
     def __init__(self, cfg: TwoModelConfig, quad: QuadratureConfig | None = None,
@@ -333,21 +363,101 @@ class CoverageGrid:
         self.cfg = cfg
         self.quad = quad
         self.gammas = (lo, hi)
-        hw = quad.x_halfwidth
-        nx = quad.nodes_x + int(math.ceil(quad.nodes_x * (hi - lo) / (2.0 * hw)))
-        self.xn, self.wx = _gauss_legendre(lo - hw, hi + hw, nx)
-        y_lo, y_hi = _y_domain(cfg.m, quad)
-        self.yn, self.wy = _gauss_legendre(y_lo, y_hi, quad.nodes_y)
-        self.dlo, self.dhi = _solve_grid(cfg, quad, self.xn, self.yn)
-        if not np.all(self.dlo < self.dhi):
+        self.y_lo, self.y_hi = _y_domain(cfg.m, quad)
+        self.panels = _t_panels(cfg)
+        self.roots = self._roots(*self.panels)
+
+    def _roots(self, a, b, tail) -> tuple[np.ndarray, np.ndarray]:
+        """(D_lo, D_hi) at the t nodes of the panels."""
+        t, _ = _t_nodes(a, b, tail)
+        dlo, dhi = (delta_u(t, 1.0, u, self.cfg, tol=self.quad.delta_tol)
+                    for u in (self.cfg.alpha / 2.0, 1.0 - self.cfg.alpha / 2.0))
+        if not np.all(dlo < dhi):
             raise QuadratureError("tail-area quantiles out of order on the grid")
+        return dlo, dhi
 
     def coverage_at(self, gamma: float) -> float:
         lo, hi = self.gammas
         if not lo - 1e-9 <= gamma <= hi + 1e-9:
             raise ValueError(f"gamma {gamma} outside the cached range [{lo}, {hi}]")
-        value = _integrate(self.cfg, gamma, self.xn, self.wx, self.yn, self.wy,
-                           self.dlo, self.dhi)
+        value, _ = self.coverage_with_error(gamma)
         if not 0.0 < value < 1.0:
             raise QuadratureError(f"coverage estimate {value!r} escaped (0, 1)")
         return value
+
+    def coverage_with_error(self, gamma: float) -> tuple[float, float]:
+        """Coverage at gamma and its error estimate, which is at most 1e-6.
+
+        Each round bisects the t panels that carry the most of the
+        estimate, until the rest carry at most half the tolerance.
+        """
+        (a, b, tail), roots = self.panels, self.roots
+        value = error = 0.0
+        for _ in range(_MAX_ROUNDS):
+            kron, err = self._t_integrals(gamma, a, b, tail, roots)
+            total = error + float(err.sum())
+            if total <= _TOL:
+                return value + float(kron.sum()), total
+            order = np.argsort(err)[::-1]
+            rest = total - np.cumsum(err[order])
+            split = np.zeros(err.size, dtype=bool)
+            split[order[:np.count_nonzero(rest > 0.5 * _TOL) + 1]] = True
+            if 2 * np.count_nonzero(split) > _MAX_T_PANELS:
+                break
+            value += float(kron[~split].sum())
+            error += float(err[~split].sum())
+            a, b, tail = a[split], b[split], tail[split]
+            mid = 0.5 * (a + b)
+            a, b, tail = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(tail, 2)
+            roots = self._roots(a, b, tail)
+        raise QuadratureError(
+            f"coverage error estimate {total:.2e} at gamma {gamma:g} exceeds {_TOL:.0e}"
+        )
+
+    def _t_integrals(self, gamma, a, b, tail, roots):
+        """Kronrod value and error estimate of each t panel."""
+        t, jac = _t_nodes(a, b, tail)
+        dlo, dhi = roots
+        # Rows t > 0, then t < 0 by D_u(-t) = -D_{1-u}(t).
+        kron, err = self._y_integrals(
+            gamma, np.concatenate([t, -t]).ravel(),
+            np.concatenate([dlo, -dhi]).ravel(), np.concatenate([dhi, -dlo]).ravel())
+        kron = kron.reshape(2, *t.shape).sum(axis=0) * jac
+        err = err.reshape(2, *t.shape).sum(axis=0) * jac
+        return kron @ _W_KRONROD, np.abs(kron @ _W_DIFF) + err @ _W_KRONROD
+
+    def _y_integrals(self, gamma, t, dlo, dhi):
+        """Kronrod y integral at each t and its summed |Kronrod - Gauss|."""
+        m, rho = self.cfg.m, self.cfg.rho
+        s = math.sqrt(1.0 - rho * rho)
+        shift = rho * gamma
+        slopes = (dlo - rho * t, dhi - rho * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = ((gamma - _X_HALFWIDTH) / t, (gamma + _X_HALFWIDTH) / t)
+            cuts = [gamma / t]
+            for c in slopes:
+                step, width = -shift / c, s / np.abs(c)
+                cuts += [step + k * width for k in _PHI_STEPS]
+        lo = np.maximum(self.y_lo, np.minimum(*ends))
+        hi = np.maximum(lo, np.minimum(self.y_hi, np.maximum(*ends)))
+        cuts = np.column_stack(cuts)
+        cuts = np.clip(np.where(np.isfinite(cuts), cuts, lo[:, None]), lo[:, None], hi[:, None])
+        cuts = np.sort(np.column_stack([lo, cuts, hi]), axis=1)
+
+        # Cut each piece into equal panels no wider than max_width.
+        length = np.diff(cuts, axis=1)
+        max_width = 2.0 * np.minimum(1.0 / math.sqrt(2.0 * m), 1.0 / np.abs(t))
+        count = np.ceil(length / max_width[:, None]).astype(np.int64).ravel()
+        piece = np.repeat(np.arange(count.size), count)
+        k = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
+        width = length.ravel()[piece] / count[piece]
+        start = cuts[:, :-1].ravel()[piece] + k * width
+        row = piece // length.shape[1]
+
+        y, half = _panel_nodes(start, start + width)
+        tr = t[row, None]
+        g = y * f_m_pdf(y, m) * np.exp(-0.5 * (tr * y - gamma) ** 2) / math.sqrt(2.0 * math.pi)
+        g *= (ndtr((y * slopes[1][row, None] + shift) / s)
+              - ndtr((y * slopes[0][row, None] + shift) / s))
+        return (np.bincount(row, half * (g @ _W_KRONROD), t.size),
+                np.bincount(row, half * np.abs(g @ _W_DIFF), t.size))

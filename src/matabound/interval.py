@@ -99,14 +99,18 @@ def _family_arrays(fits: dict[ModelSubset, ModelFit], weights, a: np.ndarray):
     return w, theta, np.sqrt(scale2), df
 
 
-def _solve_tail(w, theta, scale, df, target: float) -> tuple[float, float]:
+def _solve_tail(w, theta, scale, df, target: float, seen: dict) -> tuple[float, float]:
     """Root of h(z) = target; returns (z, |h(z) - target|).
 
     h decreases from 1 to 0, so doubling a window around the weighted
-    center brackets the root, which ``brentq`` then locates.
+    center brackets the root, which ``brentq`` then locates.  ``seen``
+    maps every z at which h was evaluated to its value, so the bracket
+    ends, brentq's iterates and the other tail never evaluate h twice.
     """
     def f(z):
-        return float(h(w, theta, scale, df, z)) - target
+        if z not in seen:
+            seen[z] = float(h(w, theta, scale, df, z))
+        return seen[z] - target
 
     center, step = float(np.sum(w * theta)), float(scale.max())
     s = step
@@ -139,8 +143,9 @@ def solve_interval(
             raise DegenerateFit("zero residual sum of squares")
         weights = model_weights(fits, rss_full, req.spec)
     arrays = _family_arrays(fits, weights, req.prob.a)
-    lower, res_lo = _solve_tail(*arrays, 1.0 - req.alpha / 2.0)
-    upper, res_up = _solve_tail(*arrays, req.alpha / 2.0)
+    seen: dict[float, float] = {}
+    lower, res_lo = _solve_tail(*arrays, 1.0 - req.alpha / 2.0, seen)
+    upper, res_up = _solve_tail(*arrays, req.alpha / 2.0, seen)
     if lower > upper:
         raise BracketFailure("endpoints crossed; h is not behaving monotonically")
     return MataInterval(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import resolve_d, upper_bound
-from .coverage import QuadratureConfig, TwoModelConfig, coverage_probability
+from .coverage import TwoModelConfig, coverage_probability
 from .linreg import RegressionProblem
 from .mcverify import SimScenario, min_coverage_scan, simulate_coverage, w1_decay_scan
 from .weights import WeightSpec
@@ -89,7 +89,6 @@ def integral_vs_mc_suite(
     reps: int = 100_000,
     seed: int = 20240801,
     alpha: float = 0.05,
-    quad: QuadratureConfig | None = None,
 ) -> list[CheckRow]:
     """Compare the coverage double integral with simulation on a fixed grid."""
     rows = []
@@ -98,7 +97,7 @@ def integral_vs_mc_suite(
         for rho in INTEGRAL_VS_MC_RHOS:
             cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
             for gamma in INTEGRAL_VS_MC_GAMMAS:
-                analytic = coverage_probability(gamma, cfg, quad)
+                analytic = coverage_probability(gamma, cfg)
                 sc = two_model_scenario(m, n, rho, gamma, d, alpha, reps, seed)
                 est = simulate_coverage(sc)
                 tol = 3.0 * est.se
@@ -129,7 +128,6 @@ def theorem2_suite(
     seed: int = 20240802,
     alpha: float = 0.05,
     scan_reps: int = 10_000,
-    quad: QuadratureConfig | None = None,
 ) -> list[CheckRow]:
     """Full-family minimum-coverage scan against the two-model bound.
 
@@ -149,7 +147,7 @@ def theorem2_suite(
     rows = []
     for rule in ("aic", "bic"):
         d = resolve_d(rule, n)
-        bound = upper_bound(rho, n - p, n, d, alpha, quad)
+        bound = upper_bound(rho, n - p, n, d, alpha)
         spec = WeightSpec.gic(n, d)
         _, argmin = min_coverage_scan(prob, spec, alpha, grid, scan_reps, seed)
         beta = np.concatenate([np.zeros(prob.q), argmin])

@@ -1,15 +1,19 @@
 """Minimum-coverage bound: search mechanics and qualitative trends."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from matabound import QuadratureConfig, coverage_probability, upper_bound
+import matabound.coverage as coverage
+from matabound import TwoModelConfig, coverage_probability, upper_bound
 from matabound.bound import bound_curve, max_threads, resolve_d
 from matabound.errors import QuadratureError
 
-LIGHT_QUAD = QuadratureConfig(nodes_x=100, nodes_y=100)
+with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "references.json")) as _fh:
+    REFERENCES = json.load(_fh)
 
 
 class TestResolveD:
@@ -28,7 +32,7 @@ class TestResolveD:
 
 class TestUpperBound:
     def test_refinement_never_exceeds_grid_values(self):
-        res = upper_bound(0.8, m=10, n=14, d=2.0, alpha=0.05, quad=LIGHT_QUAD)
+        res = upper_bound(0.8, m=10, n=14, d=2.0, alpha=0.05)
         assert res.gamma_star >= 0.0
         assert 0.0 < res.upper_bound < 1.0
         assert res.diagnostics, "coarse grid evaluations missing"
@@ -38,10 +42,10 @@ class TestUpperBound:
     def test_rho_zero_consistent_with_direct_integral(self):
         # no external value claimed: the bound must simply agree with
         # direct coverage evaluations on its own grid
-        res = upper_bound(0.0, m=6, n=9, d=2.0, alpha=0.05, quad=LIGHT_QUAD)
+        res = upper_bound(0.0, m=6, n=9, d=2.0, alpha=0.05)
         cfg = res.cfg
         for gamma, value in res.diagnostics[:8]:
-            direct = coverage_probability(gamma, cfg, LIGHT_QUAD)
+            direct = coverage_probability(gamma, cfg)
             assert value == pytest.approx(direct, abs=2e-7)
         assert res.upper_bound <= min(v for _, v in res.diagnostics) + 1e-12
 
@@ -49,8 +53,7 @@ class TestUpperBound:
         # fixed p = 10, |rho|_max = 0.9: the BIC bound must fall as n grows
         values = []
         for n in (15, 30, 70, 200, 500):
-            res = upper_bound(0.9, m=n - 10, n=n, d=math.log(n), alpha=0.05,
-                              quad=LIGHT_QUAD)
+            res = upper_bound(0.9, m=n - 10, n=n, d=math.log(n), alpha=0.05)
             values.append(res.upper_bound)
         diffs = np.diff(values)
         assert np.all(diffs < 2e-4), values
@@ -63,26 +66,46 @@ class TestUpperBound:
             upper_bound(-0.2, m=5, n=7, d=2.0, alpha=0.05)
 
     def test_convergence_check_passes(self):
-        res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05, quad=LIGHT_QUAD,
-                          check_convergence=True)
+        res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05)
         assert 0.0 < res.upper_bound < 1.0
+        assert res.error_estimate <= coverage._TOL
 
-    # Cells whose default-node bound moves by 1.1e-4, 1.1e-3 and 5.5e-4
-    # under node doubling: the check must reject them, not return them.
+    @pytest.mark.parametrize("name, rho, m, n, rule", [
+        ("rho0.99-m1-n3-aic", 0.99, 1, 3, "aic"),
+        ("rho0.7-m5-n7-aic", 0.7, 5, 7, "aic"),
+        ("rho0.95-m44-n46-bic", 0.95, 44, 46, "bic"),
+    ])
+    def test_matches_reference_bounds(self, name, rho, m, n, rule):
+        res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
+        assert abs(res.upper_bound - REFERENCES["bound"][name]["min_coverage"]) < 1e-7
+
+    def test_matches_theorem2_reference_coverage(self):
+        ref = REFERENCES["coverage"]["theorem2-8model-n20-aic-rho0.85-g1.5"]
+        cfg = TwoModelConfig(m=16, n=20, rho=0.85, d=2.0, alpha=0.05)
+        assert abs(coverage_probability(ref["gamma"], cfg) - ref["coverage"]) < 1e-7
+
+    # Cells whose 200x200-node bound moved by 1.1e-4, 1.1e-3 and 5.5e-4
+    # under node doubling, which refused them.
     @pytest.mark.parametrize("rho, m, n, rule", [
         (0.99, 1, 3, "aic"),
         (0.95, 5, 10**6, "bic"),
         (0.999999, 5, 7, "aic"),
     ])
-    def test_convergence_check_rejects_known_bad_cells(self, rho, m, n, rule):
-        with pytest.raises(QuadratureError, match="node doubling"):
-            upper_bound(rho, m, n, resolve_d(rule, n), 0.05, check_convergence=True)
+    def test_former_doubling_failures_meet_the_estimate(self, rho, m, n, rule):
+        try:
+            res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
+        except QuadratureError:
+            assert rho == 0.999999  # may refuse, but never return a worse value
+            return
+        assert res.error_estimate <= coverage._TOL
+        if n == 10**6:
+            # at most the coverage at gamma = 1.5, 0.948335398
+            assert res.upper_bound <= 0.948335398 + 1e-6
 
 
 class TestBoundCurve:
     def test_rows_ordered_and_monotonicity_reported(self):
-        result = bound_curve([0.3, 0.6, 0.9], [(10, 14), (26, 30)], "bic", 0.05,
-                             quad=LIGHT_QUAD)
+        result = bound_curve([0.3, 0.6, 0.9], [(10, 14), (26, 30)], "bic", 0.05)
         keys = [(r.m, r.n, r.rho_max_abs) for r in result.rows]
         assert keys == [(10, 14, 0.3), (10, 14, 0.6), (10, 14, 0.9),
                         (26, 30, 0.3), (26, 30, 0.6), (26, 30, 0.9)]
@@ -92,21 +115,22 @@ class TestBoundCurve:
             assert 0.0 < r.upper_bound < 1.0
 
     def test_matches_individual_bound_calls(self):
-        result = bound_curve([0.5], [(8, 12)], 2.0, 0.05, quad=LIGHT_QUAD)
-        direct = upper_bound(0.5, 8, 12, 2.0, 0.05, quad=LIGHT_QUAD)
+        result = bound_curve([0.5], [(8, 12)], 2.0, 0.05)
+        direct = upper_bound(0.5, 8, 12, 2.0, 0.05)
         assert result.rows[0].upper_bound == direct.upper_bound
         assert result.rows[0].gamma_star == direct.gamma_star
 
     def test_thread_pool_gives_identical_rows(self, monkeypatch):
-        serial = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05, quad=LIGHT_QUAD)
+        serial = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
         monkeypatch.setenv("MATA_THREADS", "3")
         assert max_threads() == 3
-        threaded = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05, quad=LIGHT_QUAD)
+        threaded = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
         assert [r.upper_bound for r in serial.rows] == \
             [r.upper_bound for r in threaded.rows]
 
-    def test_runs_convergence_check(self):
-        with pytest.raises(QuadratureError, match="node doubling"):
+    def test_runs_convergence_check(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_TOL", 1e-13)
+        with pytest.raises(QuadratureError, match="error estimate"):
             bound_curve([0.99], [(1, 3)], "aic", 0.05)
 
     def test_validates_empty_grids(self):

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from matabound import QuadratureConfig, upper_bound
+import matabound.coverage as coverage
+from matabound import upper_bound
 from matabound.bound import bound_curve
 from matabound.cli import _parse_rho_grid, main, read_csv_matrix
 
 from helpers import random_problem
-
-LIGHT = ["--nodes-x", "100", "--nodes-y", "100"]
 
 
 def write_problem_csv(path, prob, with_y=True, header=None):
@@ -27,31 +26,30 @@ class TestBoundCommand:
     def test_reproduces_library_value(self, capsys, tmp_path):
         out = tmp_path / "row.csv"
         code = main(["bound", "--rho-max", "0.8", "--n", "14", "--p", "4",
-                     "--alpha", "0.05", "--d-rule", "aic", "--out", str(out)]
-                    + LIGHT)
+                     "--alpha", "0.05", "--d-rule", "aic", "--out", str(out)])
         assert code == 0
         header, row = out.read_text().strip().splitlines()
         assert header == "n,m,d,alpha,rho_max_abs,gamma_star,upper_bound"
         vals = row.split(",")
-        direct = upper_bound(0.8, 10, 14, 2.0, 0.05,
-                             QuadratureConfig(nodes_x=100, nodes_y=100))
+        direct = upper_bound(0.8, 10, 14, 2.0, 0.05)
         assert float(vals[-1]) == direct.upper_bound  # bit-identical round trip
         assert float(vals[-2]) == direct.gamma_star
         assert capsys.readouterr().out.startswith("upper bound")
 
     def test_fixed_d_rule(self, capsys):
         code = main(["bound", "--rho-max", "0.5", "--n", "12", "--p", "4",
-                     "--d-rule", "fixed:3.0"] + LIGHT)
+                     "--d-rule", "fixed:3.0"])
         assert code == 0
         row = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(row.split(",")[2]) == 3.0
 
-    def test_unconverged_quadrature_exits_3(self, capsys):
-        # node doubling moves this bound by 1.1e-4 at the default nodes
+    def test_unconverged_quadrature_exits_3(self, capsys, monkeypatch):
+        # a tolerance below the rule's reach: every value is refused
+        monkeypatch.setattr(coverage, "_TOL", 1e-13)
         code = main(["bound", "--rho-max", "0.99", "--n", "3", "--p", "2"])
         assert code == 3
         captured = capsys.readouterr()
-        assert "node doubling" in captured.err
+        assert "error estimate" in captured.err
         assert captured.out == ""
 
     def test_validation_errors_exit_2(self, capsys):
@@ -67,10 +65,9 @@ class TestCurveCommand:
         out = tmp_path / "curve.csv"
         code = main(["curve", "--p", "4", "--n", "12,14", "--d-rule", "bic",
                      "--alpha", "0.05", "--rho-grid", "0.3,0.8",
-                     "--out", str(out)] + LIGHT)
+                     "--out", str(out)])
         assert code == 0
-        direct = bound_curve([0.3, 0.8], [(8, 12), (10, 14)], "bic", 0.05,
-                             QuadratureConfig(nodes_x=100, nodes_y=100))
+        direct = bound_curve([0.3, 0.8], [(8, 12), (10, 14)], "bic", 0.05)
         lines = out.read_text().strip().splitlines()[1:]
         assert len(lines) == len(direct.rows)
         for line, row in zip(lines, direct.rows):
@@ -82,7 +79,7 @@ class TestCurveCommand:
 
     def test_rho_grid_range_syntax(self, capsys):
         code = main(["curve", "--p", "4", "--n", "12", "--d-rule", "aic",
-                     "--rho-grid", "0:0.4:0.2"] + LIGHT)
+                     "--rho-grid", "0:0.4:0.2"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 3  # header + rho in {0, 0.2, 0.4}
@@ -202,7 +199,7 @@ class TestCsvReader:
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("rho-max = 0.6\nn = 14\np = 4\nnodes-x = 100\nnodes-y = 100\n")
+        conf.write_text("rho-max = 0.6\nn = 14\np = 4\n")
         code = main(["--config", str(conf), "bound", "--rho-max", "0.3"])
         assert code == 0
         row = capsys.readouterr().out.strip().splitlines()[-1]
@@ -225,7 +222,7 @@ class TestConfigFile:
 
     def test_config_equals_form(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("rho-max = 0.6\nn = 14\np = 4\nnodes-x = 100\nnodes-y = 100\n")
+        conf.write_text("rho-max = 0.6\nn = 14\np = 4\n")
         code = main([f"--config={conf}", "bound"])
         assert code == 0
         row = capsys.readouterr().out.strip().splitlines()[-1]

@@ -18,7 +18,8 @@ from matabound import (
     delta_u,
     f_m_pdf,
 )
-from matabound.coverage import _gauss_legendre, _y_domain
+import matabound.coverage as coverage
+from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes, _y_domain
 from matabound.errors import DomainError, QuadratureError
 from matabound.weights import w1
 
@@ -34,8 +35,16 @@ class TestFmPdf:
         # 1e-10 normalization tolerance
         quad = QuadratureConfig(y_lo_quantile=1e-12, y_hi_quantile=1.0 - 1e-12)
         lo, hi = _y_domain(m, quad)
-        yn, wy = _gauss_legendre(lo, hi, 400)
-        assert float(wy @ f_m_pdf(yn, m)) == pytest.approx(1.0, abs=1e-10)
+        edges = np.linspace(lo, hi, 41)
+        y, half = _panel_nodes(edges[:-1], edges[1:])
+        assert float(half @ (f_m_pdf(y, m) @ _W_KRONROD)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_kronrod_and_gauss_rules_are_exact(self):
+        for k in range(23):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert abs(_NODES ** k @ _W_KRONROD - exact) < 1e-14
+            if k <= 13:
+                assert abs(_NODES ** k @ _W_GAUSS - exact) < 1e-14
 
     def test_m1_is_half_normal(self):
         y = np.linspace(0.05, 3.0, 40)
@@ -178,33 +187,58 @@ class TestDeltaUProperties:
         assert abs(delta - ref) <= 1e-9 * max(abs(ref), y)
 
 
+SWEEP_M = (1, 5, 44, 200)
+SWEEP_RHO = (0.3, 0.9, 0.99, 0.999999)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Configs over the sweep's ranges: m, n in {m + 2, 1e6}, AIC or BIC,
+    and rho up to 0.99."""
+    m = draw(st.sampled_from(SWEEP_M))
+    n = draw(st.sampled_from([m + 2, 10**6]))
+    d = draw(st.sampled_from([2.0, math.log(n)]))
+    rho = draw(st.floats(0.0, 0.99))
+    return TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=0.05)
+
+
 class TestCoverageProbability:
     def test_within_unit_interval(self):
         cfg = make_cfg(m=5, n=7, rho=0.96, d=math.log(7))
         for gamma in (0.0, 1.0, 3.0):
             assert 0.0 < coverage_probability(gamma, cfg) < 1.0
 
-    def test_even_in_gamma_and_rho(self):
-        cfg = make_cfg(m=10, n=14, rho=0.7)
-        cfg_neg = make_cfg(m=10, n=14, rho=-0.7)
-        for gamma in (0.6, 1.8):
-            c = coverage_probability(gamma, cfg)
-            assert abs(c - coverage_probability(-gamma, cfg)) < 1e-7
-            assert abs(c - coverage_probability(gamma, cfg_neg)) < 1e-7
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_configs(), st.floats(0.0, 5.0))
+    @example(make_cfg(m=10, n=14, rho=0.7), 0.6)
+    @example(make_cfg(m=10, n=14, rho=0.7), 1.8)
+    def test_even_in_gamma_and_rho(self, cfg, gamma):
+        c = coverage_probability(gamma, cfg)
+        assert abs(c - coverage_probability(-gamma, cfg)) < 1e-7
+        flipped = TwoModelConfig(m=cfg.m, n=cfg.n, rho=-cfg.rho, d=cfg.d, alpha=cfg.alpha)
+        assert abs(c - coverage_probability(gamma, flipped)) < 1e-7
 
-    def test_node_doubling_stability(self):
+    def test_error_estimate_bounds_refinement(self, monkeypatch):
         cfg = TwoModelConfig(m=44, n=60, rho=0.9599, d=2.0, alpha=0.05)
-        quad = QuadratureConfig()
-        doubled = QuadratureConfig(nodes_x=400, nodes_y=400)
         for gamma in (0.0, 1.4):
-            a = coverage_probability(gamma, cfg, quad)
-            b = coverage_probability(gamma, cfg, doubled)
-            assert abs(a - b) < 1e-6
+            a, err = CoverageGrid(cfg).coverage_with_error(gamma)
+            with monkeypatch.context() as mp:
+                mp.setattr(coverage, "_TOL", 1e-9)
+                b, _ = CoverageGrid(cfg).coverage_with_error(gamma)
+            assert abs(a - b) <= err + 1e-9
 
     def test_check_convergence_passes_at_defaults(self):
         cfg = make_cfg(m=5, n=7, rho=0.7)
-        val = coverage_probability(1.0, cfg, check_convergence=True)
+        val, err = CoverageGrid(cfg).coverage_with_error(1.0)
+        assert err <= coverage._TOL
+        assert coverage_probability(1.0, cfg) == val
         assert 0.0 < val < 1.0
+
+    def test_w1_band_at_large_n(self):
+        # The w1 band |t| <= t* = 0.0083 here; a 200x200 x-y grid missed it
+        # and returned 0.9499999999.
+        cfg = TwoModelConfig(5, 10**6, 0.95, math.log(1e6), 0.05)
+        assert abs(coverage_probability(1.5, cfg) - 0.948335398) < 1e-6
 
     def test_matches_monte_carlo_at_stress_config(self):
         # MC oracle at the near-collinear large-m setup
@@ -224,10 +258,8 @@ class TestCoverageGrid:
         cfg = make_cfg(m=9, n=13, rho=0.85, d=2.0)
         for grid in (CoverageGrid(cfg), CoverageGrid(cfg, gammas=(0.7, 5.0))):
             for gamma in (0.7, 2.0, 5.0):
-                direct = coverage_probability(gamma, cfg)
-                assert grid.coverage_at(gamma) == pytest.approx(direct, abs=1e-7)
-        assert CoverageGrid(cfg).coverage_at(0.0) == pytest.approx(
-            coverage_probability(0.0, cfg), abs=1e-7)
+                assert grid.coverage_at(gamma) == coverage_probability(gamma, cfg)
+        assert CoverageGrid(cfg).coverage_at(0.0) == coverage_probability(0.0, cfg)
 
     def test_rejects_gamma_outside_cached_range(self):
         grid = CoverageGrid(make_cfg())
@@ -237,6 +269,25 @@ class TestCoverageGrid:
             grid.coverage_at(-1.0)
         with pytest.raises(ValueError, match="empty"):
             CoverageGrid(make_cfg(), gammas=(2.0, 1.0))
+
+
+class TestCoverageSweep:
+    def test_sweep_returns_within_tolerance(self):
+        # m x rho x n x AIC/BIC: every rho <= 0.99 config returns; at
+        # rho = 0.999999 a value may be refused but never exceed the tolerance.
+        for m in SWEEP_M:
+            for rho in SWEEP_RHO:
+                for n in (m + 2, 10**6):
+                    for d in (2.0, math.log(n)):
+                        grid = CoverageGrid(TwoModelConfig(m, n, rho, d, 0.05))
+                        for gamma in (0.0, 1.0, 2.0, 5.0):
+                            try:
+                                value, err = grid.coverage_with_error(gamma)
+                            except QuadratureError:
+                                assert rho == 0.999999
+                                continue
+                            assert err <= coverage._TOL
+                            assert 0.0 < value < 1.0
 
 
 class TestConfigValidation:
@@ -266,7 +317,7 @@ class TestConfigValidation:
 
     def test_quadrature_validation(self):
         with pytest.raises(ValueError):
-            QuadratureConfig(nodes_x=4)
+            QuadratureConfig(delta_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(y_lo_quantile=0.9, y_hi_quantile=0.5)
 

@@ -122,6 +122,20 @@ class TestSolveInterval:
             assert max(iv.h_residuals) < 1e-9
             assert math.fsum(iv.weights_used.values()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_h_never_evaluated_twice_at_one_z(self, monkeypatch):
+        from matabound import interval
+
+        seen = []
+
+        def recording_h(w, theta, scale, df, z):
+            seen.append(float(z))
+            return h(w, theta, scale, df, z)
+
+        monkeypatch.setattr(interval, "h", recording_h)
+        prob = random_problem(301, n=30, p=6, q=2)
+        solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
+        assert seen and len(seen) == len(set(seen))
+
     def test_scale_equivariance(self):
         prob = random_problem(307, n=26, p=5, q=2)
         iv = solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
