@@ -11,15 +11,13 @@ from .coverage import (
 )
 from .interval import MataInterval, MataRequest, solve_interval
 from .linreg import (
+    FamilyFit,
     ModelFit,
     ModelSubset,
     RegressionProblem,
     all_subsets,
     correlation_profile,
     fit_family,
-    fit_full,
-    fit_restricted,
-    noncentrality,
 )
 from .mcverify import (
     CoverageEstimate,
@@ -34,6 +32,7 @@ __all__ = [
     "BoundResult",
     "CoverageEstimate",
     "CoverageGrid",
+    "FamilyFit",
     "MataInterval",
     "MataRequest",
     "ModelFit",
@@ -49,12 +48,9 @@ __all__ = [
     "delta_u",
     "f_m_pdf",
     "fit_family",
-    "fit_full",
-    "fit_restricted",
     "gic",
     "min_coverage_scan",
     "model_weights",
-    "noncentrality",
     "simulate_coverage",
     "solve_interval",
     "upper_bound",

@@ -20,10 +20,6 @@ class SingularRestriction(MatacoverError):
     """
 
 
-class EmptySubset(MatacoverError):
-    """Operation requires a non-empty coefficient subset."""
-
-
 class DegenerateFit(MatacoverError):
     """Residual sum of squares is zero (perfect fit); tail areas undefined."""
 

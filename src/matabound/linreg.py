@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    EmptySubset,
     MissingResponse,
     RankDeficient,
     SingularRestriction,
@@ -34,6 +33,8 @@ MAX_FREE_COEFFICIENTS = 30
 
 _RANK_RTOL = 1e-10
 _RSS_IDENTITY_RTOL = 1e-8
+# Largest (responses x models x n) residual block formed at once.
+_RESIDUAL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,6 @@ class ModelSubset:
     def cardinality(self) -> int:
         return self.mask.bit_count()
 
-    def issubset(self, other: "ModelSubset") -> bool:
-        return self.mask & ~other.mask == 0
-
     def __repr__(self):
         return f"ModelSubset({{{', '.join(map(str, self.indices))}}})"
 
@@ -157,9 +155,8 @@ class ModelSubset:
 class ModelFit:
     """Restricted least-squares fit for one candidate model.
 
-    ``beta_hat`` carries exact zeros at the constrained indices.  The
-    identity ``rss == rss_full + u`` (increase in residual sum of squares
-    from the restriction) is verified at construction time.
+    ``beta_hat`` carries exact zeros at the constrained indices; ``u`` is
+    the increase in residual sum of squares from the restriction.
     """
 
     subset: ModelSubset
@@ -210,107 +207,131 @@ class DesignStats:
         self.xtx_inv_a = self.xtx_inv @ a
         self.v_theta = float(a @ self.xtx_inv_a)
 
-    def solve_ls(self, y: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self.R, self.Q.T @ y, lower=False)
+    def solve_ls(self, Y: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients (R, p) of the rows of ``Y`` (R, n)."""
+        return scipy.linalg.solve_triangular(self.R, self.Q.T @ Y.T, lower=False).T
 
-    def subset_chol(self, K: ModelSubset) -> tuple[np.ndarray, np.ndarray]:
-        """Cholesky factor of D_K = (X'X)^-1 restricted to K, plus index array."""
-        idx = np.fromiter(K.indices, dtype=int)
-        D = self.xtx_inv[np.ix_(idx, idx)]
-        try:
-            L = np.linalg.cholesky(D)
-        except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
-            raise SingularRestriction(f"restriction block for {K} is singular") from exc
-        return L, idx
+    def restriction_blocks(self, subsets) -> list[tuple]:
+        """The restricted models of mask-ordered ``subsets``, one block per
+        cardinality k: their places ``pos`` (G,) in ``subsets``, zeroed
+        columns ``idx`` (G, k), Cholesky factors ``L`` (G, k, k) of
+        ``D_K = (X'X)^-1`` restricted to K, the entries ``g`` (G, k) of
+        ``(X'X)^-1 a`` in K and the variance factors ``v`` (G,) of
+        ``a @ beta_K``."""
+        masks = np.array([K.mask for K in subsets], dtype=np.int64)
+        zeroed = (masks[:, None] >> np.arange(self.R.shape[0])) & 1 == 1
+        card = zeroed.sum(axis=1)
+        blocks = []
+        for k in np.unique(card[card > 0]):
+            pos = np.flatnonzero(card == k)
+            idx = np.nonzero(zeroed[pos])[1].reshape(len(pos), k)
+            try:
+                L = np.linalg.cholesky(self.xtx_inv[idx[:, :, None], idx[:, None, :]])
+            except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
+                raise SingularRestriction(f"a restriction of {k} columns is singular") from exc
+            g_quad = restricted_solve(L, idx, self.xtx_inv_a[None, :])[1][0]
+            blocks.append((pos, idx, L, self.xtx_inv_a[idx], self.v_theta - g_quad))
+        return blocks
 
 
-def fit_full(prob: RegressionProblem) -> tuple[np.ndarray, float]:
-    """Ordinary least-squares fit of the full model.
+def restricted_solve(L: np.ndarray, idx: np.ndarray, B: np.ndarray):
+    """``z = D_K^-1 b_K`` (R, G, k) and ``u_K = b_K' z`` (R, G) for the
+    coefficient rows ``B`` (R, p) and one block of ``restriction_blocks``."""
+    b = np.moveaxis(B[:, idx], 0, -1)
+    z = np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, b))
+    return np.moveaxis(z, -1, 0), np.einsum("gkr,gkr->rg", b, z)
 
-    Returns
-    -------
-    beta_hat : ndarray, shape (p,)
-    rss : float
-        Residual sum of squares ``(y - X beta_hat) @ (y - X beta_hat)``.
+
+@dataclass(frozen=True)
+class FamilyFit:
+    """Fits of one model family to R responses, models in mask order.
+
+    ``beta`` (R, M, p) has exact zeros at each model's constrained
+    indices, ``rss`` and ``u`` are (R, M), and ``v`` and ``df`` (M,)
+    depend on the design only.  Its length is the number of fits, R * M.
     """
-    if prob.y is None:
-        raise MissingResponse("fit_full requires a response vector")
-    beta_hat = prob.stats.solve_ls(prob.y)
-    resid = prob.y - prob.X @ beta_hat
-    return beta_hat, float(resid @ resid)
 
+    subsets: tuple[ModelSubset, ...]
+    beta: np.ndarray
+    rss: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    df: np.ndarray
 
-def fit_restricted(prob: RegressionProblem, K: ModelSubset) -> ModelFit:
-    """Least-squares fit subject to ``beta[i] = 0`` for every ``i`` in K.
+    def __len__(self) -> int:
+        return self.rss.size
 
-    Uses the projection of the full-model estimator; the residual sum of
-    squares is recomputed from the residuals and checked against
-    ``rss_full + u`` as an internal consistency guard.
-    """
-    return fit_family(prob, [K])[K]
+    def models(self, r: int) -> dict[ModelSubset, ModelFit]:
+        """The fits of response ``r`` as a dict ordered by mask."""
+        rows = zip(self.subsets, self.beta[r], self.rss[r].tolist(), self.u[r].tolist(),
+                   self.v.tolist(), self.df.tolist())
+        return {K: ModelFit(K, beta, rss, rss / df, u, v, df) for K, beta, rss, u, v, df in rows}
 
 
 def fit_family(
     prob: RegressionProblem,
     family: list[ModelSubset] | None = None,
-) -> dict[ModelSubset, ModelFit]:
-    """Fit every model in ``family`` (default: all subsets), sharing one QR.
+    responses: np.ndarray | None = None,
+):
+    """Fit every model in ``family`` (default: all subsets) to ``prob.y``,
+    returning a mask-ordered dict of ``ModelFit``, or to each row of a
+    response matrix ``responses`` (R, n), returning their ``FamilyFit``.
 
-    Returns a dict ordered by subset mask value.
+    One QR solve gives every response's full-model coefficients; the
+    restricted models of each cardinality share one stacked Cholesky
+    factorization and one batched solve.  Every (response, model) fit is
+    checked against ``rss_K = rss + u_K`` with ``rss_K`` recomputed from
+    its residuals.
     """
-    if prob.y is None:
+    single = responses is None
+    if single and prob.y is None:
         raise MissingResponse("fitting requires a response vector")
-    stats = prob.stats
+    Y = prob.y[None, :] if single else np.asarray(responses, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != prob.n:
+        raise ValueError(f"responses must have shape (R, n={prob.n}), got {Y.shape}")
     if family is None:
         family = all_subsets(prob.p, prob.q)
     _validate_family_masks(prob, family)
+    subsets = tuple(sorted(set(family), key=lambda K: K.mask))
+    stats = prob.stats
 
-    n, p, q = prob.n, prob.p, prob.q
-    beta_hat = stats.solve_ls(prob.y)
-    resid = prob.y - prob.X @ beta_hat
-    rss_full = float(resid @ resid)
+    B = stats.solve_ls(Y)
+    resid = Y - B @ prob.X.T
+    rss_full = np.einsum("ri,ri->r", resid, resid)
+    beta = np.repeat(B[:, None, :], len(subsets), axis=1)
+    u = np.zeros((Y.shape[0], len(subsets)))
+    v = np.full(len(subsets), stats.v_theta)
+    for pos, idx, L, _, v_k in stats.restriction_blocks(subsets):
+        v[pos] = v_k
+        z, u[:, pos] = restricted_solve(L, idx, B)
+        beta[:, pos] -= np.einsum("pgk,rgk->rgp", stats.xtx_inv[:, idx], z)
+        beta[:, pos[:, None], idx] = 0.0
+    df = np.array([prob.n - prob.p + K.cardinality for K in subsets])
+    rss = _direct_rss(Y, beta, prob.X)
+    expected = rss_full[:, None] + u
+    bad = np.argwhere((np.abs(rss - expected) > _RSS_IDENTITY_RTOL * np.maximum(expected, 1e-300))
+                      & (df > prob.n - prob.p))
+    if bad.size:
+        r, j = bad[0]
+        raise SingularRestriction(f"RSS identity violated for {subsets[j]} on response {r}: "
+                                  f"direct {rss[r, j]!r} vs rss + u {expected[r, j]!r}")
+    beta.setflags(write=False)
+    fits = FamilyFit(subsets, beta, rss, u, v, df)
+    return fits.models(0) if single else fits
 
-    out: dict[ModelSubset, ModelFit] = {}
-    for K in sorted(set(family)):
-        k = K.cardinality
-        df = n - p + k
-        if k == 0:
-            out[K] = ModelFit(
-                subset=K,
-                beta_hat=beta_hat.copy(),
-                rss=rss_full,
-                s2=rss_full / df,
-                u=0.0,
-                v=stats.v_theta,
-                df=df,
-            )
-            continue
-        L, idx = stats.subset_chol(K)
-        b = beta_hat[idx]
-        z = scipy.linalg.cho_solve((L, True), b)
-        u = float(b @ z)
-        beta_k = beta_hat - stats.xtx_inv[:, idx] @ z
-        beta_k[idx] = 0.0
-        resid_k = prob.y - prob.X @ beta_k
-        rss_k = float(resid_k @ resid_k)
-        expected = rss_full + u
-        if abs(rss_k - expected) > _RSS_IDENTITY_RTOL * max(expected, 1e-300):
-            raise SingularRestriction(
-                f"RSS identity violated for {K}: direct {rss_k!r} vs "
-                f"rss + u {expected!r}"
-            )
-        g = stats.xtx_inv_a[idx]
-        v = stats.v_theta - float(g @ scipy.linalg.cho_solve((L, True), g))
-        out[K] = ModelFit(
-            subset=K,
-            beta_hat=beta_k,
-            rss=rss_k,
-            s2=rss_k / df,
-            u=u,
-            v=v,
-            df=df,
-        )
-    return out
+
+def _direct_rss(Y: np.ndarray, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Residual sum of squares of every (response, model) fit, from its
+    residuals, in blocks of at most ``_RESIDUAL_BLOCK`` residuals."""
+    R, M, _ = beta.shape
+    models = max(1, _RESIDUAL_BLOCK // X.shape[0])
+    rows = max(1, models // M)
+    rss = np.empty((R, M))
+    for r in range(0, R, rows):
+        for m in range(0, M, models):
+            resid = Y[r:r + rows, None, :] - beta[r:r + rows, m:m + models] @ X.T
+            rss[r:r + rows, m:m + models] = np.einsum("rmi,rmi->rm", resid, resid)
+    return rss
 
 
 def _validate_family_masks(prob: RegressionProblem, family) -> None:
@@ -351,24 +372,3 @@ def correlation_profile(
     j = int(np.argmax(np.abs(rho)))
     rho_max_abs = float(min(abs(rho[j]), 1.0))
     return rho, rho_max_abs, q + j
-
-
-def noncentrality(
-    prob: RegressionProblem,
-    K: ModelSubset,
-    beta_over_sigma: np.ndarray,
-) -> float:
-    """Noncentrality parameter of the restriction statistic under K.
-
-    ``(1/2) (H_K b)' (H_K (X'X)^-1 H_K')^-1 (H_K b)`` with
-    ``b = beta / sigma``.  Diagnostic quantity for the Monte Carlo layer.
-    """
-    if K.cardinality == 0:
-        raise EmptySubset("noncentrality is undefined for the full model")
-    _validate_family_masks(prob, [K])
-    b = np.asarray(beta_over_sigma, dtype=float)
-    if b.shape != (prob.p,):
-        raise ValueError(f"beta_over_sigma must have length p={prob.p}")
-    L, idx = prob.stats.subset_chol(K)
-    bk = b[idx]
-    return 0.5 * float(bk @ scipy.linalg.cho_solve((L, True), bk))

@@ -6,9 +6,11 @@ decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
 replicate.  The weights and ``h`` are the interval solver's own,
 evaluated for all replicates at once.  A deterministic audit subsample is
-additionally pushed through the actual endpoint solver and must agree
-replicate by replicate; disagreement raises ``EventMismatch`` and means a
-bug, not bad luck.
+fitted again as one response matrix by ``fit_family`` (QR and direct
+residuals, not the kernel's shifted fits), weighted in one pass, and each
+audited replicate's endpoints come from ``solve_interval``; containment
+must agree with the h-event replicate by replicate.  Disagreement raises
+``EventMismatch`` and means a bug, not bad luck.
 
 Coverage depends on the parameters only through the scaled droppable
 coefficients ``beta[q:] / sigma``, so scenarios store that vector and
@@ -24,14 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EventMismatch
 from .interval import MataRequest, h, solve_interval
 from .linreg import (
+    _RESIDUAL_BLOCK,
     ModelSubset,
     RegressionProblem,
     all_subsets,
+    fit_family,
+    restricted_solve,
 )
 from .weights import WeightSpec, normalized_weights, w1
 
@@ -73,25 +77,18 @@ class SimScenario:
         beta.setflags(write=False)
         object.__setattr__(self, "beta_over_sigma", beta)
 
-    @classmethod
-    def from_beta_sigma(cls, prob, beta, sigma, **kwargs) -> "SimScenario":
-        """Build a scenario from raw (beta, sigma); only beta/sigma is kept."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        return cls(prob=prob, beta_over_sigma=np.asarray(beta, dtype=float) / sigma, **kwargs)
-
-    def resolved_family(self) -> list[ModelSubset]:
-        if self.family is None:
-            return all_subsets(self.prob.p, self.prob.q)
-        return list(self.family)
-
 
 @dataclass(frozen=True)
 class CoverageEstimate:
+    """``audited`` replicates went through the endpoint solver, whose
+    largest ``|h - target|`` was ``audit_max_residual`` (0 without audit)."""
+
     p_hat: float
     se: float
     reps: int
     seed: int
+    audited: int = 0
+    audit_max_residual: float = 0.0
 
 
 class _SimKernel:
@@ -101,18 +98,21 @@ class _SimKernel:
     are precomputed once; changing the coefficient vector is a shift, so
     scanning a parameter grid reuses the same draws (common random
     numbers).  The restricted fits are formed here from those shifts,
-    independently of ``fit_family``; weights and ``h`` are the package's
-    single implementations, with replicates on the leading axis.
+    not through ``fit_family`` (the two share only the design's
+    restriction blocks); weights and ``h`` are the package's single
+    implementations, with replicates on the leading axis.
     """
 
     def __init__(self, prob: RegressionProblem, family, spec: WeightSpec,
                  alpha: float, reps: int, seed: int):
+        if family is None:
+            family = all_subsets(prob.p, prob.q)
         if ModelSubset(0) not in family:
             raise ValueError("family must contain the full model")
         self.prob = prob
         self.spec = spec
         self.alpha = alpha
-        self.family = sorted(set(family))
+        self.family = sorted(set(family), key=lambda K: K.mask)
         stats = prob.stats
 
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -122,29 +122,22 @@ class _SimKernel:
         self.rss = np.einsum("ij,ij->i", resid, resid)
 
         self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
-        self.card = np.array([K.cardinality for K in self.family[1:]], dtype=int)
-        self.v = np.empty(len(self.family))
-        self.v[0] = stats.v_theta
-        self.restricted = []
-        for j, K in enumerate(self.family[1:], start=1):
-            L, idx = stats.subset_chol(K)
-            g = stats.xtx_inv_a[idx]
-            self.v[j] = stats.v_theta - float(g @ scipy.linalg.cho_solve((L, True), g))
-            self.restricted.append((L, idx, g))
+        self.card = self.df[1:] - self.df[0]  # |K|, as df = n - p + |K|
+        self.blocks = stats.restriction_blocks(self.family)
+        self.v = np.full(len(self.family), stats.v_theta)
+        for pos, *_, v in self.blocks:
+            self.v[pos] = v
 
     def family_arrays(self, beta_over_sigma: np.ndarray):
         """(w, theta, scale) per replicate and model, models in mask order,
         for data y = X b + noise with b = beta/sigma."""
         b_hat = self.bn + np.asarray(beta_over_sigma, dtype=float)
         reps, n_models = self.rss.shape[0], len(self.family)
-        theta = np.empty((reps, n_models))
+        theta = np.repeat((b_hat @ self.prob.a)[:, None], n_models, axis=1)
         u = np.zeros((reps, n_models))
-        theta[:, 0] = b_hat @ self.prob.a
-        for j, (L, idx, g) in enumerate(self.restricted, start=1):
-            bk = b_hat[:, idx]
-            z = scipy.linalg.cho_solve((L, True), bk.T)
-            theta[:, j] = theta[:, 0] - g @ z
-            u[:, j] = np.einsum("kr,rk->r", z, bk)
+        for pos, idx, L, g, _ in self.blocks:
+            z, u[:, pos] = restricted_solve(L, idx, b_hat)
+            theta[:, pos] -= np.einsum("gk,rgk->rg", g, z)
         w = normalized_weights(self.spec.log_kernel(u[:, 1:] / self.rss[:, None], self.card))
         scale = np.sqrt((self.rss[:, None] + u) / self.df * self.v)
         return w, theta, scale
@@ -159,18 +152,13 @@ class _SimKernel:
         h_theta = self.h_at_truth(beta_over_sigma)
         return (self.alpha / 2.0 <= h_theta) & (h_theta <= 1.0 - self.alpha / 2.0)
 
-    def response(self, i: int, beta_over_sigma: np.ndarray) -> np.ndarray:
-        return self.prob.X @ np.asarray(beta_over_sigma, dtype=float) + self.noise[i]
+    def responses(self, rows: np.ndarray, beta_over_sigma: np.ndarray) -> np.ndarray:
+        return np.asarray(beta_over_sigma, dtype=float) @ self.prob.X.T + self.noise[rows]
 
 
-def _estimate(covered: np.ndarray, reps: int, seed: int) -> CoverageEstimate:
+def _estimate(covered: np.ndarray, reps: int, seed: int, **audit) -> CoverageEstimate:
     p_hat = float(np.mean(covered))
-    return CoverageEstimate(
-        p_hat=p_hat,
-        se=math.sqrt(p_hat * (1.0 - p_hat) / reps),
-        reps=reps,
-        seed=seed,
-    )
+    return CoverageEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / reps), reps, seed, **audit)
 
 
 def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
@@ -179,25 +167,41 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
     Every replicate is judged through the h-event; the audit subsample is
     also run through ``solve_interval`` and the two verdicts must match.
     """
-    family = sc.resolved_family()
-    kernel = _SimKernel(sc.prob, family, sc.spec, sc.alpha, sc.reps, sc.seed)
+    kernel = _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps, sc.seed)
     covered = kernel.covered(sc.beta_over_sigma)
+    if sc.audit_fraction == 0.0:
+        return _estimate(covered, sc.reps, sc.seed)
+    stride = max(1, int(round(1.0 / sc.audit_fraction)))
+    audited = np.arange(0, sc.reps, stride)
+    return _estimate(covered, sc.reps, sc.seed, audited=audited.size,
+                     audit_max_residual=_audit(sc, kernel, covered, audited))
 
-    if sc.audit_fraction > 0.0:
-        stride = max(1, int(round(1.0 / sc.audit_fraction)))
-        theta = float(sc.prob.a @ sc.beta_over_sigma)
-        fam = tuple(family)
-        for i in range(0, sc.reps, stride):
-            prob_i = sc.prob.with_response(kernel.response(i, sc.beta_over_sigma))
-            req = MataRequest(prob_i, sc.spec, sc.alpha, fam)
-            iv = solve_interval(req)
+
+def _audit(sc: SimScenario, kernel: _SimKernel, covered, audited) -> float:
+    """Check the h-event of each audited replicate against its interval;
+    returns the largest endpoint residual."""
+    theta = float(sc.prob.a @ sc.beta_over_sigma)
+    # The fits and weights carry each replicate's response; the request
+    # supplies the design, alpha and family.
+    req = MataRequest(sc.prob, sc.spec, sc.alpha, tuple(kernel.family))
+    # Chunks keep the fits' (rows x models x n) residual block within bound.
+    rows = max(1, _RESIDUAL_BLOCK // (len(kernel.family) * sc.prob.n))
+    max_residual = 0.0
+    for start in range(0, audited.size, rows):
+        chunk = audited[start:start + rows]
+        Y = kernel.responses(chunk, sc.beta_over_sigma)
+        fits = fit_family(sc.prob, kernel.family, Y)
+        x = fits.u[:, 1:] / fits.rss[:, :1]
+        weights = normalized_weights(sc.spec.log_kernel(x, kernel.card))
+        for r, i in enumerate(chunk.tolist()):
+            iv = solve_interval(req, fits=fits.models(r),
+                                weights=dict(zip(fits.subsets, weights[r].tolist())))
             contained = iv.lower <= theta <= iv.upper
             if contained != bool(covered[i]):
-                raise EventMismatch(
-                    f"replicate {i}: interval containment {contained} vs "
-                    f"h-event {bool(covered[i])}"
-                )
-    return _estimate(covered, sc.reps, sc.seed)
+                raise EventMismatch(f"replicate {i}: interval containment {contained} "
+                                    f"vs h-event {bool(covered[i])}")
+            max_residual = max(max_residual, *iv.h_residuals)
+    return max_residual
 
 
 def min_coverage_scan(
@@ -227,8 +231,6 @@ def min_coverage_scan(
     if reps < _MIN_SCAN_REPS:
         raise ValueError(f"scan reps must be at least {_MIN_SCAN_REPS}")
 
-    if family is None:
-        family = all_subsets(prob.p, prob.q)
     kernel = _SimKernel(prob, family, spec, alpha, reps, seed)
     best_p, best_v = math.inf, None
     for v in grid:

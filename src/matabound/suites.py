@@ -48,15 +48,18 @@ def two_model_problem(m: int, n: int, rho: float) -> tuple[RegressionProblem, fl
         raise ValueError("need n - m >= 2 for a two-model design")
     if not abs(rho) < 1:
         raise ValueError("|rho| must be below 1")
+    return _correlated_design(p, n, rho, q=p - 1), 1.0 / (1.0 - rho * rho)
+
+
+def _correlated_design(p: int, n: int, rho: float, q: int) -> RegressionProblem:
+    """Target e_1 and a Gram matrix equal to the identity apart from the
+    (first, last) entries, set to ``-rho``."""
     gram = np.eye(p)
     gram[0, -1] = gram[-1, 0] = -rho
-    top = np.linalg.cholesky(gram).T
-    X = np.vstack([top, np.zeros((n - p, p))])
+    X = np.vstack([np.linalg.cholesky(gram).T, np.zeros((n - p, p))])
     a = np.zeros(p)
     a[0] = 1.0
-    prob = RegressionProblem(X, a, q=p - 1)
-    v_p = 1.0 / (1.0 - rho * rho)
-    return prob, v_p
+    return RegressionProblem(X, a, q=q)
 
 
 def two_model_scenario(
@@ -111,18 +114,6 @@ def integral_vs_mc_suite(
     return rows
 
 
-def _theorem2_problem(n: int = 20, rho: float = 0.85) -> RegressionProblem:
-    """p = 4, q = 1 design whose max correlation sits on the last column."""
-    p = 4
-    gram = np.eye(p)
-    gram[0, -1] = gram[-1, 0] = -rho
-    top = np.linalg.cholesky(gram).T
-    X = np.vstack([top, np.zeros((n - p, p))])
-    a = np.zeros(p)
-    a[0] = 1.0
-    return RegressionProblem(X, a, q=1)
-
-
 def theorem2_suite(
     reps: int = 100_000,
     seed: int = 20240802,
@@ -136,9 +127,8 @@ def theorem2_suite(
     sweeps the maximal one; the scan minimizer is then re-estimated at
     full replication before comparing against the bound.
     """
-    prob = _theorem2_problem()
-    n, p = prob.n, prob.p
-    rho = 0.85
+    n, p, rho = 20, 4, 0.85
+    prob = _correlated_design(p, n, rho, q=1)  # max correlation on the last column
     v_last = 1.0 / (1.0 - rho * rho)
     sweep = np.arange(-4.0, 4.0 + 0.25, 0.5) * math.sqrt(v_last)
     away = (0.0, 4.0, -4.0, 16.0, -16.0)

@@ -162,7 +162,7 @@ def model_weights(
         raise ValueError("family must contain the full model (empty subset)")
     if rss_full <= 0.0:
         raise DegenerateFit("rss must be positive to form weight ratios")
-    subsets = sorted(fits)
+    subsets = sorted(fits, key=lambda K: K.mask)
     restricted = subsets[1:]
     x = np.array([fits[K].u for K in restricted], dtype=float) / rss_full
     if np.any(x < 0.0):

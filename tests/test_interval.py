@@ -14,7 +14,6 @@ from matabound import (
     RegressionProblem,
     WeightSpec,
     fit_family,
-    fit_full,
     model_weights,
     solve_interval,
     w1,
@@ -30,7 +29,8 @@ def h_of(z, prob, fits, weights):
 
 
 def classical_t_interval(prob, alpha):
-    beta, rss = fit_full(prob)
+    full = fit_family(prob, [ModelSubset(0)])[ModelSubset(0)]
+    beta, rss = full.beta_hat, full.rss
     m = prob.n - prob.p
     v = float(prob.a @ np.linalg.inv(prob.X.T @ prob.X) @ prob.a)
     s = math.sqrt(rss / m * v)
@@ -125,16 +125,19 @@ class TestSolveInterval:
     def test_h_never_evaluated_twice_at_one_z(self, monkeypatch):
         from matabound import interval
 
+        # h takes arrays of points; every point of every call is recorded.
         seen = []
 
         def recording_h(w, theta, scale, df, z):
-            seen.append(float(z))
+            seen.extend(np.ravel(z).tolist())
             return h(w, theta, scale, df, z)
 
         monkeypatch.setattr(interval, "h", recording_h)
-        prob = random_problem(301, n=30, p=6, q=2)
-        solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
-        assert seen and len(seen) == len(set(seen))
+        for seed in (301, 302, 303):
+            seen.clear()
+            prob = random_problem(seed, n=30, p=6, q=2)
+            solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
+            assert seen and len(seen) == len(set(seen))
 
     def test_scale_equivariance(self):
         prob = random_problem(307, n=26, p=5, q=2)
@@ -237,3 +240,56 @@ class TestRequestValidation:
         K = ModelSubset.from_indices([3])
         with pytest.raises(ValueError, match="distinct"):
             MataRequest(prob, WeightSpec.aic(prob.n), family=(ModelSubset(0), K, K))
+
+
+class TestBatchEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(requests(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_rows_match_one_row_path(self, req, R, seed):
+        # The audit's path (fit R responses at once, weight them in one
+        # pass, inject each row into solve_interval) must agree with the
+        # one-response path on every row.
+        from matabound.weights import normalized_weights
+
+        prob, spec = req.prob, req.spec
+        rng = np.random.default_rng(seed)
+        Y = prob.y + np.std(prob.y) * rng.standard_normal((R, prob.n))
+        batch = fit_family(prob, None, Y)
+        assert len(batch) == R * len(batch.subsets)
+        card = np.array([K.cardinality for K in batch.subsets[1:]])
+        W = normalized_weights(spec.log_kernel(batch.u[:, 1:] / batch.rss[:, :1], card))
+        for r in range(R):
+            one = MataRequest(prob.with_response(Y[r]), spec, alpha=req.alpha)
+            fits = fit_family(one.prob)
+            assert list(fits) == list(batch.subsets)
+            for j, (K, fit) in enumerate(fits.items()):
+                theta_b = float(prob.a @ batch.beta[r, j])
+                theta_1 = float(prob.a @ fit.beta_hat)
+                scale = math.sqrt(fit.s2 * fit.v)
+                assert abs(theta_b - theta_1) <= 1e-12 * max(abs(theta_1), scale)
+                assert batch.rss[r, j] == pytest.approx(fit.rss, rel=1e-12)
+                assert batch.u[r, j] == pytest.approx(fit.u, rel=1e-12, abs=1e-12 * fit.rss)
+            weights = dict(zip(batch.subsets, W[r].tolist()))
+            ref = model_weights(fits, fits[ModelSubset(0)].rss, spec)
+            assert max(abs(weights[K] - ref[K]) for K in ref) <= 1e-14
+            # Endpoints from the batch against the one-row fits under the
+            # same weights: at tiny df an endpoint can sit where h is so
+            # flat that a 1e-16 weight change moves it by more than
+            # 1e-12 step, so the weights are compared on their own above.
+            ivb = solve_interval(one, fits=batch.models(r), weights=weights)
+            ivw = solve_interval(one, fits=fits, weights=weights)
+            step = max(math.sqrt(f.s2 * f.v) for f in fits.values())
+            assert abs(ivb.lower - ivw.lower) <= 1e-12 * step
+            assert abs(ivb.upper - ivw.upper) <= 1e-12 * step
+            iv1 = solve_interval(one)
+            for z in np.linspace(iv1.lower - step, iv1.upper + step, 9):
+                assert (ivb.lower <= z <= ivb.upper) == (iv1.lower <= z <= iv1.upper)
+
+    def test_rss_identity_checked_on_every_row(self):
+        prob = random_problem(331, n=20, p=5, q=2)
+        Y = np.vstack([prob.y, 2.0 * prob.y, -prob.y])
+        batch = fit_family(prob, None, Y)
+        np.testing.assert_allclose(batch.rss, batch.rss[:, :1] + batch.u, rtol=1e-12)
+        np.testing.assert_allclose(batch.rss[1], 4.0 * batch.rss[0], rtol=1e-12)
+        with pytest.raises(ValueError, match="shape"):
+            fit_family(prob, None, Y[:, 1:])

@@ -9,13 +9,24 @@ from matabound import (
     all_subsets,
     correlation_profile,
     fit_family,
-    fit_full,
-    fit_restricted,
-    noncentrality,
 )
-from matabound.errors import EmptySubset, MissingResponse, RankDeficient
+from matabound.errors import MissingResponse, RankDeficient
+from matabound.linreg import restricted_solve
 
 from helpers import random_problem
+
+FULL = ModelSubset(0)
+
+
+def fit_full(prob):
+    """(beta_hat, rss) of the full model, through fit_family."""
+    fit = fit_family(prob, [FULL])[FULL]
+    return fit.beta_hat, fit.rss
+
+
+def fit_restricted(prob, K):
+    """The fit of model K alone, through fit_family."""
+    return fit_family(prob, [FULL, K])[K]
 
 
 class TestFitFull:
@@ -119,7 +130,7 @@ class TestFitRestricted:
         subsets = list(fits)
         for K in subsets:
             for L in subsets:
-                if K.issubset(L):
+                if K.mask & ~L.mask == 0:
                     assert fits[K].u <= fits[L].u + 1e-12
 
     def test_s2_uses_restricted_degrees_of_freedom(self):
@@ -198,30 +209,32 @@ class TestCorrelationProfile:
 
 
 class TestNoncentrality:
+    # The restriction statistic's quadratic form b_K' D_K^-1 b_K at the
+    # true coefficients is twice the noncentrality of the restriction.
+    @staticmethod
+    def u_of(prob, K, b):
+        ((_, idx, L, _, _),) = prob.stats.restriction_blocks([FULL, K])
+        return float(restricted_solve(L, idx, b[None, :])[1][0, 0])
+
     def test_zero_at_restricted_truth(self):
         prob = random_problem(59, p=5, q=2)
         K = ModelSubset.from_indices([3, 4])
         b = np.array([1.0, 2.0, 3.0, 0.0, 0.0])
-        assert noncentrality(prob, K, b) == pytest.approx(0.0, abs=1e-15)
+        assert self.u_of(prob, K, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_gram_single_index(self):
         prob = RegressionProblem(np.eye(6)[:, :4], np.array([1.0, 0, 0, 0]), q=1)
         b = np.array([0.0, 0.0, 0.0, 2.0])
-        lam = noncentrality(prob, ModelSubset.from_indices([3]), b)
+        lam = 0.5 * self.u_of(prob, ModelSubset.from_indices([3]), b)
         assert lam == pytest.approx(2.0, rel=1e-12)  # (1/2) * 2^2
 
     def test_quadratic_scaling(self):
         prob = random_problem(61, p=5, q=2)
         K = ModelSubset.from_indices([2, 4])
         b = np.array([0.3, -1.0, 2.0, 0.5, -0.7])
-        lam = noncentrality(prob, K, b)
-        lam2 = noncentrality(prob, K, np.sqrt(2.0) * b)
+        lam = self.u_of(prob, K, b)
+        lam2 = self.u_of(prob, K, np.sqrt(2.0) * b)
         assert lam2 == pytest.approx(2.0 * lam, rel=1e-12)
-
-    def test_empty_subset_rejected(self):
-        prob = random_problem(67)
-        with pytest.raises(EmptySubset):
-            noncentrality(prob, ModelSubset(0), np.zeros(prob.p))
 
 
 class TestSubsets:
@@ -255,3 +268,16 @@ class TestProblemValidation:
         prob = random_problem(71)
         with pytest.raises(ValueError):
             prob.X[0, 0] = 1.0
+
+
+class TestFamilyWithoutFullModel:
+    def test_restricted_only_family_matches_refit(self):
+        prob = random_problem(73, n=30, p=5, q=2)
+        K = ModelSubset.from_indices([2, 4])
+        fits = fit_family(prob, [K])
+        assert list(fits) == [K]
+        kept = [0, 1, 3]
+        beta_kept, *_ = np.linalg.lstsq(prob.X[:, kept], prob.y, rcond=None)
+        np.testing.assert_allclose(fits[K].beta_hat[kept], beta_kept, rtol=1e-9, atol=1e-11)
+        _, rss = fit_full(prob)
+        assert fits[K].rss == pytest.approx(rss + fits[K].u, rel=1e-9)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matabound import (
+    MataInterval,
     ModelSubset,
     SimScenario,
     TwoModelConfig,
@@ -55,6 +56,19 @@ class TestSimulateCoverage:
         est = simulate_coverage(sc)
         assert abs(est.p_hat - analytic) < 3.0 * est.se
 
+    @pytest.mark.parametrize("fraction, audited", [(0.0, 0), (0.01, 100), (0.003, 31),
+                                                    (1e-4, 1)])
+    def test_audit_record(self, fraction, audited):
+        sc = two_model_scenario(5, 7, 0.7, 1.0, 2.0, 0.05, reps=10_000, seed=21,
+                                audit_fraction=fraction)
+        est = simulate_coverage(sc)
+        if fraction:
+            stride = max(1, int(round(1.0 / fraction)))
+            assert est.audited == len(range(0, sc.reps, stride)) == audited
+            assert 0.0 <= est.audit_max_residual <= 1e-12
+        else:
+            assert est.audited == 0 and est.audit_max_residual == 0.0
+
     def test_bit_reproducible(self):
         sc = two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05,
                                 reps=10_000, seed=99, audit_fraction=0.0)
@@ -68,11 +82,11 @@ class TestSimulateCoverage:
         beta = np.array([0.4, -1.0, 0.9, 0.3])
         kwargs = dict(reps=10_000, seed=11, spec=WeightSpec.aic(prob.n),
                       alpha=0.1, audit_fraction=0.0)
-        sc1 = SimScenario.from_beta_sigma(prob, beta, 1.0, **kwargs)
-        sc2 = SimScenario.from_beta_sigma(prob, 2.0 * beta, 2.0, **kwargs)
+        sc1 = SimScenario(prob=prob, beta_over_sigma=beta / 1.0, **kwargs)
+        sc2 = SimScenario(prob=prob, beta_over_sigma=(2.0 * beta) / 2.0, **kwargs)
         np.testing.assert_array_equal(sc1.beta_over_sigma, sc2.beta_over_sigma)
         covered = [
-            _SimKernel(sc.prob, sc.resolved_family(), sc.spec, sc.alpha, sc.reps,
+            _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps,
                        sc.seed).covered(sc.beta_over_sigma)
             for sc in (sc1, sc2)
         ]
@@ -84,11 +98,10 @@ class TestSimulateCoverage:
         sc = two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05,
                                 reps=10_000, seed=5, audit_fraction=0.001)
 
-        class FakeInterval:
-            lower, upper = math.inf, math.inf
-
-        monkeypatch.setattr(mcv, "solve_interval", lambda *a, **k: FakeInterval())
-        with pytest.raises(EventMismatch):
+        fake = MataInterval(lower=math.inf, upper=math.inf, weights_used={},
+                            h_residuals=(0.0, 0.0))
+        monkeypatch.setattr(mcv, "solve_interval", lambda *a, **k: fake)
+        with pytest.raises(EventMismatch, match="replicate"):
             simulate_coverage(sc)
 
     @pytest.mark.parametrize("bad_value", [0.0, -1.0])
@@ -131,7 +144,7 @@ class TestSimKernelProperties:
         h_theta = kernel.h_at_truth(beta)
         theta = float(prob.a @ beta)
         for i in range(8):
-            fits = fit_family(prob.with_response(kernel.response(i, beta)))
+            fits = fit_family(prob.with_response(kernel.responses([i], beta)[0]))
             ref = model_weights(fits, fits[ModelSubset(0)].rss, spec)
             np.testing.assert_allclose(w[i], [ref[K] for K in sorted(ref)], rtol=0, atol=1e-14)
             h_ref = float(h(*_family_arrays(fits, ref, prob.a), theta))
@@ -201,10 +214,3 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="length"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p + 1),
                         reps=10_000, seed=1, spec=WeightSpec.aic(prob.n))
-
-    def test_sigma_positive(self):
-        prob = random_problem(513, with_y=False)
-        with pytest.raises(ValueError, match="sigma"):
-            SimScenario.from_beta_sigma(prob, np.zeros(prob.p), 0.0,
-                                        reps=10_000, seed=1,
-                                        spec=WeightSpec.aic(prob.n))

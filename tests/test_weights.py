@@ -12,7 +12,6 @@ from matabound import (
     ModelSubset,
     WeightSpec,
     fit_family,
-    fit_full,
     gic,
     model_weights,
     w1,
@@ -165,7 +164,7 @@ class TestW1:
         m = prob.n - prob.p
         sigma2_hat = rss / m
         v_p = np.linalg.inv(prob.X.T @ prob.X)[4, 4]
-        beta_hat, _ = fit_full(prob)
+        beta_hat = fits[ModelSubset(0)].beta_hat
         z = beta_hat[4] ** 2 / (sigma2_hat * v_p)
         for d in (2.0, math.log(prob.n)):
             weights = model_weights(fits, rss, WeightSpec.gic(prob.n, d))
