@@ -5,8 +5,9 @@ two-model family built on the most-correlated droppable coefficient gives
 an upper bound: fix the design correlation at ``|rho|_max`` and minimize
 the two-model coverage integral over the scaled coefficient ``gamma``.
 Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
-grid (step 0.25) guards against multiple local minima, then bounded
-Brent minimization polishes the grid minimum.
+grid (step 0.25 on [0, 12]) guards against multiple local minima, then
+bounded Brent minimization polishes the grid minimum.  The search takes
+no options; a grid minimum on the right edge raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
 
 _GRID_STEP = 0.25
+_RULE = QuadratureConfig()
 
 
 @dataclass(frozen=True)
@@ -42,39 +44,33 @@ class BoundResult:
 
 
 @dataclass(frozen=True)
-class CurveRow:
-    n: int
-    m: int
-    d: float
-    alpha: float
-    rho_max_abs: float
-    gamma_star: float
-    upper_bound: float
-
-
-@dataclass(frozen=True)
 class CurveResult:
-    """Rows of (n, rho, bound) plus per-curve monotonicity diagnostics.
+    """One ``BoundResult`` per cell plus per-curve monotonicity diagnostics.
 
     ``max_increase`` maps each (m, n) curve to the largest increase of the
     bound along the rho grid (0.0 for a perfectly nonincreasing curve).
     """
 
-    rows: list[CurveRow]
+    rows: list[BoundResult]
     max_increase: dict[tuple[int, int], float]
 
 
 def resolve_d(d_rule, n: int) -> float:
-    """Translate a penalty rule ('aic', 'bic', or a number) into d."""
+    """Translate a penalty rule into d: 'aic', 'bic', 'fixed:<value>', or a
+    number, given as such or as a string."""
     if isinstance(d_rule, str):
-        rule = d_rule.lower()
+        rule = d_rule.strip().lower()
         if rule == "aic":
             return 2.0
         if rule == "bic":
             return math.log(n)
-        raise ValueError(f"unknown d rule {d_rule!r} (use 'aic', 'bic', or a number)")
+        try:
+            d_rule = float(rule.removeprefix("fixed:"))
+        except ValueError:
+            raise ValueError(f"unknown d rule {d_rule!r} "
+                             "(use 'aic', 'bic', 'fixed:<value>' or a number)") from None
     d = float(d_rule)
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("penalty constant d must be nonnegative")
     return d
 
@@ -85,39 +81,29 @@ def upper_bound(
     n: int,
     d: float,
     alpha: float,
-    quad: QuadratureConfig | None = None,
 ) -> BoundResult:
     """Minimize the two-model coverage over gamma >= 0 at rho = |rho|_max.
 
-    The gamma grid runs to ``quad.gamma_grid_max``; if the coarse minimum
-    lands on the right edge the domain is doubled once before giving up.
     Every coverage value meets the error estimate tolerance of
     ``CoverageGrid``, or ``QuadratureError`` is raised.
     """
     if not 0.0 <= rho_max_abs < 1.0:
         raise ValueError("rho_max_abs must lie in [0, 1)")
-    if quad is None:
-        quad = QuadratureConfig()
     cfg = TwoModelConfig(m=m, n=n, rho=rho_max_abs, d=d, alpha=alpha)
 
-    gamma_max = quad.gamma_grid_max
-    for attempt in range(2):
-        grid = CoverageGrid(cfg, quad, (0.0, gamma_max))
-        gammas = np.arange(0.0, gamma_max + _GRID_STEP / 2.0, _GRID_STEP)
-        values = [grid.coverage_at(g) for g in gammas]
-        i = int(np.argmin(values))
-        if i < len(gammas) - 1 or attempt == 1:
-            break
-        gamma_max *= 2.0  # coarse minimum on the right edge: widen once
+    grid = CoverageGrid(cfg)
+    gammas = np.arange(0.0, _RULE.gamma_grid_max + _GRID_STEP / 2.0, _GRID_STEP)
+    values = [grid.coverage_at(g) for g in gammas]
+    i = int(np.argmin(values))
     if i == len(gammas) - 1:
         raise QuadratureError(
             f"gamma minimizer stuck at the search boundary {gammas[i]:g}"
         )
 
     lo = float(gammas[max(i - 1, 0)])
-    hi = float(gammas[min(i + 1, len(gammas) - 1)])
+    hi = float(gammas[i + 1])
     res = minimize_scalar(grid.coverage_at, bounds=(lo, hi), method="bounded",
-                          options={"xatol": quad.gamma_refine_tol})
+                          options={"xatol": _RULE.gamma_refine_tol})
     g_star, v_star = float(res.x), float(res.fun)
     if values[i] < v_star:
         g_star, v_star = float(gammas[i]), values[i]
@@ -146,7 +132,6 @@ def bound_curve(
     m_n_pairs,
     d_rule,
     alpha: float,
-    quad: QuadratureConfig | None = None,
 ) -> CurveResult:
     """Curves of the bound against |rho|_max, one per (m, n) pair.
 
@@ -165,7 +150,7 @@ def bound_curve(
 
     def run(cell):
         m, n, rho = cell
-        return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha, quad)
+        return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha)
 
     workers = max_threads()
     if workers > 1:
@@ -174,21 +159,9 @@ def bound_curve(
     else:
         results = [run(cell) for cell in cells]
 
-    rows = [
-        CurveRow(
-            n=n,
-            m=m,
-            d=resolve_d(d_rule, n),
-            alpha=alpha,
-            rho_max_abs=rho,
-            gamma_star=res.gamma_star,
-            upper_bound=res.upper_bound,
-        )
-        for (m, n, rho), res in zip(cells, results)
-    ]
     max_increase: dict[tuple[int, int], float] = {}
     for m, n in m_n_pairs:
-        vals = [r.upper_bound for r in rows if (r.m, r.n) == (m, n)]
+        vals = [r.upper_bound for r in results if (r.cfg.m, r.cfg.n) == (m, n)]
         diffs = np.diff(vals)
         max_increase[(m, n)] = float(max(0.0, diffs.max())) if len(diffs) else 0.0
-    return CurveResult(rows=rows, max_increase=max_increase)
+    return CurveResult(rows=results, max_increase=max_increase)

@@ -3,7 +3,9 @@
 Subcommands: ``interval`` (tail-area interval from CSV data), ``rho-max``
 (correlation profile of a design), ``bound`` (minimum-coverage upper
 bound), ``curve`` (bound against |rho|_max for several sample sizes) and
-``verify`` (named Monte Carlo check suites).
+``verify`` (named Monte Carlo check suites).  ``bound`` and ``curve``
+write one CSV row per ``BoundResult``; the coverage rule and the gamma
+search behind them take no options.
 
 Exit codes: 0 success, 2 validation/input error, 3 numerical failure
 (including a failed verify suite).  Summary lines print at 6 significant
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .bound import BoundResult, bound_curve, resolve_d, upper_bound
-from .coverage import QuadratureConfig
 from .errors import MatacoverError
 from .interval import MataRequest, solve_interval
 from .linreg import ModelSubset, RegressionProblem, correlation_profile, fit_family
@@ -109,20 +110,13 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _quadrature_from(args) -> QuadratureConfig | None:
-    fields = {}
-    if args.gamma_max is not None:
-        fields["gamma_grid_max"] = args.gamma_max
-    if args.refine_tol is not None:
-        fields["gamma_refine_tol"] = args.refine_tol
-    return QuadratureConfig(**fields) if fields else None
-
-
-def _add_quadrature_flags(sp) -> None:
+def _add_bound_flags(sp) -> None:
     sp.description = ("Coverage is integrated in (t, y) = (x/y, y) by adaptive Gauss-Kronrod "
                       "7/15 panels; a value whose error estimate exceeds 1e-6 exits with 3.")
-    sp.add_argument("--gamma-max", type=float, help="gamma search limit")
-    sp.add_argument("--refine-tol", type=float, help="gamma refinement tolerance")
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--d-rule", default="aic",
+                    help="aic, bic, or fixed:<value> (also plain number)")
 
 
 def _add_data_flags(sp) -> None:
@@ -161,22 +155,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bound", help="upper bound on minimum coverage")
     sp.add_argument("--rho-max", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--d-rule", default="aic")
+    _add_bound_flags(sp)
     sp.add_argument("--out", help="write the CSV row to this file")
-    _add_quadrature_flags(sp)
     sp.set_defaults(handler=cmd_bound)
 
     sp = sub.add_parser("curve", help="bound against |rho|_max for several n")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", required=True, help="comma-separated sample sizes")
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--d-rule", default="aic")
+    sp.add_argument("--n", required=True, help="comma-separated integer sample sizes")
+    _add_bound_flags(sp)
     sp.add_argument("--rho-grid", default="0:0.95:0.05",
                     help="start:stop:step or comma-separated values")
     sp.add_argument("--out", help="write the CSV table to this file")
-    _add_quadrature_flags(sp)
     sp.set_defaults(handler=cmd_curve)
 
     sp = sub.add_parser("verify", help="run a named Monte Carlo check suite")
@@ -185,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=20240800)
     sp.set_defaults(handler=cmd_verify)
     return ap
-
-
-def _resolve_d_rule(text) -> float | str:
-    if isinstance(text, str) and text.lower().startswith("fixed:"):
-        return float(text.split(":", 1)[1])
-    if isinstance(text, str) and text.lower() in ("aic", "bic"):
-        return text.lower()
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise CliError(f"unknown d rule {text!r} (aic, bic, or fixed:<value>)") from None
 
 
 def _problem_from_args(args, with_response: bool) -> RegressionProblem:
@@ -215,7 +192,7 @@ def _problem_from_args(args, with_response: bool) -> RegressionProblem:
 
 def cmd_interval(args) -> int:
     prob = _problem_from_args(args, with_response=True)
-    d = resolve_d(_resolve_d_rule(args.d_rule), prob.n)
+    d = resolve_d(args.d_rule, prob.n)
     spec = WeightSpec.gic(prob.n, d)
     try:
         req = MataRequest(prob, spec, alpha=args.alpha)
@@ -251,11 +228,12 @@ def cmd_rho_max(args) -> int:
     return 0
 
 
-def _emit_rows(rows: list[tuple], out_path: str | None) -> None:
+def _emit_rows(results: list[BoundResult], out_path: str | None) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                       for v in row)
-              for row in rows]
+    for res in results:
+        cfg = res.cfg
+        row = (cfg.n, cfg.m, cfg.d, cfg.alpha, res.rho_max_abs, res.gamma_star, res.upper_bound)
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
     text = "\n".join(lines) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -269,14 +247,11 @@ def cmd_bound(args) -> int:
         raise CliError("--rho-max must lie in [0, 1)")
     if args.n <= args.p:
         raise CliError("--n must exceed --p")
-    d = resolve_d(_resolve_d_rule(args.d_rule), args.n)
-    quad = _quadrature_from(args)
-    res: BoundResult = upper_bound(args.rho_max, args.n - args.p, args.n,
-                                   d, args.alpha, quad)
+    res = upper_bound(args.rho_max, args.n - args.p, args.n,
+                      resolve_d(args.d_rule, args.n), args.alpha)
     print(f"upper bound on minimum coverage = {_fmt(res.upper_bound)} "
           f"(gamma* = {_fmt(res.gamma_star)}, error estimate {res.error_estimate:.1e})")
-    _emit_rows([(args.n, args.n - args.p, d, args.alpha, args.rho_max,
-                 res.gamma_star, res.upper_bound)], args.out)
+    _emit_rows([res], args.out)
     return 0
 
 
@@ -297,21 +272,17 @@ def _parse_rho_grid(text: str) -> list[float]:
 
 
 def cmd_curve(args) -> int:
-    n_list = [int(v) for v in _parse_vector(args.n, "--n")]
+    try:
+        n_list = [int(v) for v in args.n.split(",") if v.strip()]
+    except ValueError:
+        raise CliError(f"cannot parse --n {args.n!r}: comma-separated integers expected") from None
     if any(n <= args.p for n in n_list):
         raise CliError("every --n must exceed --p")
     rho_grid = _parse_rho_grid(args.rho_grid)
     if any(not 0.0 <= r < 1.0 for r in rho_grid):
         raise CliError("--rho-grid values must lie in [0, 1)")
-    d_rule = _resolve_d_rule(args.d_rule)
-    quad = _quadrature_from(args)
-    result = bound_curve(rho_grid, [(n - args.p, n) for n in n_list],
-                         d_rule, args.alpha, quad)
-    _emit_rows(
-        [(r.n, r.m, r.d, r.alpha, r.rho_max_abs, r.gamma_star, r.upper_bound)
-         for r in result.rows],
-        args.out,
-    )
+    result = bound_curve(rho_grid, [(n - args.p, n) for n in n_list], args.d_rule, args.alpha)
+    _emit_rows(result.rows, args.out)
     worst = max(result.max_increase.values())
     print(f"# curves: {len(n_list)}; worst monotonicity violation: {_fmt(worst)}",
           file=sys.stderr)

@@ -40,13 +40,14 @@ where a root enters, crosses or leaves the submodel step
 ``|t y - gamma| <= 8`` within extreme quantiles of ``f_m`` and break at
 ``gamma / t`` and around each normal cdf step.  Every value carries a
 Kronrod-Gauss error estimate in both variables, at most 1e-6, or
-``QuadratureError`` is raised.
+``QuadratureError`` is raised.  The rule takes no options and no gamma
+range: ``QuadratureConfig`` records its fixed constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -131,20 +132,19 @@ class TwoModelConfig:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """y truncation, root-solve tolerance and gamma search settings."""
+    """The fixed constants of the coverage rule and the gamma search: the
+    f_m quantiles that truncate y, the residual tolerance of ``delta_u``,
+    the end of the coarse gamma grid and the Brent tolerance of its
+    polish.  None of them can be set."""
 
-    y_lo_quantile: float = 1e-10
-    y_hi_quantile: float = 1.0 - 1e-10
-    delta_tol: float = 1e-10
-    gamma_grid_max: float = 12.0
-    gamma_refine_tol: float = 1e-6
+    y_lo_quantile: float = field(default=1e-10, init=False)
+    y_hi_quantile: float = field(default=1.0 - 1e-10, init=False)
+    delta_tol: float = field(default=1e-10, init=False)
+    gamma_grid_max: float = field(default=12.0, init=False)
+    gamma_refine_tol: float = field(default=1e-6, init=False)
 
-    def __post_init__(self):
-        if min(self.y_lo_quantile, self.delta_tol,
-               self.gamma_grid_max, self.gamma_refine_tol) <= 0.0:
-            raise ValueError("quadrature parameters must be positive")
-        if not self.y_lo_quantile < self.y_hi_quantile < 1.0:
-            raise ValueError("need y_lo_quantile < y_hi_quantile < 1")
+
+_RULE = QuadratureConfig()
 
 
 def f_m_pdf(y, m: int):
@@ -171,9 +171,9 @@ def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * (a + b))[:, None] + half[:, None] * _NODES, half
 
 
-def _y_domain(m: int, quad: QuadratureConfig) -> tuple[float, float]:
-    lo = math.sqrt(chi2.ppf(quad.y_lo_quantile, m) / m)
-    hi = math.sqrt(chi2.isf(1.0 - quad.y_hi_quantile, m) / m)
+def _y_domain(m: int) -> tuple[float, float]:
+    lo = math.sqrt(chi2.ppf(_RULE.y_lo_quantile, m) / m)
+    hi = math.sqrt(chi2.isf(1.0 - _RULE.y_hi_quantile, m) / m)
     return lo, hi
 
 
@@ -194,7 +194,7 @@ def _t_pdf(z, nu: int):
     return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
 
 
-def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = 1e-10):
+def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = _RULE.delta_tol):
     """Solve the mixed tail-area equation for its unique root.
 
     Vectorized over ``x``, ``y`` and ``u`` (broadcast together).  With
@@ -334,59 +334,40 @@ def _t_nodes(a, b, tail) -> tuple[np.ndarray, np.ndarray]:
     return t, half[:, None] * np.where(tail, _T_LADDER_END / (s * s), 1.0)
 
 
-def coverage_probability(
-    gamma: float,
-    cfg: TwoModelConfig,
-    quad: QuadratureConfig | None = None,
-) -> float:
-    """Coverage probability of the two-model interval at the given gamma:
-    ``CoverageGrid`` for the one-point range ``(gamma, gamma)``."""
-    return CoverageGrid(cfg, quad, (gamma, gamma)).coverage_at(gamma)
+def coverage_probability(gamma: float, cfg: TwoModelConfig) -> float:
+    """Coverage probability of the two-model interval at the given gamma."""
+    return CoverageGrid(cfg).coverage_at(gamma)
 
 
 class CoverageGrid:
-    """Coverage evaluator for the gamma range ``gammas = (lo, hi)``
-    (default ``[0, gamma_grid_max]``).
+    """Coverage evaluator for one config, at any gamma.
 
     Roots on the base t panels are solved once; ``coverage_at`` solves
-    roots only on t panels it bisects.  The rule does not depend on the
-    range, so every grid gives the same value at a gamma.
+    roots only on t panels it bisects.  The panels do not depend on
+    gamma, so one grid serves every gamma.
     """
 
-    def __init__(self, cfg: TwoModelConfig, quad: QuadratureConfig | None = None,
-                 gammas: tuple[float, float] | None = None):
-        if quad is None:
-            quad = QuadratureConfig()
-        lo, hi = (0.0, quad.gamma_grid_max) if gammas is None else map(float, gammas)
-        if not lo <= hi:
-            raise ValueError(f"empty gamma range ({lo}, {hi})")
+    def __init__(self, cfg: TwoModelConfig):
         self.cfg = cfg
-        self.quad = quad
-        self.gammas = (lo, hi)
-        self.y_lo, self.y_hi = _y_domain(cfg.m, quad)
+        self.y_lo, self.y_hi = _y_domain(cfg.m)
         self.panels = _t_panels(cfg)
         self.roots = self._roots(*self.panels)
 
     def _roots(self, a, b, tail) -> tuple[np.ndarray, np.ndarray]:
         """(D_lo, D_hi) at the t nodes of the panels."""
         t, _ = _t_nodes(a, b, tail)
-        dlo, dhi = (delta_u(t, 1.0, u, self.cfg, tol=self.quad.delta_tol)
+        dlo, dhi = (delta_u(t, 1.0, u, self.cfg)
                     for u in (self.cfg.alpha / 2.0, 1.0 - self.cfg.alpha / 2.0))
         if not np.all(dlo < dhi):
             raise QuadratureError("tail-area quantiles out of order on the grid")
         return dlo, dhi
 
     def coverage_at(self, gamma: float) -> float:
-        lo, hi = self.gammas
-        if not lo - 1e-9 <= gamma <= hi + 1e-9:
-            raise ValueError(f"gamma {gamma} outside the cached range [{lo}, {hi}]")
-        value, _ = self.coverage_with_error(gamma)
-        if not 0.0 < value < 1.0:
-            raise QuadratureError(f"coverage estimate {value!r} escaped (0, 1)")
-        return value
+        return self.coverage_with_error(gamma)[0]
 
     def coverage_with_error(self, gamma: float) -> tuple[float, float]:
-        """Coverage at gamma and its error estimate, which is at most 1e-6.
+        """Coverage at gamma, checked to lie in (0, 1), and its error
+        estimate, which is at most 1e-6.
 
         Each round bisects the t panels that carry the most of the
         estimate, until the rest carry at most half the tolerance.
@@ -397,7 +378,10 @@ class CoverageGrid:
             kron, err = self._t_integrals(gamma, a, b, tail, roots)
             total = error + float(err.sum())
             if total <= _TOL:
-                return value + float(kron.sum()), total
+                value += float(kron.sum())
+                if not 0.0 < value < 1.0:
+                    raise QuadratureError(f"coverage estimate {value!r} escaped (0, 1)")
+                return value, total
             order = np.argsort(err)[::-1]
             rest = total - np.cumsum(err[order])
             split = np.zeros(err.size, dtype=bool)

@@ -22,12 +22,20 @@ class TestResolveD:
         assert resolve_d("AIC", 60) == 2.0
         assert resolve_d("bic", 60) == pytest.approx(math.log(60))
         assert resolve_d(3.5, 60) == 3.5
+        assert resolve_d("fixed:3.0", 60) == 3.0
+        assert resolve_d("3.5", 60) == 3.5
 
     def test_rejects_unknown_and_negative(self):
         with pytest.raises(ValueError):
             resolve_d("mallows", 60)
         with pytest.raises(ValueError):
+            resolve_d("fixed:abc", 60)
+        with pytest.raises(ValueError):
             resolve_d(-1.0, 60)
+        with pytest.raises(ValueError):
+            resolve_d("fixed:-1", 60)
+        with pytest.raises(ValueError):
+            resolve_d("nan", 60)
 
 
 class TestUpperBound:
@@ -64,6 +72,13 @@ class TestUpperBound:
             upper_bound(1.0, m=5, n=7, d=2.0, alpha=0.05)
         with pytest.raises(ValueError):
             upper_bound(-0.2, m=5, n=7, d=2.0, alpha=0.05)
+
+    def test_minimum_on_the_grid_edge_raises(self, monkeypatch):
+        # coverage falling all the way to gamma = 12: the search refuses
+        monkeypatch.setattr(coverage.CoverageGrid, "coverage_at",
+                            lambda self, gamma: 0.95 - 1e-3 * gamma)
+        with pytest.raises(QuadratureError, match="search boundary 12"):
+            upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
 
     def test_convergence_check_passes(self):
         res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05)
@@ -106,13 +121,14 @@ class TestUpperBound:
 class TestBoundCurve:
     def test_rows_ordered_and_monotonicity_reported(self):
         result = bound_curve([0.3, 0.6, 0.9], [(10, 14), (26, 30)], "bic", 0.05)
-        keys = [(r.m, r.n, r.rho_max_abs) for r in result.rows]
+        keys = [(r.cfg.m, r.cfg.n, r.rho_max_abs) for r in result.rows]
         assert keys == [(10, 14, 0.3), (10, 14, 0.6), (10, 14, 0.9),
                         (26, 30, 0.3), (26, 30, 0.6), (26, 30, 0.9)]
         assert set(result.max_increase) == {(10, 14), (26, 30)}
         for r in result.rows:
-            assert r.d == pytest.approx(math.log(r.n))
+            assert r.cfg.d == pytest.approx(math.log(r.cfg.n))
             assert 0.0 < r.upper_bound < 1.0
+            assert r.error_estimate <= coverage._TOL
 
     def test_matches_individual_bound_calls(self):
         result = bound_curve([0.5], [(8, 12)], 2.0, 0.05)

@@ -52,6 +52,17 @@ class TestBoundCommand:
         assert "error estimate" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", ["--gamma-max", "--refine-tol"])
+    def test_removed_search_flags_exit_2(self, flag, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--rho-max", "0.5", "--n", "12", "--p", "4", flag, "5"])
+        assert exc.value.code == 2
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{flag[2:]}=5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(conf), "bound", "--rho-max", "0.5", "--n", "12", "--p", "4"])
+        assert exc.value.code == 2
+
     def test_validation_errors_exit_2(self, capsys):
         assert main(["bound", "--rho-max", "1.5", "--n", "12", "--p", "4"]) == 2
         assert main(["bound", "--rho-max", "0.5", "--n", "4", "--p", "4"]) == 2
@@ -72,8 +83,9 @@ class TestCurveCommand:
         assert len(lines) == len(direct.rows)
         for line, row in zip(lines, direct.rows):
             cells = line.split(",")
-            assert int(cells[0]) == row.n and int(cells[1]) == row.m
-            assert float(cells[2]) == row.d
+            assert int(cells[0]) == row.cfg.n and int(cells[1]) == row.cfg.m
+            assert float(cells[2]) == row.cfg.d
+            assert float(cells[4]) == row.rho_max_abs
             assert float(cells[5]) == row.gamma_star
             assert float(cells[6]) == row.upper_bound
 
@@ -91,6 +103,10 @@ class TestCurveCommand:
     def test_bad_grid_rejected(self, capsys):
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0:1:0"]) == 2
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0.5,1.2"]) == 2
+
+    def test_non_integer_n_rejected(self, capsys):
+        assert main(["curve", "--p", "4", "--n", "12,7.9", "--rho-grid", "0.5"]) == 2
+        assert "--n" in capsys.readouterr().err
 
 
 class TestIntervalCommand:

@@ -1,6 +1,7 @@
 """Coverage double integral: inner root solve, densities, and MC agreement."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.optimize import brentq
 from scipy.special import stdtr
+from scipy.stats import chi2
 
 from matabound import (
     CoverageGrid,
@@ -19,7 +21,7 @@ from matabound import (
     f_m_pdf,
 )
 import matabound.coverage as coverage
-from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes, _y_domain
+from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes
 from matabound.errors import DomainError, QuadratureError
 from matabound.weights import w1
 
@@ -33,8 +35,7 @@ class TestFmPdf:
     def test_integrates_to_one_under_module_quadrature(self, m):
         # quantile truncation at 1e-12 so the omitted mass sits below the
         # 1e-10 normalization tolerance
-        quad = QuadratureConfig(y_lo_quantile=1e-12, y_hi_quantile=1.0 - 1e-12)
-        lo, hi = _y_domain(m, quad)
+        lo, hi = (math.sqrt(chi2.ppf(q, m) / m) for q in (1e-12, 1.0 - 1e-12))
         edges = np.linspace(lo, hi, 41)
         y, half = _panel_nodes(edges[:-1], edges[1:])
         assert float(half @ (f_m_pdf(y, m) @ _W_KRONROD)) == pytest.approx(1.0, abs=1e-10)
@@ -256,19 +257,9 @@ class TestCoverageProbability:
 class TestCoverageGrid:
     def test_matches_direct_evaluation(self):
         cfg = make_cfg(m=9, n=13, rho=0.85, d=2.0)
-        for grid in (CoverageGrid(cfg), CoverageGrid(cfg, gammas=(0.7, 5.0))):
-            for gamma in (0.7, 2.0, 5.0):
-                assert grid.coverage_at(gamma) == coverage_probability(gamma, cfg)
-        assert CoverageGrid(cfg).coverage_at(0.0) == coverage_probability(0.0, cfg)
-
-    def test_rejects_gamma_outside_cached_range(self):
-        grid = CoverageGrid(make_cfg())
-        with pytest.raises(ValueError):
-            grid.coverage_at(50.0)
-        with pytest.raises(ValueError):
-            grid.coverage_at(-1.0)
-        with pytest.raises(ValueError, match="empty"):
-            CoverageGrid(make_cfg(), gammas=(2.0, 1.0))
+        grid = CoverageGrid(cfg)
+        for gamma in (0.0, 0.7, 2.0, 5.0):
+            assert grid.coverage_at(gamma) == coverage_probability(gamma, cfg)
 
 
 class TestCoverageSweep:
@@ -315,11 +306,16 @@ class TestConfigValidation:
         assert cfg.m == 9 and cfg.n == 12
         assert cfg.rho == pytest.approx(0.45, abs=1e-12)
 
-    def test_quadrature_validation(self):
-        with pytest.raises(ValueError):
+    def test_quadrature_config_is_fixed(self):
+        with pytest.raises(TypeError):
             QuadratureConfig(delta_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(y_lo_quantile=0.9, y_hi_quantile=0.5)
+        assert asdict(QuadratureConfig()) == {
+            "y_lo_quantile": 1e-10,
+            "y_hi_quantile": 1.0 - 1e-10,
+            "delta_tol": 1e-10,
+            "gamma_grid_max": 12.0,
+            "gamma_refine_tol": 1e-6,
+        }
 
     def test_quadrature_error_type_exists(self):
         assert issubclass(QuadratureError, Exception)

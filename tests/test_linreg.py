@@ -1,5 +1,7 @@
 """Least-squares machinery against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from matabound import (
     fit_family,
 )
 from matabound.errors import MissingResponse, RankDeficient
-from matabound.linreg import restricted_solve
+from matabound.linreg import MAX_FREE_COEFFICIENTS, restricted_solve
 
 from helpers import random_problem
 
@@ -247,6 +249,18 @@ class TestSubsets:
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="cap"):
             all_subsets(p=40, q=2)
+
+    def test_cap_plus_one_refused_before_allocating(self):
+        p = MAX_FREE_COEFFICIENTS + 3
+        prob = random_problem(63, n=p + 5, p=p, q=2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                fit_family(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_from_indices_roundtrip(self):
         K = ModelSubset.from_indices([5, 2, 9])
