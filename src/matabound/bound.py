@@ -8,6 +8,7 @@ Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
 grid (step 0.25 on [0, 12]) guards against multiple local minima, then
 bounded Brent minimization polishes the grid minimum.  The search takes
 no options; a grid minimum on the right edge raises ``QuadratureError``.
+``bound_curve`` always runs its cells on a thread pool sized from the CPUs.
 """
 
 from __future__ import annotations
@@ -118,15 +119,6 @@ def upper_bound(
     )
 
 
-def max_threads() -> int:
-    """Worker cap for internal parallelism (MATA_THREADS, default 1)."""
-    raw = os.environ.get("MATA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bound_curve(
     rho_grid,
     m_n_pairs,
@@ -135,9 +127,10 @@ def bound_curve(
 ) -> CurveResult:
     """Curves of the bound against |rho|_max, one per (m, n) pair.
 
-    Rows are ordered by (m, n) pair then rho.  Cell evaluations are
-    independent; MATA_THREADS > 1 runs them on a thread pool (results are
-    placed by index, so output is identical either way).
+    Rows are ordered by (m, n) pair then rho.  Cells run on a thread pool
+    with one worker per CPU the process may use (``taskset`` restricts it)
+    and at most one per cell; rows are placed by index, so they match
+    separate ``upper_bound`` calls bit for bit.
     """
     rho_grid = [float(r) for r in rho_grid]
     m_n_pairs = [(int(m), int(n)) for m, n in m_n_pairs]
@@ -152,12 +145,12 @@ def bound_curve(
         m, n, rho = cell
         return upper_bound(rho, m, n, resolve_d(d_rule, n), alpha)
 
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without a CPU affinity query
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(cells), cpus)) as pool:
+        results = list(pool.map(run, cells))
 
     max_increase: dict[tuple[int, int], float] = {}
     for m, n in m_n_pairs:

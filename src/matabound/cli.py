@@ -26,9 +26,9 @@ from . import __version__
 from .bound import BoundResult, bound_curve, resolve_d, upper_bound
 from .errors import MatacoverError
 from .interval import MataRequest, solve_interval
-from .linreg import ModelSubset, RegressionProblem, correlation_profile, fit_family
+from .linreg import RegressionProblem, correlation_profile
 from .suites import SUITES
-from .weights import WeightSpec, model_weights
+from .weights import WeightSpec
 
 CSV_COLUMNS = ("n", "m", "d", "alpha", "rho_max_abs", "gamma_star", "upper_bound")
 
@@ -110,13 +110,18 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+def _add_rule_flags(sp) -> None:
+    sp.add_argument("--alpha", type=float, default=0.05,
+                    help="two-sided miss probability, in (0, 0.5] (default: 0.05)")
+    sp.add_argument("--d-rule", default="aic",
+                    help="aic, bic, or fixed:<value> (also plain number)")
+
+
 def _add_bound_flags(sp) -> None:
     sp.description = ("Coverage is integrated in (t, y) = (x/y, y) by adaptive Gauss-Kronrod "
                       "7/15 panels; a value whose error estimate exceeds 1e-6 exits with 3.")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--d-rule", default="aic",
-                    help="aic, bic, or fixed:<value> (also plain number)")
+    _add_rule_flags(sp)
 
 
 def _add_data_flags(sp) -> None:
@@ -141,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("interval", help="tail-area interval from CSV data")
     _add_data_flags(sp)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--d-rule", default="aic",
-                    help="aic, bic, or fixed:<value> (also plain number)")
+    _add_rule_flags(sp)
     sp.set_defaults(handler=cmd_interval)
 
     sp = sub.add_parser("rho-max", help="correlation profile and |rho|_max")
@@ -193,21 +196,13 @@ def _problem_from_args(args, with_response: bool) -> RegressionProblem:
 def cmd_interval(args) -> int:
     prob = _problem_from_args(args, with_response=True)
     d = resolve_d(args.d_rule, prob.n)
-    spec = WeightSpec.gic(prob.n, d)
-    try:
-        req = MataRequest(prob, spec, alpha=args.alpha)
-        family = req.resolved_family()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    fits = fit_family(prob, family)
-    weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
-    iv = solve_interval(req, fits=fits, weights=weights)
-    print(f"n={prob.n} p={prob.p} q={prob.q} models={len(family)} "
+    iv = solve_interval(MataRequest(prob, WeightSpec.gic(prob.n, d), alpha=args.alpha))
+    print(f"n={prob.n} p={prob.p} q={prob.q} models={len(iv.weights_used)} "
           f"alpha={_fmt(args.alpha)} d={_fmt(d)}")
     print(f"interval lower = {_fmt(iv.lower)}")
     print(f"interval upper = {_fmt(iv.upper)}")
     print("top model weights (dropped 0-based columns : weight):")
-    top = sorted(weights.items(), key=lambda kv: -kv[1])[:10]
+    top = sorted(iv.weights_used.items(), key=lambda kv: -kv[1])[:10]
     for K, wgt in top:
         label = "{" + ",".join(map(str, K.indices)) + "}" if K.mask else "{} (full)"
         print(f"  {label:24s} {_fmt(wgt)}")
@@ -215,10 +210,7 @@ def cmd_interval(args) -> int:
 
 
 def cmd_rho_max(args) -> int:
-    if getattr(args, "response", False):
-        prob = _problem_from_args(args, with_response=True)
-    else:
-        prob = _problem_from_args(args, with_response=False)
+    prob = _problem_from_args(args, with_response=args.response)
     rho, rho_max_abs, argmax = correlation_profile(prob)
     print("column  rho")
     for j, r in enumerate(rho, start=prob.q):

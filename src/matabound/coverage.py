@@ -112,9 +112,9 @@ class TwoModelConfig:
             raise ValueError("m must be at least 1")
         if self.n <= self.m:
             raise ValueError("need n > m (implied p = n - m >= 1)")
-        if abs(self.rho) >= 1.0:
+        if not abs(self.rho) < 1.0:
             raise ValueError("|rho| must be strictly below 1")
-        if self.d < 0.0:
+        if not self.d >= 0.0:
             raise ValueError("penalty constant d must be nonnegative")
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")

@@ -1,8 +1,9 @@
 """Named verification suites: analytic results against Monte Carlo.
 
-Each suite returns a list of check rows (description, numbers, pass flag)
-so the command-line front end and the test suite share one source of
-truth for what gets verified.
+Each suite takes only a replicate count and a seed, and returns a list of
+check rows (description, numbers, pass flag), so the command-line front
+end and the test suite share one source of truth for what gets verified.
+Everything else a suite uses is a module constant below.
 """
 
 from __future__ import annotations
@@ -86,22 +87,24 @@ def two_model_scenario(
 INTEGRAL_VS_MC_GAMMAS = (0.0, 1.0, 2.0, 5.0)
 INTEGRAL_VS_MC_RHOS = (0.3, 0.7, 0.96)
 INTEGRAL_VS_MC_SETUPS = ((5, 7, "aic"), (44, 60, "bic"))
+# Every suite's two-sided miss probability; the theorem-2 scan's replicates
+# per grid point; theorem 4's residual degrees of freedom m and threshold eps.
+ALPHA = 0.05
+THEOREM2_SCAN_REPS = 10_000
+THEOREM4_M = 5
+THEOREM4_EPS = 0.01
 
 
-def integral_vs_mc_suite(
-    reps: int = 100_000,
-    seed: int = 20240801,
-    alpha: float = 0.05,
-) -> list[CheckRow]:
+def integral_vs_mc_suite(reps: int = 100_000, seed: int = 20240801) -> list[CheckRow]:
     """Compare the coverage double integral with simulation on a fixed grid."""
     rows = []
     for m, n, rule in INTEGRAL_VS_MC_SETUPS:
         d = resolve_d(rule, n)
         for rho in INTEGRAL_VS_MC_RHOS:
-            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
+            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=ALPHA)
             for gamma in INTEGRAL_VS_MC_GAMMAS:
                 analytic = coverage_probability(gamma, cfg)
-                sc = two_model_scenario(m, n, rho, gamma, d, alpha, reps, seed)
+                sc = two_model_scenario(m, n, rho, gamma, d, ALPHA, reps, seed)
                 est = simulate_coverage(sc)
                 tol = 3.0 * est.se
                 rows.append(CheckRow(
@@ -114,18 +117,14 @@ def integral_vs_mc_suite(
     return rows
 
 
-def theorem2_suite(
-    reps: int = 100_000,
-    seed: int = 20240802,
-    alpha: float = 0.05,
-    scan_reps: int = 10_000,
-) -> list[CheckRow]:
+def theorem2_suite(reps: int = 100_000, seed: int = 20240802) -> list[CheckRow]:
     """Full-family minimum-coverage scan against the two-model bound.
 
     The scan grid pushes the two non-maximal droppable coefficients far
     from zero (where the family effectively collapses to two models) and
-    sweeps the maximal one; the scan minimizer is then re-estimated at
-    full replication before comparing against the bound.
+    sweeps the maximal one at ``THEOREM2_SCAN_REPS`` replicates per point;
+    the scan minimizer is then re-estimated at ``reps`` replicates before
+    comparing against the bound.
     """
     n, p, rho = 20, 4, 0.85
     prob = _correlated_design(p, n, rho, q=1)  # max correlation on the last column
@@ -137,12 +136,12 @@ def theorem2_suite(
     rows = []
     for rule in ("aic", "bic"):
         d = resolve_d(rule, n)
-        bound = upper_bound(rho, n - p, n, d, alpha)
+        bound = upper_bound(rho, n - p, n, d, ALPHA)
         spec = WeightSpec.gic(n, d)
-        _, argmin = min_coverage_scan(prob, spec, alpha, grid, scan_reps, seed)
+        _, argmin = min_coverage_scan(prob, spec, ALPHA, grid, THEOREM2_SCAN_REPS, seed)
         beta = np.concatenate([np.zeros(prob.q), argmin])
         sc = SimScenario(prob=prob, beta_over_sigma=beta, reps=reps, seed=seed,
-                         spec=spec, alpha=alpha, audit_fraction=0.0)
+                         spec=spec, alpha=ALPHA, audit_fraction=0.0)
         est = simulate_coverage(sc)
         rows.append(CheckRow(
             name=f"theorem2 {rule} scan-min vs bound (argmin={np.round(argmin, 3)})",
@@ -154,20 +153,16 @@ def theorem2_suite(
     return rows
 
 
-def theorem4_suite(
-    reps: int = 100_000,
-    seed: int = 20240803,
-    m: int = 5,
-    eps: float = 0.01,
-) -> list[CheckRow]:
-    """Decay of the single-constraint weight as n grows with m fixed."""
-    table = w1_decay_scan(m, [100, 10_000], gamma_grid=[0.0, 1.0, 2.0],
-                          eps=eps, reps=reps, seed=seed, d_rule="bic")
+def theorem4_suite(reps: int = 100_000, seed: int = 20240803) -> list[CheckRow]:
+    """Decay of P(w1 >= ``THEOREM4_EPS``), the single-constraint weight, as
+    n grows with m = ``THEOREM4_M`` fixed."""
+    table = w1_decay_scan(THEOREM4_M, [100, 10_000], gamma_grid=[0.0, 1.0, 2.0],
+                          eps=THEOREM4_EPS, reps=reps, seed=seed, d_rule="bic")
     i0 = table.sup_gamma_index
     p_small, p_large = table.probs[0, i0], table.probs[1, i0]
     gap_se = math.sqrt(table.ses[0, i0] ** 2 + table.ses[1, i0] ** 2)
     rows = [CheckRow(
-        name=f"theorem4 decay P(w1>={eps}) n=10^4 vs n=10^2 at gamma=0",
+        name=f"theorem4 decay P(w1>={THEOREM4_EPS}) n=10^4 vs n=10^2 at gamma=0",
         value=p_large,
         reference=p_small,
         tolerance=3.0 * gap_se,

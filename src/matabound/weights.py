@@ -56,7 +56,7 @@ class WeightSpec:
             raise ValueError("sample size n must be at least 2")
         if (self.d is None) == (self.kernel is None):
             raise ValueError("specify exactly one of d (GIC) or kernel (custom)")
-        if self.d is not None and self.d < 0:
+        if self.d is not None and not self.d >= 0.0:
             raise ValueError("penalty constant d must be nonnegative")
 
     @classmethod

@@ -7,9 +7,10 @@ import os
 import numpy as np
 import pytest
 
+import matabound.bound as bound
 import matabound.coverage as coverage
 from matabound import TwoModelConfig, coverage_probability, upper_bound
-from matabound.bound import bound_curve, max_threads, resolve_d
+from matabound.bound import BoundResult, bound_curve, resolve_d
 from matabound.errors import QuadratureError
 
 with open(os.path.join(os.path.dirname(__file__), "..", "perfbench", "references.json")) as _fh:
@@ -136,13 +137,39 @@ class TestBoundCurve:
         assert result.rows[0].upper_bound == direct.upper_bound
         assert result.rows[0].gamma_star == direct.gamma_star
 
-    def test_thread_pool_gives_identical_rows(self, monkeypatch):
-        serial = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
-        monkeypatch.setenv("MATA_THREADS", "3")
-        assert max_threads() == 3
-        threaded = bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
-        assert [r.upper_bound for r in serial.rows] == \
-            [r.upper_bound for r in threaded.rows]
+    def test_thread_pool_gives_identical_rows(self):
+        # four cells on the pool, each placed where its own call would be
+        curve = bound_curve([0.4, 0.8], [(8, 12), (10, 14)], "aic", 0.05)
+        assert len(curve.rows) == 4
+        cells = [(m, n, rho) for m, n in [(8, 12), (10, 14)] for rho in (0.4, 0.8)]
+        for row, (m, n, rho) in zip(curve.rows, cells):
+            direct = upper_bound(rho, m, n, 2.0, 0.05)
+            assert row.upper_bound == direct.upper_bound
+            assert row.gamma_star == direct.gamma_star
+            assert row.error_estimate == direct.error_estimate
+
+    def test_pool_sized_from_the_cpus(self, monkeypatch):
+        sizes = []
+
+        class Recording(bound.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        def fake_bound(rho, m, n, d, alpha):
+            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
+            return BoundResult(0.9, 0.0, rho, cfg, 0.0)
+
+        monkeypatch.setattr(bound, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(bound, "upper_bound", fake_bound)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
+        bound_curve([0.1, 0.2, 0.3, 0.4, 0.5], [(8, 12)], "aic", 0.05)
+        # without an affinity query the pool falls back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        bound_curve([0.4, 0.8], [(8, 12)], "aic", 0.05)
+        assert sizes == [2, 3, 1]
 
     def test_runs_convergence_check(self, monkeypatch):
         monkeypatch.setattr(coverage, "_TOL", 1e-13)
@@ -154,13 +181,3 @@ class TestBoundCurve:
             bound_curve([], [(8, 12)], "aic", 0.05)
         with pytest.raises(ValueError):
             bound_curve([0.5], [], "aic", 0.05)
-
-
-class TestMaxThreads:
-    def test_default_and_garbage(self, monkeypatch):
-        monkeypatch.delenv("MATA_THREADS", raising=False)
-        assert max_threads() == 1
-        monkeypatch.setenv("MATA_THREADS", "junk")
-        assert max_threads() == 1
-        monkeypatch.setenv("MATA_THREADS", "4")
-        assert max_threads() == 4

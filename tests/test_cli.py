@@ -126,7 +126,15 @@ class TestIntervalCommand:
         upper = float(out.split("interval upper = ")[1].splitlines()[0])
         assert lower == pytest.approx(iv.lower, rel=1e-5)
         assert upper == pytest.approx(iv.upper, rel=1e-5)
-        assert "top model weights" in out
+        assert f" models={len(iv.weights_used)} " in out.splitlines()[0]
+        printed = out.split("top model weights (dropped 0-based columns : weight):\n")[1]
+        top = sorted(iv.weights_used.items(), key=lambda kv: -kv[1])[:10]
+        assert len(printed.splitlines()) == len(top) == 4
+        for line, (K, wgt) in zip(printed.splitlines(), top):
+            label, value = line.rsplit(None, 1)
+            assert label.strip() == ("{" + ",".join(map(str, K.indices)) + "}"
+                                     if K.mask else "{} (full)")
+            assert float(value) == pytest.approx(wgt, rel=1e-5)
 
     def test_refuses_oversized_family(self, tmp_path, capsys):
         rng = np.random.default_rng(603)

@@ -16,9 +16,11 @@ from matabound import (
     CoverageGrid,
     QuadratureConfig,
     TwoModelConfig,
+    WeightSpec,
     coverage_probability,
     delta_u,
     f_m_pdf,
+    upper_bound,
 )
 import matabound.coverage as coverage
 from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes
@@ -289,6 +291,19 @@ class TestConfigValidation:
         assert cfg.rho == pytest.approx(-(1.0 - 1e-9))
         with pytest.raises(ValueError):
             TwoModelConfig(m=5, n=7, rho=1.0, d=2.0, alpha=0.05)
+
+    def test_nan_rho_and_d_rejected(self):
+        # NaN fails every ordered comparison, so the checks must be written
+        # to fail rather than pass on it
+        nan = float("nan")
+        with pytest.raises(ValueError, match="penalty constant"):
+            upper_bound(0.5, 5, 7, nan, 0.05)
+        with pytest.raises(ValueError, match="rho"):
+            TwoModelConfig(m=5, n=7, rho=nan, d=2.0, alpha=0.05)
+        with pytest.raises(ValueError, match="penalty constant"):
+            TwoModelConfig(m=5, n=7, rho=0.5, d=nan, alpha=0.05)
+        with pytest.raises(ValueError, match="penalty constant"):
+            WeightSpec.gic(7, nan)
 
     def test_m_n_consistency(self):
         with pytest.raises(ValueError):
