@@ -5,10 +5,18 @@ two-model family built on the most-correlated droppable coefficient gives
 an upper bound: fix the design correlation at ``|rho|_max`` and minimize
 the two-model coverage integral over the scaled coefficient ``gamma``.
 Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
-grid (step 0.25 on [0, 12]) guards against multiple local minima, then
-bounded Brent minimization polishes the grid minimum.  The search takes
-no options; a grid minimum on the right edge raises ``QuadratureError``.
-``bound_curve`` always runs its cells on a thread pool sized from the CPUs.
+grid of step 1 on [0, 12] guards against multiple local minima, then
+bounded Brent minimization polishes the grid minimum on the two steps
+around it.  Step 1 suffices: over 64 configs (m in {1, 5, 44, 200},
+rho in {.3, .9, .99, .999999}, n in {m + 2, 1e6}, AIC and BIC, alpha
+0.05) the minimum lies at gamma <= 2.36 and the step-1 grid minimum
+within 0.89 of it.  Past gamma = 3 the curve stays at least 1.3e-5 above
+the minimum; the further local minima a 0.25-step grid finds there are
+ripples under 4e-12 deep.  A grid minimum at gamma = 0 is polished on
+[-1, 1], where evenness makes it interior, and ``gamma_star`` is the
+absolute value of Brent's point.  The search takes no options; a grid
+minimum on the right edge raises ``QuadratureError``.  ``bound_curve``
+always runs its cells on a thread pool sized from the CPUs.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from scipy.optimize import minimize_scalar
 from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
 
-_GRID_STEP = 0.25
+_GRID_STEP = 1.0
 _RULE = QuadratureConfig()
 
 
@@ -101,20 +109,23 @@ def upper_bound(
             f"gamma minimizer stuck at the search boundary {gammas[i]:g}"
         )
 
-    lo = float(gammas[max(i - 1, 0)])
+    # Coverage is even in gamma, so a minimum at gamma = 0 is interior to
+    # [-step, step].
+    lo = float(gammas[i - 1]) if i > 0 else -_GRID_STEP
     hi = float(gammas[i + 1])
     res = minimize_scalar(grid.coverage_at, bounds=(lo, hi), method="bounded",
                           options={"xatol": _RULE.gamma_refine_tol})
-    g_star, v_star = float(res.x), float(res.fun)
+    x, v_star = float(res.x), float(res.fun)
     if values[i] < v_star:
-        g_star, v_star = float(gammas[i]), values[i]
+        x, v_star = float(gammas[i]), values[i]
 
     return BoundResult(
         upper_bound=v_star,
-        gamma_star=g_star,
+        gamma_star=abs(x),
         rho_max_abs=rho_max_abs,
         cfg=cfg,
-        error_estimate=grid.coverage_with_error(g_star)[1],
+        # x was evaluated by the grid or by Brent: its estimate is a memo lookup.
+        error_estimate=grid.coverage_with_error(x)[1],
         diagnostics=list(zip(map(float, gammas), values)),
     )
 
@@ -127,7 +138,8 @@ def bound_curve(
 ) -> CurveResult:
     """Curves of the bound against |rho|_max, one per (m, n) pair.
 
-    Rows are ordered by (m, n) pair then rho.  Cells run on a thread pool
+    Rows are ordered by (m, n) pair then rho; a repeated pair raises
+    ``ValueError``, since its curves would merge.  Cells run on a thread pool
     with one worker per CPU the process may use (``taskset`` restricts it)
     and at most one per cell; rows are placed by index, so they match
     separate ``upper_bound`` calls bit for bit.
@@ -136,6 +148,8 @@ def bound_curve(
     m_n_pairs = [(int(m), int(n)) for m, n in m_n_pairs]
     if not rho_grid or not m_n_pairs:
         raise ValueError("rho_grid and m_n_pairs must be nonempty")
+    if len(set(m_n_pairs)) < len(m_n_pairs):
+        raise ValueError(f"repeated (m, n) pair in {m_n_pairs}")
 
     cells = [
         (m, n, rho) for m, n in m_n_pairs for rho in rho_grid

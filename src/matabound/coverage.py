@@ -344,7 +344,9 @@ class CoverageGrid:
 
     Roots on the base t panels are solved once; ``coverage_at`` solves
     roots only on t panels it bisects.  The panels do not depend on
-    gamma, so one grid serves every gamma.
+    gamma, so one grid serves every gamma.  Each gamma is integrated
+    once: ``coverage_with_error`` memoizes its (value, error) pair, so
+    asking again for a gamma already evaluated is a lookup.
     """
 
     def __init__(self, cfg: TwoModelConfig):
@@ -352,6 +354,7 @@ class CoverageGrid:
         self.y_lo, self.y_hi = _y_domain(cfg.m)
         self.panels = _t_panels(cfg)
         self.roots = self._roots(*self.panels)
+        self._memo: dict[float, tuple[float, float]] = {}
 
     def _roots(self, a, b, tail) -> tuple[np.ndarray, np.ndarray]:
         """(D_lo, D_hi) at the t nodes of the panels."""
@@ -367,7 +370,14 @@ class CoverageGrid:
 
     def coverage_with_error(self, gamma: float) -> tuple[float, float]:
         """Coverage at gamma, checked to lie in (0, 1), and its error
-        estimate, which is at most 1e-6.
+        estimate, which is at most 1e-6."""
+        gamma = float(gamma)
+        if gamma not in self._memo:
+            self._memo[gamma] = self._integrate(gamma)
+        return self._memo[gamma]
+
+    def _integrate(self, gamma: float) -> tuple[float, float]:
+        """Adaptive integral behind ``coverage_with_error``.
 
         Each round bisects the t panels that carry the most of the
         estimate, until the rest carry at most half the tolerance.

@@ -81,6 +81,18 @@ class TestUpperBound:
         with pytest.raises(QuadratureError, match="search boundary 12"):
             upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
 
+    # Cells with the narrowest dip (gamma* about 0.111), a minimum at
+    # gamma = 0, and the perfbench high-correlation cell.
+    @pytest.mark.parametrize("rho, m, n, rule", [
+        (0.999999, 1, 10**6, "bic"),
+        (0.3, 5, 7, "aic"),
+        (0.95, 44, 46, "bic"),
+    ])
+    def test_unit_step_grid_misses_no_minimum(self, rho, m, n, rule):
+        res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
+        scan = min(coverage_probability(g, res.cfg) for g in np.arange(0.0, 3.0 + 1e-9, 0.125))
+        assert res.upper_bound <= scan + 1e-12
+
     def test_convergence_check_passes(self):
         res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05)
         assert 0.0 < res.upper_bound < 1.0
@@ -117,6 +129,49 @@ class TestUpperBound:
         if n == 10**6:
             # at most the coverage at gamma = 1.5, 0.948335398
             assert res.upper_bound <= 0.948335398 + 1e-6
+
+
+class TestIntegralCount:
+    @pytest.fixture
+    def integrated(self, monkeypatch):
+        """Gammas integrated under the memo, and gammas asked of coverage_at."""
+        calls = {"integrated": [], "asked": []}
+        grid = coverage.CoverageGrid
+        integrate, coverage_at = grid._integrate, grid.coverage_at
+
+        def counting_integrate(self, gamma):
+            calls["integrated"].append(gamma)
+            return integrate(self, gamma)
+
+        def recording_coverage_at(self, gamma):
+            calls["asked"].append(float(gamma))
+            return coverage_at(self, gamma)
+
+        monkeypatch.setattr(grid, "_integrate", counting_integrate)
+        monkeypatch.setattr(grid, "coverage_at", recording_coverage_at)
+        return calls
+
+    # The three perfbench cells, then one whose minimum is at gamma = 0.
+    @pytest.mark.parametrize("rho, m, n, rule, gamma_star_max", [
+        (0.99, 1, 3, "aic", 12.0),
+        (0.7, 5, 7, "aic", 12.0),
+        (0.95, 44, 46, "bic", 12.0),
+        (0.3, 5, 7, "aic", 1e-5),
+    ])
+    def test_at_most_thirty_integrals_per_bound(self, integrated, rho, m, n, rule,
+                                                gamma_star_max):
+        res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
+        assert len(integrated["integrated"]) <= 30
+        # one integral per distinct gamma searched; none added at gamma*
+        assert sorted(integrated["integrated"]) == sorted(set(integrated["asked"]))
+        assert res.gamma_star <= gamma_star_max
+
+    def test_memo_integrates_each_gamma_once(self, integrated):
+        grid = coverage.CoverageGrid(TwoModelConfig(m=5, n=7, rho=0.7, d=2.0, alpha=0.05))
+        first = grid.coverage_with_error(1.5)
+        assert grid.coverage_at(1.5) == first[0]
+        assert grid.coverage_with_error(np.float64(1.5)) == first
+        assert integrated["integrated"] == [1.5]
 
 
 class TestBoundCurve:
@@ -175,6 +230,18 @@ class TestBoundCurve:
         monkeypatch.setattr(coverage, "_TOL", 1e-13)
         with pytest.raises(QuadratureError, match="error estimate"):
             bound_curve([0.99], [(1, 3)], "aic", 0.05)
+
+    def test_repeated_pair_rejected(self, monkeypatch):
+        # a strictly decreasing curve, which a repeated pair would join into
+        # one sweep with a spurious rise of 0.09
+        def fake_bound(rho, m, n, d, alpha):
+            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
+            return BoundResult(0.95 - 0.1 * rho, 0.0, rho, cfg, 0.0)
+
+        monkeypatch.setattr(bound, "upper_bound", fake_bound)
+        assert bound_curve([0.0, 0.9], [(8, 12)], "aic", 0.05).max_increase == {(8, 12): 0.0}
+        with pytest.raises(ValueError, match="repeated"):
+            bound_curve([0.0, 0.9], [(8, 12), (8, 12)], "aic", 0.05)
 
     def test_validates_empty_grids(self):
         with pytest.raises(ValueError):

@@ -108,6 +108,10 @@ class TestCurveCommand:
         assert main(["curve", "--p", "4", "--n", "12,7.9", "--rho-grid", "0.5"]) == 2
         assert "--n" in capsys.readouterr().err
 
+    def test_repeated_n_rejected(self, capsys):
+        assert main(["curve", "--p", "4", "--n", "12,12", "--rho-grid", "0.5"]) == 2
+        assert "repeated (m, n) pair" in capsys.readouterr().err
+
 
 class TestIntervalCommand:
     def test_endpoints_match_library(self, tmp_path, capsys):
