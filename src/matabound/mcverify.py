@@ -5,7 +5,7 @@ interval without solving the estimating equations: since ``h`` is
 decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
 replicate.  The weights and ``h`` are the interval solver's own,
-evaluated for all replicates at once.  A deterministic audit subsample is
+evaluated for a block of replicates at once.  A deterministic audit subsample is
 fitted again as one response matrix by ``fit_family`` (QR and direct
 residuals, not the kernel's shifted fits), weighted in one pass, and each
 audited replicate's endpoints come from ``solve_interval``; containment
@@ -14,10 +14,14 @@ must agree with the h-event replicate by replicate.  Disagreement raises
 
 Coverage depends on the parameters only through the scaled droppable
 coefficients ``beta[q:] / sigma``, so scenarios store that vector and
-simulate at sigma = 1.  The noise matrix is drawn from a counter-based
-Philox generator keyed by the scenario seed: replicate ``i`` consumes a
-fixed counter range, so estimates are bit-reproducible and replicates
-could be evaluated in any order.
+simulate at sigma = 1.  The noise is drawn from one counter-based Philox
+generator keyed by the scenario seed, in blocks taken in order from that
+one stream.  The normal sampler sometimes takes more than one random word
+per draw, so a replicate's place in the stream depends on every draw
+before it, and replicates cannot be drawn out of order.  Blocks filled in
+order give the same stream as one large draw, and no replicate's
+arithmetic depends on the block it falls in, so an estimate is
+bit-reproducible for a given seed whatever the block size.
 """
 
 from __future__ import annotations
@@ -35,13 +39,19 @@ from .linreg import (
     RegressionProblem,
     all_subsets,
     fit_family,
-    restricted_solve,
 )
 from .weights import WeightSpec, normalized_weights, w1
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
-_MAX_SCAN_FREE = 8
+# Replicates per noise draw.  Each draw is reduced to (bn, rss) by BLAS
+# calls of this one shape, the last draw zero-padded: BLAS picks its
+# kernels, and so its rounding, by the shape of a call (OpenBLAS switches
+# to other dgemm kernels for small products and single rows).
+_DRAW_ROWS = 512
+# Bytes of the largest temporary of a _SimKernel evaluation block: a
+# (rows, models) array or a (k, G, rows) forward substitution.
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -91,6 +101,16 @@ class CoverageEstimate:
     audit_max_residual: float = 0.0
 
 
+def _forward(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``L^-1 b`` for lower-triangular ``L`` (G, k, k) and ``b`` (k, G, R),
+    by forward substitution in place, one elementwise step per entry of L."""
+    for i in range(L.shape[-1]):
+        for j in range(i):
+            b[i] -= L[:, i, j, None] * b[j]
+        b[i] /= L[:, i, i, None]
+    return b
+
+
 class _SimKernel:
     """Vectorized per-replicate h(theta) for a fixed design and family.
 
@@ -101,10 +121,17 @@ class _SimKernel:
     not through ``fit_family`` (the two share only the design's
     restriction blocks); weights and ``h`` are the package's single
     implementations, with replicates on the leading axis.
+
+    Replicates are evaluated in blocks of ``rows``, so memory is
+    O(reps * p) plus one block's temporaries.  The evaluation uses only
+    elementwise steps and reductions within a replicate, never a BLAS or
+    LAPACK call across replicates, so a replicate's result does not depend
+    on the block it falls in.  Only the noise of the replicates in
+    ``keep`` is stored, for ``responses``.
     """
 
     def __init__(self, prob: RegressionProblem, family, spec: WeightSpec,
-                 alpha: float, reps: int, seed: int):
+                 alpha: float, reps: int, seed: int, keep=()):
         if family is None:
             family = all_subsets(prob.p, prob.q)
         if ModelSubset(0) not in family:
@@ -115,49 +142,79 @@ class _SimKernel:
         self.family = sorted(set(family), key=lambda K: K.mask)
         stats = prob.stats
 
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        self.noise = rng.standard_normal((reps, prob.n))
-        self.bn = self.noise @ (prob.X @ stats.xtx_inv)
-        resid = self.noise - self.bn @ prob.X.T
-        self.rss = np.einsum("ij,ij->i", resid, resid)
-
         self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
         self.card = self.df[1:] - self.df[0]  # |K|, as df = n - p + |K|
-        self.blocks = stats.restriction_blocks(self.family)
         self.v = np.full(len(self.family), stats.v_theta)
-        for pos, *_, v in self.blocks:
+        # Per cardinality block: places, zeroed columns, Cholesky factors
+        # L of D_K and c = L^-1 g (k, G), so that g' D_K^-1 b = c' L^-1 b.
+        self.blocks = []
+        for pos, idx, L, g, v in stats.restriction_blocks(self.family):
             self.v[pos] = v
+            self.blocks.append((pos, idx, L, _forward(L, g.T[:, :, None].copy())[:, :, 0]))
+        width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
+        self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
-    def family_arrays(self, beta_over_sigma: np.ndarray):
-        """(w, theta, scale) per replicate and model, models in mask order,
-        for data y = X b + noise with b = beta/sigma."""
-        b_hat = self.bn + np.asarray(beta_over_sigma, dtype=float)
-        reps, n_models = self.rss.shape[0], len(self.family)
-        theta = np.repeat((b_hat @ self.prob.a)[:, None], n_models, axis=1)
-        u = np.zeros((reps, n_models))
-        for pos, idx, L, g, _ in self.blocks:
-            z, u[:, pos] = restricted_solve(L, idx, b_hat)
-            theta[:, pos] -= np.einsum("gk,rgk->rg", g, z)
-        w = normalized_weights(self.spec.log_kernel(u[:, 1:] / self.rss[:, None], self.card))
-        scale = np.sqrt((self.rss[:, None] + u) / self.df * self.v)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        coef = prob.X @ stats.xtx_inv
+        self.bn = np.empty((reps, prob.p))
+        self.rss = np.empty(reps)
+        self.kept = np.unique(np.asarray(keep, dtype=np.intp))
+        self.kept_noise = np.empty((self.kept.size, prob.n))
+        noise = np.zeros((_DRAW_ROWS, prob.n))
+        for start in range(0, reps, _DRAW_ROWS):
+            m = min(_DRAW_ROWS, reps - start)
+            rng.standard_normal(out=noise[:m])
+            noise[m:] = 0.0
+            bn = noise @ coef
+            resid = noise - bn @ prob.X.T
+            self.bn[start:start + m] = bn[:m]
+            self.rss[start:start + m] = np.einsum("ij,ij->i", resid, resid)[:m]
+            lo, hi = np.searchsorted(self.kept, (start, start + m))
+            self.kept_noise[lo:hi] = noise[self.kept[lo:hi] - start]
+
+    def family_arrays(self, beta_over_sigma: np.ndarray, rows: slice = slice(None)):
+        """(w, theta, scale) per replicate in ``rows`` and model, models in
+        mask order, for data y = X b + noise with b = beta/sigma."""
+        b_hat = self.bn[rows] + np.asarray(beta_over_sigma, dtype=float)
+        rss = self.rss[rows]
+        theta0 = (b_hat * self.prob.a).sum(axis=1)
+        theta = np.repeat(theta0[:, None], len(self.family), axis=1)
+        u = np.zeros(theta.shape)
+        for pos, idx, L, c in self.blocks:
+            z = _forward(L, b_hat.T[idx.T])  # (k, G, rows): L^-1 b_K
+            zz, cz = z[0] * z[0], c[0, :, None] * z[0]
+            for zi, ci in zip(z[1:], c[1:]):
+                zz += zi * zi
+                cz += ci[:, None] * zi
+            u[:, pos] = zz.T
+            theta[:, pos] -= cz.T
+        w = normalized_weights(self.spec.log_kernel(u[:, 1:] / rss[:, None], self.card))
+        scale = np.sqrt((rss[:, None] + u) / self.df * self.v)
         return w, theta, scale
 
     def h_at_truth(self, beta_over_sigma: np.ndarray) -> np.ndarray:
         """h(theta) per replicate for data y = X b + noise, b = beta/sigma."""
         theta = float(self.prob.a @ np.asarray(beta_over_sigma, dtype=float))
-        w, theta_k, scale = self.family_arrays(beta_over_sigma)
-        return h(w, theta_k, scale, self.df, theta)
+        out = np.empty(self.rss.shape[0])
+        for start in range(0, out.size, self.rows):
+            rows = slice(start, start + self.rows)
+            out[rows] = h(*self.family_arrays(beta_over_sigma, rows), self.df, theta)
+        return out
 
     def covered(self, beta_over_sigma: np.ndarray) -> np.ndarray:
         h_theta = self.h_at_truth(beta_over_sigma)
         return (self.alpha / 2.0 <= h_theta) & (h_theta <= 1.0 - self.alpha / 2.0)
 
-    def responses(self, rows: np.ndarray, beta_over_sigma: np.ndarray) -> np.ndarray:
-        return np.asarray(beta_over_sigma, dtype=float) @ self.prob.X.T + self.noise[rows]
+    def responses(self, rows, beta_over_sigma: np.ndarray) -> np.ndarray:
+        """Responses X b + noise of kept replicates ``rows``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        pos = np.searchsorted(self.kept, rows)
+        if np.any(pos >= self.kept.size) or np.any(self.kept[pos] != rows):
+            raise ValueError("responses asked for a replicate whose noise was not kept")
+        return np.asarray(beta_over_sigma, dtype=float) @ self.prob.X.T + self.kept_noise[pos]
 
 
-def _estimate(covered: np.ndarray, reps: int, seed: int, **audit) -> CoverageEstimate:
-    p_hat = float(np.mean(covered))
+def _estimate(p_hat: float, reps: int, seed: int, **audit) -> CoverageEstimate:
     return CoverageEstimate(p_hat, math.sqrt(p_hat * (1.0 - p_hat) / reps), reps, seed, **audit)
 
 
@@ -167,13 +224,15 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
     Every replicate is judged through the h-event; the audit subsample is
     also run through ``solve_interval`` and the two verdicts must match.
     """
-    kernel = _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps, sc.seed)
+    audited = np.arange(0)
+    if sc.audit_fraction:
+        audited = np.arange(0, sc.reps, max(1, int(round(1.0 / sc.audit_fraction))))
+    kernel = _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps, sc.seed, keep=audited)
     covered = kernel.covered(sc.beta_over_sigma)
-    if sc.audit_fraction == 0.0:
-        return _estimate(covered, sc.reps, sc.seed)
-    stride = max(1, int(round(1.0 / sc.audit_fraction)))
-    audited = np.arange(0, sc.reps, stride)
-    return _estimate(covered, sc.reps, sc.seed, audited=audited.size,
+    p_hat = float(np.mean(covered))
+    if not audited.size:
+        return _estimate(p_hat, sc.reps, sc.seed)
+    return _estimate(p_hat, sc.reps, sc.seed, audited=audited.size,
                      audit_max_residual=_audit(sc, kernel, covered, audited))
 
 
@@ -224,8 +283,6 @@ def min_coverage_scan(
     if not grid:
         raise ValueError("grid must be nonempty")
     free = prob.p - prob.q
-    if free > _MAX_SCAN_FREE:
-        raise ValueError(f"scan limited to p - q <= {_MAX_SCAN_FREE}")
     if any(v.shape != (free,) for v in grid):
         raise ValueError(f"grid vectors must have length p - q = {free}")
     if reps < _MIN_SCAN_REPS:
@@ -239,8 +296,7 @@ def min_coverage_scan(
         p_hat = float(np.mean(kernel.covered(beta)))
         if p_hat < best_p:
             best_p, best_v = p_hat, v
-    covered_best = kernel.covered(np.concatenate([np.zeros(prob.q), best_v]))
-    return _estimate(covered_best, reps, seed), best_v
+    return _estimate(best_p, reps, seed), best_v
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,8 @@ class TestSimKernelProperties:
         prob = random_problem(seed, n=p + extra, p=p, q=q, with_y=False)
         beta = np.array(beta[:p])
         spec = WeightSpec.gic(prob.n, d)
-        kernel = _SimKernel(prob, all_subsets(p, q), spec, 0.05, reps=8, seed=seed)
+        kernel = _SimKernel(prob, all_subsets(p, q), spec, 0.05, reps=8, seed=seed,
+                            keep=range(8))
         w, _, _ = kernel.family_arrays(beta)
         h_theta = kernel.h_at_truth(beta)
         theta = float(prob.a @ beta)
@@ -191,6 +192,78 @@ class TestSimKernelProperties:
             assert np.all(diff <= rounding_tolerance(prob, spec, beta, y)), diff
             h_ref = float(h(*_family_arrays(fits, ref, prob.a), theta))
             assert abs(h_theta[i] - h_ref) <= 1e-12
+
+
+class TestSimKernelBlocks:
+    def test_block_size_leaves_every_output_unchanged(self, monkeypatch):
+        import matabound.mcverify as mcv
+
+        # At 13,001 x 20 x 4 the noise fit is large enough for OpenBLAS to
+        # take other dgemm kernels than for blocks of 7 rows.
+        prob = random_problem(517, n=20, p=4, q=1, with_y=False)
+        beta = np.array([0.3, -1.0, 2.5, -0.4])
+        sc = SimScenario(prob=prob, beta_over_sigma=beta, reps=13_001, seed=23,
+                         spec=WeightSpec.aic(prob.n))
+
+        def outputs():
+            kernel = _SimKernel(prob, None, sc.spec, sc.alpha, sc.reps, sc.seed)
+            est = simulate_coverage(sc)
+            return kernel, (kernel.bn, kernel.rss, kernel.h_at_truth(beta),
+                            kernel.covered(beta), est.p_hat, est.audited,
+                            est.audit_max_residual)
+
+        default, expected = outputs()
+        assert default.rows >= sc.reps
+        width = max([len(default.family)] + [idx.size for _, idx, *_ in default.blocks])
+        monkeypatch.setattr(mcv, "_BLOCK_BYTES", 7 * 8 * width)
+        small, got = outputs()
+        assert small.rows == 7 and sc.reps % 7 != 0
+        for a, b in zip(expected, got):
+            np.testing.assert_array_equal(a, b)
+        assert got[5] == 131
+
+    def test_replicates_do_not_depend_on_reps(self):
+        # 1,025 replicates end on a draw of one row, which BLAS would
+        # handle with other kernels than the full draws of 1,536.
+        prob = random_problem(519, n=12, p=4, q=1, with_y=False)
+        beta = np.array([1.0, 0.5, -2.0, 0.2])
+        spec = WeightSpec.aic(prob.n)
+        short, long = (_SimKernel(prob, None, spec, 0.05, reps, 29) for reps in (1_025, 1_536))
+        np.testing.assert_array_equal(short.bn, long.bn[:1_025])
+        np.testing.assert_array_equal(short.rss, long.rss[:1_025])
+        np.testing.assert_array_equal(short.h_at_truth(beta), long.h_at_truth(beta)[:1_025])
+
+    def test_covered_memory_does_not_grow_with_reps(self):
+        import tracemalloc
+
+        prob = random_problem(513, n=20, p=8, q=2, with_y=False)
+        beta = np.array([0.5, -0.3, 1.0, 0.0, 2.0, -1.0, 0.3, 0.0])
+        peaks = []
+        for reps in (10_000, 40_000):
+            kernel = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, reps, 3)
+            assert len(kernel.family) == 64 and kernel.rows < reps
+            tracemalloc.start()
+            try:
+                kernel.covered(beta)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One (40,000 x 64) float array alone is 20 MB.
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+
+    def test_responses_only_for_kept_replicates(self):
+        prob = random_problem(521, n=10, p=3, q=1, with_y=False)
+        kernel = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+                            keep=[1_100, 5, 600])
+        beta = np.array([1.0, -1.0, 0.5])
+        np.testing.assert_array_equal(kernel.kept, [5, 600, 1_100])
+        full = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+                          keep=range(1_200))
+        np.testing.assert_array_equal(kernel.responses([600, 5], beta),
+                                      full.responses([600, 5], beta))
+        for rows in ([4], [5, 1_199], [1_200]):
+            with pytest.raises(ValueError, match="not kept"):
+                kernel.responses(rows, beta)
 
 
 class TestMinCoverageScan:
@@ -215,10 +288,20 @@ class TestMinCoverageScan:
             min_coverage_scan(prob, spec, 0.05, [np.zeros(7)], reps=2_000, seed=1)
 
     def test_free_coefficient_cap(self):
-        prob = random_problem(509, n=40, p=12, q=2, with_y=False)
+        prob = random_problem(509, n=40, p=23, q=2, with_y=False)
         with pytest.raises(ValueError, match="p - q"):
             min_coverage_scan(prob, WeightSpec.aic(prob.n), 0.05,
-                              [np.zeros(10)], reps=2_000, seed=1)
+                              [np.zeros(21)], reps=2_000, seed=1)
+
+    def test_estimate_is_the_minimizer_coverage(self):
+        prob = random_problem(515, n=16, p=5, q=2, with_y=False)
+        spec = WeightSpec.aic(prob.n)
+        grid = [np.zeros(3), np.array([1.5, 0.0, -2.0]), np.array([0.0, 3.0, 0.5])]
+        est, argmin = min_coverage_scan(prob, spec, 0.05, grid, reps=2_000, seed=19)
+        kernel = _SimKernel(prob, None, spec, 0.05, 2_000, 19)
+        p_hats = [np.mean(kernel.covered(np.concatenate([np.zeros(2), v]))) for v in grid]
+        assert est.p_hat == min(p_hats)
+        np.testing.assert_array_equal(argmin, grid[int(np.argmin(p_hats))])
 
 
 class TestW1DecayScan:
