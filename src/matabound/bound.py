@@ -79,8 +79,8 @@ def resolve_d(d_rule, n: int) -> float:
             raise ValueError(f"unknown d rule {d_rule!r} "
                              "(use 'aic', 'bic', 'fixed:<value>' or a number)") from None
     d = float(d_rule)
-    if not d >= 0.0:
-        raise ValueError("penalty constant d must be nonnegative")
+    if not 0.0 <= d < math.inf:
+        raise ValueError("penalty constant d must be finite and nonnegative")
     return d
 
 

@@ -114,8 +114,8 @@ class TwoModelConfig:
             raise ValueError("need n > m (implied p = n - m >= 1)")
         if not abs(self.rho) < 1.0:
             raise ValueError("|rho| must be strictly below 1")
-        if not self.d >= 0.0:
-            raise ValueError("penalty constant d must be nonnegative")
+        if not 0.0 <= self.d < math.inf:
+            raise ValueError("penalty constant d must be finite and nonnegative")
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")
         if abs(self.rho) > _RHO_CLAMP:
@@ -290,7 +290,10 @@ def _t_panels(cfg: TwoModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Panels with ``tail`` set are in ``v``, with ``t = _T_LADDER_END / v``.
     """
     m, n = cfg.m, cfg.n
-    t_star = math.sqrt(m * math.expm1(cfg.d / n))
+    try:
+        t_star = math.sqrt(m * math.expm1(cfg.d / n))
+    except OverflowError:  # d/n > 709.78: t* and its band lie past the ladder
+        t_star = math.inf
     w = (m + t_star * t_star) / (n * t_star) if t_star > 0.0 else math.sqrt(m / n)
     cuts = {t_star, _T_LADDER_END, *_root_regime_changes(cfg)}
     cuts.update(t_star + sign * k * w for k in _BAND_STEPS for sign in (-1.0, 1.0))

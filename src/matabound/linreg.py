@@ -218,9 +218,10 @@ class DesignStats:
         """The restricted models of mask-ordered ``subsets``, one block per
         cardinality k: their places ``pos`` (G,) in ``subsets``, zeroed
         columns ``idx`` (G, k), Cholesky factors ``L`` (G, k, k) of
-        ``D_K = (X'X)^-1`` restricted to K, the entries ``g`` (G, k) of
-        ``(X'X)^-1 a`` in K and the variance factors ``v`` (G,) of
-        ``a @ beta_K``."""
+        ``D_K = (X'X)^-1`` restricted to K, ``c = L^-1 g`` (k, G) for the
+        entries ``g`` of ``(X'X)^-1 a`` in K and the variance factors
+        ``v = v_theta - c'c`` (G,) of ``a @ beta_K``, all shared by
+        ``fit_family`` and the Monte Carlo kernel."""
         masks = np.array([K.mask for K in subsets], dtype=np.int64)
         zeroed = (masks[:, None] >> np.arange(self.R.shape[0])) & 1 == 1
         card = zeroed.sum(axis=1)
@@ -232,17 +233,22 @@ class DesignStats:
                 L = np.linalg.cholesky(self.xtx_inv[idx[:, :, None], idx[:, None, :]])
             except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
                 raise SingularRestriction(f"a restriction of {k} columns is singular") from exc
-            g_quad = restricted_solve(L, idx, self.xtx_inv_a[None, :])[1][0]
-            blocks.append((pos, idx, L, self.xtx_inv_a[idx], self.v_theta - g_quad))
+            c, cc = forward(L, self.xtx_inv_a[idx.T][:, :, None])
+            blocks.append((pos, idx, L, c[:, :, 0], self.v_theta - cc[:, 0]))
         return blocks
 
 
-def restricted_solve(L: np.ndarray, idx: np.ndarray, B: np.ndarray):
-    """``z = D_K^-1 b_K`` (R, G, k) and ``u_K = b_K' z`` (R, G) for the
-    coefficient rows ``B`` (R, p) and one block of ``restriction_blocks``."""
-    b = np.moveaxis(B[:, idx], 0, -1)
-    z = np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, b))
-    return np.moveaxis(z, -1, 0), np.einsum("gkr,gkr->rg", b, z)
+def forward(L: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``z = L^-1 b`` in place and ``z'z`` (G, R) for lower-triangular ``L``
+    (G, k, k) and ``b`` (k, G, R), by elementwise forward substitution, so
+    no entry depends on the other columns of ``b`` or on their number."""
+    zz = np.zeros(b.shape[1:])
+    for i in range(L.shape[-1]):
+        for j in range(i):
+            b[i] -= L[:, i, j, None] * b[j]
+        b[i] /= L[:, i, i, None]
+        zz += b[i] * b[i]
+    return b, zz
 
 
 @dataclass(frozen=True)
@@ -282,9 +288,9 @@ def fit_family(
 
     One QR solve gives every response's full-model coefficients; the
     restricted models of each cardinality share one stacked Cholesky
-    factorization and one batched solve.  Every (response, model) fit is
-    checked against ``rss_K = rss + u_K`` with ``rss_K`` recomputed from
-    its residuals.
+    factorization and one forward substitution.  Every (response, model)
+    fit is checked against ``rss_K = rss + u_K`` with ``rss_K`` recomputed
+    from its residuals.
     """
     single = responses is None
     if single and prob.y is None:
@@ -306,8 +312,10 @@ def fit_family(
     v = np.full(len(subsets), stats.v_theta)
     for pos, idx, L, _, v_k in stats.restriction_blocks(subsets):
         v[pos] = v_k
-        z, u[:, pos] = restricted_solve(L, idx, B)
-        beta[:, pos] -= np.einsum("pgk,rgk->rgp", stats.xtx_inv[:, idx], z)
+        z, zz = forward(L, B.T[idx.T])  # z = L^-1 b_K, u_K = z'z
+        u[:, pos] = zz.T
+        # beta_K = b - E'z with E = L^-1 (X'X)^-1[K, :]
+        beta[:, pos] -= np.einsum("kgp,kgr->rgp", forward(L, stats.xtx_inv[idx.T])[0], z)
         beta[:, pos[:, None], idx] = 0.0
     df = np.array([prob.n - prob.p + K.cardinality for K in subsets])
     rss = _direct_rss(Y, beta, prob.X)

@@ -6,11 +6,11 @@ decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
 replicate.  The weights and ``h`` are the interval solver's own,
 evaluated for a block of replicates at once.  A deterministic audit subsample is
-fitted again as one response matrix by ``fit_family`` (QR and direct
-residuals, not the kernel's shifted fits), weighted in one pass, and each
-audited replicate's endpoints come from ``solve_interval``; containment
-must agree with the h-event replicate by replicate.  Disagreement raises
-``EventMismatch`` and means a bug, not bad luck.
+fitted again as one response matrix by ``fit_family``, which shares only the
+restriction blocks and ``linreg.forward`` with the kernel: its full-model fit
+(QR), each model's RSS (from residuals) and the endpoints (``solve_interval``)
+are its own.  Containment must agree with the h-event replicate by replicate;
+disagreement raises ``EventMismatch`` and means a bug, not bad luck.
 
 Coverage depends on the parameters only through the scaled droppable
 coefficients ``beta[q:] / sigma``, so scenarios store that vector and
@@ -39,6 +39,7 @@ from .linreg import (
     RegressionProblem,
     all_subsets,
     fit_family,
+    forward,
 )
 from .weights import WeightSpec, normalized_weights, w1
 
@@ -101,25 +102,15 @@ class CoverageEstimate:
     audit_max_residual: float = 0.0
 
 
-def _forward(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^-1 b`` for lower-triangular ``L`` (G, k, k) and ``b`` (k, G, R),
-    by forward substitution in place, one elementwise step per entry of L."""
-    for i in range(L.shape[-1]):
-        for j in range(i):
-            b[i] -= L[:, i, j, None] * b[j]
-        b[i] /= L[:, i, i, None]
-    return b
-
-
 class _SimKernel:
     """Vectorized per-replicate h(theta) for a fixed design and family.
 
     The noise-only least-squares coefficients and residual sum of squares
     are precomputed once; changing the coefficient vector is a shift, so
     scanning a parameter grid reuses the same draws (common random
-    numbers).  The restricted fits are formed here from those shifts,
-    not through ``fit_family`` (the two share only the design's
-    restriction blocks); weights and ``h`` are the package's single
+    numbers).  The restricted fits are formed here from those shifts, not
+    through ``fit_family``; the two share only the restriction blocks and
+    ``linreg.forward``.  Weights and ``h`` are the package's single
     implementations, with replicates on the leading axis.
 
     Replicates are evaluated in blocks of ``rows``, so memory is
@@ -145,12 +136,9 @@ class _SimKernel:
         self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
         self.card = self.df[1:] - self.df[0]  # |K|, as df = n - p + |K|
         self.v = np.full(len(self.family), stats.v_theta)
-        # Per cardinality block: places, zeroed columns, Cholesky factors
-        # L of D_K and c = L^-1 g (k, G), so that g' D_K^-1 b = c' L^-1 b.
-        self.blocks = []
-        for pos, idx, L, g, v in stats.restriction_blocks(self.family):
+        self.blocks = stats.restriction_blocks(self.family)
+        for pos, *_, v in self.blocks:
             self.v[pos] = v
-            self.blocks.append((pos, idx, L, _forward(L, g.T[:, :, None].copy())[:, :, 0]))
         width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
         self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
@@ -180,11 +168,10 @@ class _SimKernel:
         theta0 = (b_hat * self.prob.a).sum(axis=1)
         theta = np.repeat(theta0[:, None], len(self.family), axis=1)
         u = np.zeros(theta.shape)
-        for pos, idx, L, c in self.blocks:
-            z = _forward(L, b_hat.T[idx.T])  # (k, G, rows): L^-1 b_K
-            zz, cz = z[0] * z[0], c[0, :, None] * z[0]
+        for pos, idx, L, c, _ in self.blocks:
+            z, zz = forward(L, b_hat.T[idx.T])  # (k, G, rows): L^-1 b_K
+            cz = c[0, :, None] * z[0]
             for zi, ci in zip(z[1:], c[1:]):
-                zz += zi * zi
                 cz += ci[:, None] * zi
             u[:, pos] = zz.T
             theta[:, pos] -= cz.T

@@ -56,8 +56,8 @@ class WeightSpec:
             raise ValueError("sample size n must be at least 2")
         if (self.d is None) == (self.kernel is None):
             raise ValueError("specify exactly one of d (GIC) or kernel (custom)")
-        if self.d is not None and not self.d >= 0.0:
-            raise ValueError("penalty constant d must be nonnegative")
+        if self.d is not None and not 0.0 <= self.d < math.inf:
+            raise ValueError("penalty constant d must be finite and nonnegative")
 
     @classmethod
     def gic(cls, n: int, d: float) -> "WeightSpec":

@@ -37,9 +37,19 @@ class TestResolveD:
             resolve_d("fixed:-1", 60)
         with pytest.raises(ValueError):
             resolve_d("nan", 60)
+        with pytest.raises(ValueError, match="finite"):
+            resolve_d("inf", 60)
+        with pytest.raises(ValueError, match="finite"):
+            resolve_d(math.inf, 60)
 
 
 class TestUpperBound:
+    def test_huge_finite_d_matches_saturated_weight(self):
+        # d/n > 709.78 overflows exp(d/n); t* is then infinite and w1 is 1
+        # at every t, as it already is at d = 3000
+        huge = upper_bound(0.5, 5, 7, 1e6, 0.05)
+        assert huge.upper_bound == upper_bound(0.5, 5, 7, 3000.0, 0.05).upper_bound
+
     def test_refinement_never_exceeds_grid_values(self):
         res = upper_bound(0.8, m=10, n=14, d=2.0, alpha=0.05)
         assert res.gamma_star >= 0.0

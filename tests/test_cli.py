@@ -63,6 +63,13 @@ class TestBoundCommand:
             main(["--config", str(conf), "bound", "--rho-max", "0.5", "--n", "12", "--p", "4"])
         assert exc.value.code == 2
 
+    def test_huge_finite_d_rule(self, capsys):
+        code = main(["bound", "--rho-max", "0.5", "--n", "7", "--p", "2",
+                     "--d-rule", "1000000"])
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1]
+        assert float(row.split(",")[-1]) == upper_bound(0.5, 5, 7, 1e6, 0.05).upper_bound
+
     def test_validation_errors_exit_2(self, capsys):
         assert main(["bound", "--rho-max", "1.5", "--n", "12", "--p", "4"]) == 2
         assert main(["bound", "--rho-max", "0.5", "--n", "4", "--p", "4"]) == 2

@@ -304,6 +304,13 @@ class TestConfigValidation:
             TwoModelConfig(m=5, n=7, rho=0.5, d=nan, alpha=0.05)
         with pytest.raises(ValueError, match="penalty constant"):
             WeightSpec.gic(7, nan)
+        for d in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                upper_bound(0.5, 5, 7, d, 0.05)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                TwoModelConfig(m=5, n=7, rho=0.5, d=d, alpha=0.05)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                WeightSpec.gic(7, d)
 
     def test_m_n_consistency(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from matabound import (
     fit_family,
 )
 from matabound.errors import MissingResponse, RankDeficient
-from matabound.linreg import MAX_FREE_COEFFICIENTS, restricted_solve
+from matabound.linreg import MAX_FREE_COEFFICIENTS, forward
 
 from helpers import random_problem
 
@@ -216,7 +216,7 @@ class TestNoncentrality:
     @staticmethod
     def u_of(prob, K, b):
         ((_, idx, L, _, _),) = prob.stats.restriction_blocks([FULL, K])
-        return float(restricted_solve(L, idx, b[None, :])[1][0, 0])
+        return float(forward(L, b[idx.T][:, :, None])[1][0, 0])
 
     def test_zero_at_restricted_truth(self):
         prob = random_problem(59, p=5, q=2)
@@ -237,6 +237,20 @@ class TestNoncentrality:
         lam = self.u_of(prob, K, b)
         lam2 = self.u_of(prob, K, np.sqrt(2.0) * b)
         assert lam2 == pytest.approx(2.0 * lam, rel=1e-12)
+
+
+class TestForwardSubstitution:
+    def test_rows_do_not_depend_on_the_call_size(self):
+        # A coefficient row's z = L^-1 b_K and u_K must not depend on how
+        # many rows share the call (LAPACK and BLAS pick kernels by shape).
+        prob = random_problem(67, n=30, p=12, q=2, with_y=False)
+        B = np.random.default_rng(68).standard_normal((5000, prob.p))
+        for _, idx, L, _, _ in prob.stats.restriction_blocks(all_subsets(prob.p, prob.q)):
+            z, u = forward(L, B.T[idx.T])
+            for rows in (1, 7, 513):
+                z_r, u_r = forward(L, B[:rows].T[idx.T])
+                np.testing.assert_array_equal(z_r, z[:, :, :rows])
+                np.testing.assert_array_equal(u_r, u[:, :rows])
 
 
 class TestSubsets:
