@@ -55,6 +55,7 @@ from scipy.special import gammaln, ndtr, stdtr, stdtrit
 from scipy.stats import chi2
 
 from .errors import DomainError, QuadratureError
+from .interval import _MAX_ITERATIONS, _STEP_RTOL, _t_pdf
 from .linreg import RegressionProblem, correlation_profile
 from .weights import w1
 
@@ -75,8 +76,6 @@ _MAX_T_PANELS = 256
 # units, covers scipy's stdtrit, which returns 0 for u within ~1e-8 of 1/2
 # at some degrees of freedom (4 and 6): a quantile error up to 4e-8.
 _QUANTILE_PAD = 1e-7
-_NEWTON_STEP_RTOL = 1e-13
-_NEWTON_MAX_ITER = 100
 
 # QUADPACK qk15 on [-1, 1]: the 7-point Gauss nodes interlaced with the
 # Kronrod nodes below; the Kronrod weights make the rule exact to degree 14.
@@ -188,12 +187,6 @@ def _t_cdf(z, nu: int):
     return stdtr(nu, z)
 
 
-def _t_pdf(z, nu: int):
-    """Student-t density with ``nu`` degrees of freedom, in closed form."""
-    log_const = gammaln(0.5 * (nu + 1)) - gammaln(0.5 * nu) - 0.5 * math.log(nu * math.pi)
-    return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
-
-
 def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = _RULE.delta_tol):
     """Solve the mixed tail-area equation for its unique root.
 
@@ -254,14 +247,14 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
     # Compressed state of the points still iterating; ``idx`` maps it back.
     idx = np.arange(D.size)
     Dk, wk, ak, bk, uk = D, w, a, b, u
-    for _ in range(_NEWTON_MAX_ITER):
+    for _ in range(_MAX_ITERATIONS):
         gk = g(Dk, wk, ak, bk, uk)
         lo = np.where(gk < 0.0, Dk, lo)
         hi = np.where(gk > 0.0, Dk, hi)
         slope = wk * ak * _t_pdf(ak * (Dk - bk), m + 1) + (1.0 - wk) * _t_pdf(Dk, m)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = Dk - gk / slope
-        small = _NEWTON_STEP_RTOL * np.maximum(1.0, np.abs(Dk))
+        small = _STEP_RTOL * np.maximum(1.0, np.abs(Dk))
         # A converged step may round onto the bracket end it started from.
         newton = ((nxt > lo) & (nxt < hi)) | (np.abs(nxt - Dk) <= small)
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
@@ -275,7 +268,7 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
             v[keep] for v in (idx, Dk, lo, hi, wk, ak, bk, uk))
     else:
         raise QuadratureError(
-            f"delta_u: {idx.size} points unconverged after {_NEWTON_MAX_ITER} iterations"
+            f"delta_u: {idx.size} points unconverged after {_MAX_ITERATIONS} iterations"
         )
 
     worst = float(np.max(np.abs(g(D, w, a, b, u))))

@@ -29,7 +29,7 @@ class InvalidKernel(MatacoverError):
 
 
 class BracketFailure(MatacoverError):
-    """Root bracket expansion failed to find a sign change."""
+    """A tail-area root solve missed its residual tolerance or iteration cap."""
 
 
 class DomainError(MatacoverError):

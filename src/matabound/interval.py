@@ -8,18 +8,23 @@ where ``h(z)`` is the weighted average, over the candidate models, of the
 t tail areas of ``(a @ beta_hat_K - z) / (s_K sqrt(v_K))`` (Turek and
 Fletcher, *Model-averaged Wald confidence intervals*, CSDA 2012).  For a
 fixed dataset ``h`` is continuous and strictly decreasing from 1 to 0, so
-both roots exist and are unique.  ``solve_interval`` brackets both from
-the weighted center and refines them together by Chandrupatla's method,
-evaluating ``h`` at both tails' trial points in one call.  The same ``h``
-serves the Monte Carlo oracle, with replicates on a leading axis.
+both roots exist and are unique.  Being a convex combination of the
+models' tail areas, ``h`` crosses each target between the smallest and
+largest of the models' own roots (the ends of their t intervals), so
+those roots give an exact bracket and no search is needed.
+``solve_interval`` refines both endpoints in it by the safeguarded Newton
+iteration that ``coverage.delta_u`` uses, evaluating ``h`` at both tails'
+points in one call.  The same ``h`` serves the Monte Carlo oracle, with
+replicates on a leading axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
+from scipy.special import gammaln, stdtr, stdtrit
 
 from .errors import BracketFailure, DegenerateFit
 from .linreg import (
@@ -31,11 +36,9 @@ from .linreg import (
 )
 from .weights import WeightSpec, model_weights
 
-_WIDTH_TOL_FACTOR = 1e-12
-_MAX_BRACKET_DOUBLINGS = 100
-_MAX_ITERATIONS = 200
-_BRACKET_MIN_WEIGHT = 1e-6
-_EPS = float(np.finfo(float).eps)
+_STEP_RTOL = 1e-13
+_MAX_ITERATIONS = 100
+_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,78 +102,66 @@ def _family_arrays(fits: dict[ModelSubset, ModelFit], weights, a: np.ndarray):
     if np.any(scale2 <= 0.0):
         raise DegenerateFit("zero residual scale: tail areas undefined")
     df = np.array([float(f.df) for f in models])
+    if not (np.all(w >= 0.0) and 0.0 < w.sum() < math.inf):
+        raise ValueError("model weights must be finite, nonnegative and not all zero")
     return w, theta, np.sqrt(scale2), df
+
+
+def _t_pdf(z, nu):
+    """Student-t density with ``nu`` (scalar or array) degrees of freedom."""
+    log_const = gammaln(0.5 * (nu + 1)) - gammaln(0.5 * nu) - 0.5 * np.log(nu * math.pi)
+    return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
 
 
 def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
     """Roots of h(z) = target for both (descending) targets, and |h - target|.
 
-    Each root lies between the models' own roots (their t intervals'
-    ends), so those of every model with at least ``_BRACKET_MIN_WEIGHT``
-    of the largest weight are evaluated first; doubling their span about
-    the weighted center covers the rest.  Each tail starts from the
-    tightest evaluated pair around its target, and Chandrupatla's method
-    (inverse quadratic interpolation, else bisection) shrinks it to
-    ``_WIDTH_TOL_FACTOR`` times the largest model scale.  Both tails'
-    trial points go through one call of ``h``; a converged tail is
-    frozen, and no point is evaluated twice.
+    ``h`` is a convex combination of decreasing tail areas, so each root
+    lies between the smallest and largest of the live models' own roots
+    ``theta_K -/+ q_K scale_K``: that bracket is exact.  Each tail starts
+    at the weight blend of those roots and takes safeguarded Newton steps,
+    as ``coverage.delta_u`` does: a step that leaves the bracket is
+    replaced by its midpoint, and the bracket is tightened by the sign of
+    ``h - target``.  Both tails' points go through one call of ``h``.  A
+    tail stops, at its last evaluated point, once its step is within
+    ``_STEP_RTOL`` of max(|z|, largest scale).
     """
-    def h_at(zs):
-        return h(w, theta, scale, df, np.array(zs)).tolist()
-
-    heavy = w >= _BRACKET_MIN_WEIGHT * w.max()
-    q = stdtrit(df[heavy], targets[0]) * scale[heavy]
-    lo, hi = theta[heavy] - q, theta[heavy] + q
-    ends = [float(lo.min()), float(lo.max()), float(hi.min()), float(hi.max())]
-    points = dict(zip(ends, h_at(ends)))
-    ends = [min(points), max(points)]
-    center, step = float(w @ theta), float(scale.max())
-    for _ in range(_MAX_BRACKET_DOUBLINGS):
-        grow = [z for z, ok in zip(ends, (points[ends[0]] >= targets[0],
-                                          points[ends[1]] <= targets[1])) if not ok]
-        if not grow:
-            break
-        zs = [2.0 * z - center for z in grow]
-        points.update(zip(zs, h_at(zs)))
-        ends = [min(points), max(points)]
-    else:
-        raise BracketFailure(f"no bracket for tail targets {targets} after doublings")
-
-    tol = 0.5 * _WIDTH_TOL_FACTOR * step
-    roots, residuals, tails = [0.0, 0.0], [0.0, 0.0], []
-    for j, target in enumerate(targets):
-        a = max(z for z, v in points.items() if v >= target)
-        b = min(z for z, v in points.items() if v <= target)
-        if a == b:
-            roots[j] = a
-            continue
-        # [tail, target, x1, f1, x2, f2, x3, f3, t]: newest point, its
-        # bracket partner, the point x1 replaced, next step
-        tails.append([j, target, b, points[b] - target, a, points[a] - target, a, 0.0, 0.5])
+    live = w > 0.0
+    q = stdtrit(df, targets[0]) * scale
+    own = (theta - q, theta + q)
+    brackets = [[float(r[live].min()), float(r[live].max())] for r in own]
+    total, scale_max = float(w.sum()), float(scale.max())
+    zs = [float(w @ r) / total for r in own]
+    # -h' = sum_K w_K f_K((theta_K - z) / scale_K) / scale_K; each density's
+    # constant is taken once, at its mode, and each step evaluates its kernel.
+    peak, power = w / scale * _t_pdf(0.0, df), -0.5 * (df + 1.0)
+    roots, residuals, tails = [0.0, 0.0], [0.0, 0.0], [0, 1]
     for _ in range(_MAX_ITERATIONS):
-        trial = [x1 + t * (x2 - x1) for _, _, x1, _, x2, _, _, _, t in tails]
-        for st, xt, ht in zip(tails, trial, h_at(trial)):
-            j, target, x1, f1, x2, f2, x3, f3, t = st
-            if (ht - target > 0.0) == (f1 > 0.0):
-                x3, f3 = x1, f1
+        z = np.array([zs[j] for j in tails])
+        x = (theta - z[:, None]) / scale
+        slope = (peak * (1.0 + x * x / df) ** power).sum(axis=-1).tolist()
+        active = []
+        for j, hj, sj in zip(tails, h(w, theta, scale, df, z).tolist(), slope):
+            gj, zj, bracket = hj - targets[j], zs[j], brackets[j]
+            bracket[gj < 0.0] = zj
+            nxt = zj + gj / sj if sj > 0.0 else math.nan
+            small = _STEP_RTOL * max(abs(zj), scale_max)
+            # A converged step may round onto the bracket end it started from.
+            if not (bracket[0] < nxt < bracket[1] or abs(nxt - zj) <= small):
+                nxt = 0.5 * (bracket[0] + bracket[1])
+            if abs(nxt - zj) <= small:
+                roots[j], residuals[j] = zj, abs(gj)
             else:
-                x3, f3, x2, f2 = x2, f2, x1, f1
-            x1, f1 = xt, ht - target
-            xm, fm = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
-            tlim = (2.0 * _EPS * abs(xm) + tol) / abs(x2 - x1)
-            if tlim > 0.5 or fm == 0.0:
-                roots[j], residuals[j], st[0] = xm, abs(fm), None
-                continue
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            t = 0.5
-            if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-                t = (f1 / (f2 - f1) * f3 / (f2 - f3)
-                     + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
-            st[2:] = [x1, f1, x2, f2, x3, f3, min(1.0 - tlim, max(tlim, t))]
-        tails = [st for st in tails if st[0] is not None]
+                zs[j] = nxt
+                active.append(j)
+        tails = active
         if not tails:
-            return roots, residuals
-    raise BracketFailure(f"tail roots not resolved after {_MAX_ITERATIONS} iterations")
+            break
+    else:
+        raise BracketFailure(f"tail roots not resolved after {_MAX_ITERATIONS} iterations")
+    if max(residuals) > _RESIDUAL_TOL:
+        raise BracketFailure(f"tail-area residuals {residuals} exceed {_RESIDUAL_TOL:.0e}")
+    return roots, residuals
 
 
 def solve_interval(
@@ -182,7 +173,8 @@ def solve_interval(
 
     ``fits``/``weights`` may be supplied to reuse precomputations (they
     are recomputed from the request otherwise); injected weights make it
-    possible to study degenerate mixtures.
+    possible to study degenerate mixtures, but ``|h - target|`` above
+    ``_RESIDUAL_TOL`` at an endpoint (say, weights summing to 1/2) raises.
     """
     if fits is None:
         fits = fit_family(req.prob, req.resolved_family())

@@ -80,6 +80,9 @@ class RegressionProblem:
             raise ValueError(f"a must have length p={p}, got shape {a.shape}")
         if not (1 <= self.q < p):
             raise ValueError(f"need 1 <= q < p, got q={self.q}, p={p}")
+        for name, arr in (("X", X), ("a", a)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains NaN or infinite entries")
         if not np.any(a):
             raise ValueError("interest vector a is zero")
         if np.any(a[self.q:] != 0.0):
@@ -115,6 +118,8 @@ def _frozen_response(y, n: int) -> np.ndarray:
     y = np.array(y, dtype=float)
     if y.shape != (n,):
         raise ValueError(f"y must have length n={n}, got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains NaN or infinite entries")
     y.setflags(write=False)
     return y
 

@@ -1,6 +1,10 @@
 """Command-line surface: flags, exit codes, CSV round trips."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from matabound.bound import bound_curve
 from matabound.cli import _parse_rho_grid, main, read_csv_matrix
 
 from helpers import random_problem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_problem_csv(path, prob, with_y=True, header=None):
@@ -172,6 +178,19 @@ class TestIntervalCommand:
         data.write_text("1.0,2.0\n3.0\n")
         assert main(["interval", "--data", str(data), "--a", "1", "--q", "1"]) == 2
 
+    @pytest.mark.parametrize("cell, a_flag, name", [
+        (None, "nan,1,0,0", "a"), ((4, 2), "1,0.5,0,0", "X"), ((7, 4), "1,0.5,0,0", "y")])
+    def test_nan_input_exits_2_naming_the_array(self, tmp_path, capsys, cell, a_flag, name):
+        prob = random_problem(605, n=20, p=4, q=2)
+        cols = np.column_stack([prob.X, prob.y])
+        if cell:
+            cols[cell] = np.nan
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in cols) + "\n")
+        code = main(["interval", "--data", str(data), f"--a={a_flag}", "--q", "2"])
+        assert code == 2
+        assert f"{name} contains NaN" in capsys.readouterr().err
+
 
 class TestRhoMaxCommand:
     def test_profile_output(self, tmp_path, capsys):
@@ -281,3 +300,23 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+
+class TestModuleEntryPoint:
+    def run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "matabound", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_version(self):
+        from matabound import __version__
+
+        proc = self.run("--version")
+        assert proc.returncode == 0
+        assert proc.stdout.strip().endswith(__version__)
+
+    def test_bound_matches_library(self):
+        proc = self.run("bound", "--rho-max", "0.5", "--n", "12", "--p", "4")
+        assert proc.returncode == 0, proc.stderr
+        row = proc.stdout.strip().splitlines()[-1].split(",")
+        assert float(row[-1]) == upper_bound(0.5, 8, 12, 2.0, 0.05).upper_bound

@@ -1,6 +1,7 @@
 """Tail-area interval solver against closed forms and per-replicate events."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from matabound import (
     solve_interval,
     w1,
 )
+from matabound.errors import BracketFailure
 from matabound.interval import _family_arrays, h
 
 from helpers import random_problem
@@ -138,6 +140,51 @@ class TestSolveInterval:
             prob = random_problem(seed, n=30, p=6, q=2)
             solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
             assert seen and len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_light_model_far_outside_is_bracketed(self, side):
+        # A model with weight 1e-9, far below 1e-6 of the largest, whose
+        # interval lies 1e4 scales away from the other models' span.
+        prob = random_problem(317, n=24, p=5, q=2)
+        fits = fit_family(prob)
+        K = ModelSubset.from_indices([3])
+        shift = side * 1e4 * math.sqrt(fits[K].s2 * fits[K].v)
+        fits[K] = replace(fits[K], beta_hat=fits[K].beta_hat + shift * prob.a / (prob.a @ prob.a))
+        weights = dict.fromkeys(fits, 0.0)
+        weights[ModelSubset(0)], weights[ModelSubset.from_indices([4])], weights[K] = (
+            0.6, 0.4 - 1e-9, 1e-9)
+        req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.05)
+        iv = solve_interval(req, fits=fits, weights=weights)
+        assert max(iv.h_residuals) <= 1e-12
+        assert abs(h_of(iv.lower, prob, fits, weights) - 0.975) <= 1e-12
+        assert abs(h_of(iv.upper, prob, fits, weights) - 0.025) <= 1e-12
+
+    def test_weights_short_of_one_raise_bracket_failure(self):
+        prob = random_problem(319, n=24, p=5, q=2)
+        fits = fit_family(prob)
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        half = {K: 0.5 * wgt for K, wgt in weights.items()}
+        with pytest.raises(BracketFailure, match="residuals"):
+            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)), fits=fits, weights=half)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, None])
+    def test_invalid_weights_rejected(self, bad):
+        prob = random_problem(321, n=24, p=5, q=2)
+        fits = fit_family(prob)
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights[ModelSubset.from_indices([3])] = bad
+        if bad is None:  # all zero
+            weights = dict.fromkeys(fits, 0.0)
+        with pytest.raises(ValueError, match="weights"):
+            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)), fits=fits, weights=weights)
+
+    def test_iteration_cap_raises_bracket_failure(self, monkeypatch):
+        from matabound import interval
+
+        monkeypatch.setattr(interval, "_MAX_ITERATIONS", 1)
+        prob = random_problem(323, n=24, p=5, q=2)
+        with pytest.raises(BracketFailure, match="not resolved"):
+            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
 
     def test_scale_equivariance(self):
         prob = random_problem(307, n=26, p=5, q=2)

@@ -297,6 +297,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             prob.X[0, 0] = 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arrays_rejected_by_name(self, bad):
+        prob = random_problem(75)
+        X, a, y = prob.X.copy(), prob.a.copy(), prob.y.copy()
+        X[3, 1], a[0], y[5] = bad, bad, bad
+        with pytest.raises(ValueError, match="X contains"):
+            RegressionProblem(X, prob.a, q=prob.q, y=prob.y)
+        with pytest.raises(ValueError, match="a contains"):
+            RegressionProblem(prob.X, a, q=prob.q, y=prob.y)
+        with pytest.raises(ValueError, match="y contains"):
+            RegressionProblem(prob.X, prob.a, q=prob.q, y=y)
+        with pytest.raises(ValueError, match="y contains"):
+            prob.with_response(y)
+
 
 class TestFamilyWithoutFullModel:
     def test_restricted_only_family_matches_refit(self):
