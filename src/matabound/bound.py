@@ -5,16 +5,20 @@ two-model family built on the most-correlated droppable coefficient gives
 an upper bound: fix the design correlation at ``|rho|_max`` and minimize
 the two-model coverage integral over the scaled coefficient ``gamma``.
 Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
-grid of step 1 on [0, 12] guards against multiple local minima, then
-bounded Brent minimization polishes the grid minimum on the two steps
-around it.  Step 1 suffices: over 64 configs (m in {1, 5, 44, 200},
-rho in {.3, .9, .99, .999999}, n in {m + 2, 1e6}, AIC and BIC, alpha
-0.05) the minimum lies at gamma <= 2.36 and the step-1 grid minimum
-within 0.89 of it.  Past gamma = 3 the curve stays at least 1.3e-5 above
-the minimum; the further local minima a 0.25-step grid finds there are
-ripples under 4e-12 deep.  A grid minimum at gamma = 0 is polished on
-[-1, 1], where evenness makes it interior, and ``gamma_star`` is the
-absolute value of Brent's point.  The search takes no options; a grid
+grid of step 1 on [0, 12] guards against multiple local minima, then a
+safeguarded Newton iteration on C'(gamma) = 0 polishes the grid minimum
+inside the bracket of its grid neighbours, with C' and C'' integrated on
+the coverage's own nodes (``CoverageGrid.coverage_derivatives``).  It is
+the recipe of ``coverage.delta_u``: a step that leaves the bracket, or
+comes with C'' <= 0, is replaced by the bracket midpoint, and the sign of
+C' tightens the bracket.  Step 1 suffices: over 64 configs (m in {1, 5,
+44, 200}, rho in {.3, .9, .99, .999999}, n in {m + 2, 1e6}, AIC and BIC,
+alpha 0.05) the minimum lies at gamma <= 2.36 and the step-1 grid
+minimum within 0.89 of it.  Past gamma = 3 the curve stays at least
+1.3e-5 above the minimum; the further local minima a 0.25-step grid finds
+there are ripples under 4e-12 deep.  A grid minimum at gamma = 0, where
+evenness gives C'(0) = 0, is polished on [0, 1].  The bound is the lowest
+coverage integrated, grid or polish.  The search takes no options; a grid
 minimum on the right edge raises ``QuadratureError``.  ``bound_curve``
 always runs its cells on a thread pool sized from the CPUs.
 """
@@ -27,10 +31,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
+from .interval import _MAX_ITERATIONS
 
 _GRID_STEP = 1.0
 _RULE = QuadratureConfig()
@@ -109,25 +113,54 @@ def upper_bound(
             f"gamma minimizer stuck at the search boundary {gammas[i]:g}"
         )
 
-    # Coverage is even in gamma, so a minimum at gamma = 0 is interior to
-    # [-step, step].
-    lo = float(gammas[i - 1]) if i > 0 else -_GRID_STEP
-    hi = float(gammas[i + 1])
-    res = minimize_scalar(grid.coverage_at, bounds=(lo, hi), method="bounded",
-                          options={"xatol": _RULE.gamma_refine_tol})
-    x, v_star = float(res.x), float(res.fun)
-    if values[i] < v_star:
-        x, v_star = float(gammas[i]), values[i]
-
+    x, v_star = _polish(grid, gammas, values, i)
     return BoundResult(
         upper_bound=v_star,
-        gamma_star=abs(x),
+        gamma_star=x,
         rho_max_abs=rho_max_abs,
         cfg=cfg,
-        # x was evaluated by the grid or by Brent: its estimate is a memo lookup.
+        # x was integrated by the grid or the polish: its estimate is a memo lookup.
         error_estimate=grid.coverage_with_error(x)[1],
         diagnostics=list(zip(map(float, gammas), values)),
     )
+
+
+def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
+    """(gamma, coverage) of the lowest coverage integrated around the grid
+    minimum ``gammas[i]``, grid value included.
+
+    The Newton iteration of the module docstring starts at the vertex of
+    the parabola through the three grid values and stops once a step is
+    within ``gamma_refine_tol``.
+    """
+    tol = _RULE.gamma_refine_tol
+    hi = float(gammas[i + 1])
+    if i == 0:
+        # C is even, so C'(0) = 0 and the vertex is 0, already integrated.
+        # Start one tolerance off it, where C'' is C''(0) to O(tol^2): a true
+        # minimum at 0 then ends after that one integral.
+        lo, x = 0.0, tol
+    else:
+        lo = float(gammas[i - 1])
+        below, above = values[i - 1] - values[i], values[i + 1] - values[i]
+        x = float(gammas[i]) + 0.5 * _GRID_STEP * (below - above) / (below + above)
+    best = float(gammas[i]), values[i]
+    for _ in range(_MAX_ITERATIONS):
+        value, d1, d2 = grid.coverage_derivatives(x)
+        if value <= best[1]:
+            best = x, value
+        if d1 < 0.0:
+            lo = x
+        elif d1 > 0.0:
+            hi = x
+        nxt = x - d1 / d2 if d2 > 0.0 else math.nan
+        # A converged step may round onto the bracket end it started from.
+        if not (lo < nxt < hi or abs(nxt - x) <= tol):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= tol:
+            return best
+        x = nxt
+    raise QuadratureError(f"gamma polish unconverged after {_MAX_ITERATIONS} steps")
 
 
 def bound_curve(

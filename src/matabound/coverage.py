@@ -42,6 +42,19 @@ where a root enters, crosses or leaves the submodel step
 Kronrod-Gauss error estimate in both variables, at most 1e-6, or
 ``QuadratureError`` is raised.  The rule takes no options and no gamma
 range: ``QuadratureConfig`` records its fixed constants.
+
+The gamma derivatives C' and C'' of the coverage C are integrated on the
+same nodes and panels, which C's error estimate alone refines.  With
+``e = t y - gamma``, ``A = (y (D - rho t) + rho gamma) / s`` at D_lo and
+D_hi, ``P = Phi(A_hi) - Phi(A_lo)``, ``r = rho / s`` and
+``g = y f_m(y) phi(e)``, the integrands are
+
+    C:    g P
+    C':   g [e P + r (phi(A_hi) - phi(A_lo))]
+    C'':  g [(e^2 - 1) P + 2 r e (phi(A_hi) - phi(A_lo))
+             + r^2 (A_lo phi(A_lo) - A_hi phi(A_hi))]
+
+from d phi(e) / d gamma = e phi(e) and d Phi(A) / d gamma = r phi(A).
 """
 
 from __future__ import annotations
@@ -133,8 +146,8 @@ class TwoModelConfig:
 class QuadratureConfig:
     """The fixed constants of the coverage rule and the gamma search: the
     f_m quantiles that truncate y, the residual tolerance of ``delta_u``,
-    the end of the coarse gamma grid and the Brent tolerance of its
-    polish.  None of them can be set."""
+    the end of the coarse gamma grid and the step tolerance of the Newton
+    polish of its minimum.  None of them can be set."""
 
     y_lo_quantile: float = field(default=1e-10, init=False)
     y_hi_quantile: float = field(default=1.0 - 1e-10, init=False)
@@ -343,6 +356,7 @@ class CoverageGrid:
     gamma, so one grid serves every gamma.  Each gamma is integrated
     once: ``coverage_with_error`` memoizes its (value, error) pair, so
     asking again for a gamma already evaluated is a lookup.
+    ``coverage_derivatives`` always integrates, and memoizes the same pair.
     """
 
     def __init__(self, cfg: TwoModelConfig):
@@ -369,25 +383,41 @@ class CoverageGrid:
         estimate, which is at most 1e-6."""
         gamma = float(gamma)
         if gamma not in self._memo:
-            self._memo[gamma] = self._integrate(gamma)
+            self._memo[gamma] = self._integrate(gamma)[:2]
         return self._memo[gamma]
 
-    def _integrate(self, gamma: float) -> tuple[float, float]:
-        """Adaptive integral behind ``coverage_with_error``.
+    def coverage_derivatives(self, gamma: float) -> tuple[float, float, float]:
+        """Coverage at gamma and its first two gamma derivatives.
+
+        One integral on the nodes and panels that ``coverage_with_error``
+        would use, so the coverage is the same bit for bit; its (value,
+        error) pair goes into the memo.  The derivatives carry no error
+        estimate of their own.
+        """
+        gamma = float(gamma)
+        value, error, d1, d2 = self._integrate(gamma, derivatives=True)
+        self._memo[gamma] = value, error
+        return value, d1, d2
+
+    def _integrate(self, gamma: float, derivatives: bool = False) -> tuple[float, ...]:
+        """Adaptive integral behind ``coverage_with_error``: (value, error),
+        followed by the two derivatives if asked for.
 
         Each round bisects the t panels that carry the most of the
-        estimate, until the rest carry at most half the tolerance.
+        coverage's estimate, until the rest carry at most half the
+        tolerance.
         """
         (a, b, tail), roots = self.panels, self.roots
         value = error = 0.0
+        derivs = np.zeros(2 if derivatives else 0)
         for _ in range(_MAX_ROUNDS):
-            kron, err = self._t_integrals(gamma, a, b, tail, roots)
+            kron, err, dkron = self._t_integrals(gamma, a, b, tail, roots, derivatives)
             total = error + float(err.sum())
             if total <= _TOL:
                 value += float(kron.sum())
                 if not 0.0 < value < 1.0:
                     raise QuadratureError(f"coverage estimate {value!r} escaped (0, 1)")
-                return value, total
+                return value, total, *(derivs + dkron.sum(axis=1)).tolist()
             order = np.argsort(err)[::-1]
             rest = total - np.cumsum(err[order])
             split = np.zeros(err.size, dtype=bool)
@@ -396,6 +426,7 @@ class CoverageGrid:
                 break
             value += float(kron[~split].sum())
             error += float(err[~split].sum())
+            derivs += dkron[:, ~split].sum(axis=1)
             a, b, tail = a[split], b[split], tail[split]
             mid = 0.5 * (a + b)
             a, b, tail = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(tail, 2)
@@ -404,20 +435,25 @@ class CoverageGrid:
             f"coverage error estimate {total:.2e} at gamma {gamma:g} exceeds {_TOL:.0e}"
         )
 
-    def _t_integrals(self, gamma, a, b, tail, roots):
-        """Kronrod value and error estimate of each t panel."""
+    def _t_integrals(self, gamma, a, b, tail, roots, derivatives):
+        """Kronrod value and error estimate of each t panel, and the
+        Kronrod values of the two derivatives, shape (2 or 0, panels)."""
         t, jac = _t_nodes(a, b, tail)
         dlo, dhi = roots
         # Rows t > 0, then t < 0 by D_u(-t) = -D_{1-u}(t).
-        kron, err = self._y_integrals(
+        kron, err, dkron = self._y_integrals(
             gamma, np.concatenate([t, -t]).ravel(),
-            np.concatenate([dlo, -dhi]).ravel(), np.concatenate([dhi, -dlo]).ravel())
+            np.concatenate([dlo, -dhi]).ravel(), np.concatenate([dhi, -dlo]).ravel(),
+            derivatives)
         kron = kron.reshape(2, *t.shape).sum(axis=0) * jac
         err = err.reshape(2, *t.shape).sum(axis=0) * jac
-        return kron @ _W_KRONROD, np.abs(kron @ _W_DIFF) + err @ _W_KRONROD
+        dkron = dkron.reshape(-1, 2, *t.shape).sum(axis=1) * jac
+        return kron @ _W_KRONROD, np.abs(kron @ _W_DIFF) + err @ _W_KRONROD, dkron @ _W_KRONROD
 
-    def _y_integrals(self, gamma, t, dlo, dhi):
-        """Kronrod y integral at each t and its summed |Kronrod - Gauss|."""
+    def _y_integrals(self, gamma, t, dlo, dhi, derivatives):
+        """Kronrod y integral at each t and its summed |Kronrod - Gauss|,
+        then the Kronrod y integrals of the two derivatives (none unless
+        asked for)."""
         m, rho = self.cfg.m, self.cfg.rho
         s = math.sqrt(1.0 - rho * rho)
         shift = rho * gamma
@@ -444,10 +480,32 @@ class CoverageGrid:
         start = cuts[:, :-1].ravel()[piece] + k * width
         row = piece // length.shape[1]
 
+        # Node arrays are freed or reused once spent, which keeps the peak
+        # memory of a derivative pass near that of a plain one.
         y, half = _panel_nodes(start, start + width)
-        tr = t[row, None]
-        g = y * f_m_pdf(y, m) * np.exp(-0.5 * (tr * y - gamma) ** 2) / math.sqrt(2.0 * math.pi)
-        g *= (ndtr((y * slopes[1][row, None] + shift) / s)
-              - ndtr((y * slopes[0][row, None] + shift) / s))
-        return (np.bincount(row, half * (g @ _W_KRONROD), t.size),
-                np.bincount(row, half * np.abs(g @ _W_DIFF), t.size))
+        e = t[row, None] * y - gamma
+        g = y * f_m_pdf(y, m) * np.exp(-0.5 * e ** 2) / math.sqrt(2.0 * math.pi)
+        a_lo, a_hi = ((y * c[row, None] + shift) / s for c in slopes)
+        del y
+        p = ndtr(a_hi) - ndtr(a_lo)
+
+        def integral(f):
+            return np.bincount(row, half * (f @ _W_KRONROD), t.size)
+
+        c = g * p
+        kron, err = integral(c), np.bincount(row, half * np.abs(c @ _W_DIFF), t.size)
+        if not derivatives:
+            return kron, err, np.zeros((0, t.size))
+        del c
+        r = rho / s
+        phi_lo, phi_hi = (np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) for a in (a_lo, a_hi))
+        a_lo *= phi_lo
+        a_hi *= phi_hi
+        curv = np.subtract(a_lo, a_hi, out=a_lo)
+        curv *= r * r
+        dphi = np.subtract(phi_hi, phi_lo, out=phi_hi)
+        dphi *= r
+        del a_hi, phi_lo
+        d1 = integral(g * (e * p + dphi))
+        curv += (e * e - 1.0) * p + 2.0 * e * dphi
+        return kron, err, np.stack([d1, integral(g * curv)])

@@ -122,9 +122,10 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
     at the weight blend of those roots and takes safeguarded Newton steps,
     as ``coverage.delta_u`` does: a step that leaves the bracket is
     replaced by its midpoint, and the bracket is tightened by the sign of
-    ``h - target``.  Both tails' points go through one call of ``h``.  A
-    tail stops, at its last evaluated point, once its step is within
-    ``_STEP_RTOL`` of max(|z|, largest scale).
+    ``h - target``.  Each step standardizes both tails' points once, as
+    ``x = (theta - z) / scale``, and takes ``h`` and the density kernel
+    from that ``x``.  A tail stops, at its last evaluated point, once its
+    step is within ``_STEP_RTOL`` of max(|z|, largest scale).
     """
     live = w > 0.0
     q = stdtrit(df, targets[0]) * scale
@@ -140,8 +141,10 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
         z = np.array([zs[j] for j in tails])
         x = (theta - z[:, None]) / scale
         slope = (peak * (1.0 + x * x / df) ** power).sum(axis=-1).tolist()
+        # h(w, theta, scale, df, z), without building x again
+        tail_areas = (w * stdtr(df, x)).sum(axis=-1).tolist()
         active = []
-        for j, hj, sj in zip(tails, h(w, theta, scale, df, z).tolist(), slope):
+        for j, hj, sj in zip(tails, tail_areas, slope):
             gj, zj, bracket = hj - targets[j], zs[j], brackets[j]
             bracket[gj < 0.0] = zj
             nxt = zj + gj / sj if sj > 0.0 else math.nan

@@ -141,24 +141,76 @@ class TestUpperBound:
             assert res.upper_bound <= 0.948335398 + 1e-6
 
 
+def synthetic_curve(monkeypatch, coefs):
+    """Make every grid return the polynomial in gamma with these
+    coefficients, its derivatives and a zero error estimate; returns the
+    gammas at which derivatives are asked for."""
+    curve = np.polynomial.Polynomial(coefs)
+    first, second = curve.deriv(), curve.deriv(2)
+    polished = []
+
+    def derivatives(self, gamma):
+        polished.append(gamma)
+        return float(curve(gamma)), float(first(gamma)), float(second(gamma))
+
+    grid = coverage.CoverageGrid
+    monkeypatch.setattr(grid, "coverage_at", lambda self, gamma: float(curve(gamma)))
+    monkeypatch.setattr(grid, "coverage_with_error", lambda self, gamma: (float(curve(gamma)), 0.0))
+    monkeypatch.setattr(grid, "coverage_derivatives", derivatives)
+    return polished
+
+
+class TestPolish:
+    def test_interior_minimum(self, monkeypatch):
+        # 0.94 + 0.01 u^2 + 0.004 u^3 + 0.001 u^4 with u = gamma - 1.37:
+        # grid minimum at 1, true minimum at 1.37
+        u = np.polynomial.Polynomial([-1.37, 1.0])
+        coefs = (0.94 + 0.01 * u**2 + 0.004 * u**3 + 0.001 * u**4).coef
+        polished = synthetic_curve(monkeypatch, coefs)
+        res = upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
+        assert abs(res.gamma_star - 1.37) <= 1e-6
+        assert abs(res.upper_bound - 0.94) <= 1e-13
+        assert len(polished) <= 5
+
+    def test_true_minimum_at_zero_ends_at_once(self, monkeypatch):
+        polished = synthetic_curve(monkeypatch, [0.95, 0.0, 0.01, 0.0, 0.001])
+        res = upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
+        assert res.gamma_star == 0.0
+        assert res.upper_bound == 0.95
+        assert len(polished) == 1
+
+    def test_grid_minimum_at_zero_over_a_dip(self, monkeypatch):
+        # 0.95 - 0.01 gamma^2 + 0.012 gamma^4: C''(0) < 0, grid minimum at 0
+        # and the true one at sqrt(0.01 / 0.024), which no bisection of
+        # [0, 1] hits
+        synthetic_curve(monkeypatch, [0.95, 0.0, -0.01, 0.0, 0.012])
+        res = upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
+        assert abs(res.gamma_star - math.sqrt(0.01 / 0.024)) <= 1e-6
+        assert abs(res.upper_bound - (0.95 - 0.01**2 / (4 * 0.012))) <= 1e-13
+
+
 class TestIntegralCount:
     @pytest.fixture
     def integrated(self, monkeypatch):
-        """Gammas integrated under the memo, and gammas asked of coverage_at."""
+        """Gammas integrated, and gammas asked of coverage_at or
+        coverage_derivatives."""
         calls = {"integrated": [], "asked": []}
         grid = coverage.CoverageGrid
-        integrate, coverage_at = grid._integrate, grid.coverage_at
+        integrate = grid._integrate
 
-        def counting_integrate(self, gamma):
+        def counting_integrate(self, gamma, *args, **kwargs):
             calls["integrated"].append(gamma)
-            return integrate(self, gamma)
+            return integrate(self, gamma, *args, **kwargs)
 
-        def recording_coverage_at(self, gamma):
-            calls["asked"].append(float(gamma))
-            return coverage_at(self, gamma)
+        def recording(method):
+            def asked(self, gamma):
+                calls["asked"].append(float(gamma))
+                return method(self, gamma)
+            return asked
 
         monkeypatch.setattr(grid, "_integrate", counting_integrate)
-        monkeypatch.setattr(grid, "coverage_at", recording_coverage_at)
+        for name in ("coverage_at", "coverage_derivatives"):
+            monkeypatch.setattr(grid, name, recording(getattr(grid, name)))
         return calls
 
     # The three perfbench cells, then one whose minimum is at gamma = 0.
@@ -171,7 +223,8 @@ class TestIntegralCount:
     def test_at_most_thirty_integrals_per_bound(self, integrated, rho, m, n, rule,
                                                 gamma_star_max):
         res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
-        assert len(integrated["integrated"]) <= 30
+        # 13 on the grid, at most 7 in the polish
+        assert len(integrated["integrated"]) <= 20
         # one integral per distinct gamma searched; none added at gamma*
         assert sorted(integrated["integrated"]) == sorted(set(integrated["asked"]))
         assert res.gamma_star <= gamma_star_max

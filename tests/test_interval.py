@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import stdtr
 
 from matabound import (
     MataRequest,
@@ -127,14 +128,17 @@ class TestSolveInterval:
     def test_h_never_evaluated_twice_at_one_z(self, monkeypatch):
         from matabound import interval
 
-        # h takes arrays of points; every point of every call is recorded.
+        # Each step takes the tail areas of its points, standardized per
+        # model as rows of x = (theta - z) / scale, from one stdtr call;
+        # every row of every call is recorded.  Rows differ exactly when
+        # points do.
         seen = []
 
-        def recording_h(w, theta, scale, df, z):
-            seen.extend(np.ravel(z).tolist())
-            return h(w, theta, scale, df, z)
+        def recording_stdtr(df, x):
+            seen.extend(map(tuple, np.reshape(x, (-1, np.shape(x)[-1])).tolist()))
+            return stdtr(df, x)
 
-        monkeypatch.setattr(interval, "h", recording_h)
+        monkeypatch.setattr(interval, "stdtr", recording_stdtr)
         for seed in (301, 302, 303):
             seen.clear()
             prob = random_problem(seed, n=30, p=6, q=2)
