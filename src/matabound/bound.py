@@ -45,7 +45,8 @@ class BoundResult:
     """Minimized coverage with search diagnostics.
 
     ``error_estimate`` is the quadrature error estimate of the coverage
-    at ``gamma_star``, at most 1e-6.
+    at ``gamma_star``, at most 1e-6.  ``rho_max_abs`` is the correlation
+    integrated: ``cfg.rho``, which clamps values above 1 - 1e-9.
     """
 
     upper_bound: float
@@ -117,7 +118,7 @@ def upper_bound(
     return BoundResult(
         upper_bound=v_star,
         gamma_star=x,
-        rho_max_abs=rho_max_abs,
+        rho_max_abs=cfg.rho,
         cfg=cfg,
         # x was integrated by the grid or the polish: its estimate is a memo lookup.
         error_estimate=grid.coverage_with_error(x)[1],

@@ -241,6 +241,9 @@ def cmd_bound(args) -> int:
         raise CliError("--n must exceed --p")
     res = upper_bound(args.rho_max, args.n - args.p, args.n,
                       resolve_d(args.d_rule, args.n), args.alpha)
+    if res.rho_max_abs != args.rho_max:
+        print(f"note: --rho-max {args.rho_max!r} was clamped to {res.rho_max_abs!r}",
+              file=sys.stderr)
     print(f"upper bound on minimum coverage = {_fmt(res.upper_bound)} "
           f"(gamma* = {_fmt(res.gamma_star)}, error estimate {res.error_estimate:.1e})")
     _emit_rows([res], args.out)

@@ -38,10 +38,16 @@ where a root enters, crosses or leaves the submodel step
 ``D = |rho| t``; they widen geometrically to t = 64 and map the rest by
 ``t = 64 / v``.  Per gamma and t node, y panels cover
 ``|t y - gamma| <= 8`` within extreme quantiles of ``f_m`` and break at
-``gamma / t`` and around each normal cdf step.  Every value carries a
-Kronrod-Gauss error estimate in both variables, at most 1e-6, or
-``QuadratureError`` is raised.  The rule takes no options and no gamma
-range: ``QuadratureConfig`` records its fixed constants.
+``gamma / t`` and where either normal cdf argument ``A`` (below) is 0,
++-1, +-3 or +-10.  So on each piece between two breaks each cdf is live
+(|A| < 10) or saturated: Phi is 1 in double or below 7.6e-24, and is
+taken as 1 or 0.  Pieces where P (below) is 0 that way get no panels;
+on the others ``ndtr`` runs on the live sides only, with the pieces
+ordered by class so that each call covers one contiguous slice of
+nodes.  Every value carries a Kronrod-Gauss error estimate in both
+variables, at most 1e-6, or ``QuadratureError`` is raised.  The rule
+takes no options and no gamma range: ``QuadratureConfig`` records its
+fixed constants.
 
 The gamma derivatives C' and C'' of the coverage C are integrated on the
 same nodes and panels, which C's error estimate alone refines.  With
@@ -55,6 +61,8 @@ D_hi, ``P = Phi(A_hi) - Phi(A_lo)``, ``r = rho / s`` and
              + r^2 (A_lo phi(A_lo) - A_hi phi(A_hi))]
 
 from d phi(e) / d gamma = e phi(e) and d Phi(A) / d gamma = r phi(A).
+On a saturated side phi(A) is below 7.7e-23 and is taken as 0, the
+derivative of the constant that stands for Phi there.
 """
 
 from __future__ import annotations
@@ -80,6 +88,8 @@ _X_HALFWIDTH = 8.0
 _T_LADDER_END = 64.0
 _BAND_STEPS = (1.0, 3.0, 10.0, 30.0, 100.0)
 _PHI_STEPS = (-10.0, -3.0, -1.0, 0.0, 1.0, 3.0, 10.0)
+# Past the outermost step, Phi is 1 in double or below 7.6e-24: saturated.
+_PHI_SATURATED = _PHI_STEPS[-1]
 # Refinement gives up after _MAX_ROUNDS rounds of bisection, or before a
 # round that would integrate more than _MAX_T_PANELS t panels: each holds
 # 30 t nodes (both signs) with tens of y nodes apiece.
@@ -474,20 +484,42 @@ class CoverageGrid:
         length = np.diff(cuts, axis=1)
         max_width = 2.0 * np.minimum(1.0 / math.sqrt(2.0 * m), 1.0 / np.abs(t))
         count = np.ceil(length / max_width[:, None]).astype(np.int64).ravel()
-        piece = np.repeat(np.arange(count.size), count)
+
+        # Class each piece: 0 only Phi(A_lo) live, 1 both, 2 only Phi(A_hi),
+        # 3 neither (P = 1), 4 no panels (P = 0, or no length).  No piece
+        # holds a saturation cut, so its midpoint decides for all of it.
+        # Panels are laid out in class order, so that each cdf is evaluated
+        # on one slice of them.
+        mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        mid_lo, mid_hi = ((mid * c[:, None] + shift) / s for c in slopes)
+        live_lo, live_hi = (np.abs(a) < _PHI_SATURATED for a in (mid_lo, mid_hi))
+        kind = np.where(live_lo, np.where(live_hi, 1, 0), np.where(live_hi, 2, 3))
+        kind[(mid_lo >= _PHI_SATURATED) | (mid_hi <= -_PHI_SATURATED)] = 4
+        kind = kind.astype(np.int8).ravel()  # int8 argsorts by radix
+        kind[count == 0] = 4
+        order = np.argsort(kind, kind="stable")
+        order = order[:np.searchsorted(kind[order], 4)]
+        count = count[order]
+        piece = np.repeat(order, count)
         k = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
-        width = length.ravel()[piece] / count[piece]
+        width = np.repeat(length.ravel()[order] / count, count)
         start = cuts[:, :-1].ravel()[piece] + k * width
         row = piece // length.shape[1]
+        n0, n1, n2 = np.searchsorted(kind[piece], (1, 2, 3))
 
         # Node arrays are freed or reused once spent, which keeps the peak
-        # memory of a derivative pass near that of a plain one.
+        # memory of a derivative pass near that of a plain one.  Phi(A_lo)
+        # is live on panels [:n1] and Phi(A_hi) on [n0:n2]; elsewhere they
+        # are 0 and 1.
         y, half = _panel_nodes(start, start + width)
         e = t[row, None] * y - gamma
         g = y * f_m_pdf(y, m) * np.exp(-0.5 * e ** 2) / math.sqrt(2.0 * math.pi)
-        a_lo, a_hi = ((y * c[row, None] + shift) / s for c in slopes)
+        a_lo = (y[:n1] * slopes[0][row[:n1], None] + shift) / s
+        a_hi = (y[n0:n2] * slopes[1][row[n0:n2], None] + shift) / s
         del y
-        p = ndtr(a_hi) - ndtr(a_lo)
+        p = np.ones_like(g)
+        ndtr(a_hi, out=p[n0:n2])
+        p[:n1] -= ndtr(a_lo)
 
         def integral(f):
             return np.bincount(row, half * (f @ _W_KRONROD), t.size)
@@ -496,16 +528,19 @@ class CoverageGrid:
         kron, err = integral(c), np.bincount(row, half * np.abs(c @ _W_DIFF), t.size)
         if not derivatives:
             return kron, err, np.zeros((0, t.size))
-        del c
         r = rho / s
         phi_lo, phi_hi = (np.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) for a in (a_lo, a_hi))
-        a_lo *= phi_lo
-        a_hi *= phi_hi
-        curv = np.subtract(a_lo, a_hi, out=a_lo)
-        curv *= r * r
-        dphi = np.subtract(phi_hi, phi_lo, out=phi_hi)
+        dphi = np.zeros_like(g)
+        dphi[n0:n2] = phi_hi
+        dphi[:n1] -= phi_lo
         dphi *= r
-        del a_hi, phi_lo
+        curv = c
+        curv[n1:] = 0.0
+        np.multiply(a_lo, phi_lo, out=curv[:n1])
+        a_hi *= phi_hi
+        curv[n0:n2] -= a_hi
+        curv *= r * r
+        del a_lo, a_hi, phi_lo, phi_hi
         d1 = integral(g * (e * p + dphi))
         curv += (e * e - 1.0) * p + 2.0 * e * dphi
         return kron, err, np.stack([d1, integral(g * curv)])

@@ -55,6 +55,12 @@ _DRAW_ROWS = 512
 _BLOCK_BYTES = 1 << 22
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64), the seeds every simulation takes."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """One simulation setup; coverage is a function of beta_over_sigma.
@@ -79,8 +85,7 @@ class SimScenario:
             raise ValueError(f"beta_over_sigma must have length p={self.prob.p}")
         if self.reps < _MIN_REPS:
             raise ValueError(f"reps must be at least {_MIN_REPS}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")
         if not 0.0 <= self.audit_fraction <= 1.0:
@@ -274,6 +279,7 @@ def min_coverage_scan(
         raise ValueError(f"grid vectors must have length p - q = {free}")
     if reps < _MIN_SCAN_REPS:
         raise ValueError(f"scan reps must be at least {_MIN_SCAN_REPS}")
+    _check_seed(seed)
 
     kernel = _SimKernel(prob, family, spec, alpha, reps, seed)
     best_p, best_v = math.inf, None
@@ -334,6 +340,7 @@ def w1_decay_scan(
         raise ValueError("eps must lie in (0, 1)")
     if reps < _MIN_SCAN_REPS:
         raise ValueError(f"reps must be at least {_MIN_SCAN_REPS}")
+    _check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal(reps)

@@ -115,12 +115,12 @@ class TestUpperBound:
     ])
     def test_matches_reference_bounds(self, name, rho, m, n, rule):
         res = upper_bound(rho, m, n, resolve_d(rule, n), 0.05)
-        assert abs(res.upper_bound - REFERENCES["bound"][name]["min_coverage"]) < 1e-7
+        assert abs(res.upper_bound - REFERENCES["bound"][name]["min_coverage"]) < 1e-9
 
     def test_matches_theorem2_reference_coverage(self):
         ref = REFERENCES["coverage"]["theorem2-8model-n20-aic-rho0.85-g1.5"]
         cfg = TwoModelConfig(m=16, n=20, rho=0.85, d=2.0, alpha=0.05)
-        assert abs(coverage_probability(ref["gamma"], cfg) - ref["coverage"]) < 1e-7
+        assert abs(coverage_probability(ref["gamma"], cfg) - ref["coverage"]) < 1e-9
 
     # Cells whose 200x200-node bound moved by 1.1e-4, 1.1e-3 and 5.5e-4
     # under node doubling, which refused them.

@@ -76,6 +76,19 @@ class TestBoundCommand:
         row = capsys.readouterr().out.strip().splitlines()[-1]
         assert float(row.split(",")[-1]) == upper_bound(0.5, 5, 7, 1e6, 0.05).upper_bound
 
+    def test_clamped_rho_is_the_one_reported(self, capsys):
+        assert main(["bound", "--rho-max", "0.999999999999", "--n", "3", "--p", "2"]) == 0
+        captured = capsys.readouterr()
+        row = captured.out.strip().splitlines()[-1].split(",")
+        assert float(row[4]) == 1.0 - 1e-9
+        assert float(row[-1]) == upper_bound(1.0 - 1e-9, 1, 3, 2.0, 0.05).upper_bound
+        assert "clamped to 0.999999999" in captured.err
+        # a value below the clamp is printed as given, with no note
+        assert main(["bound", "--rho-max", "0.5", "--n", "12", "--p", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines()[-1].split(",")[4] == "0.5"
+        assert captured.err == ""
+
     def test_validation_errors_exit_2(self, capsys):
         assert main(["bound", "--rho-max", "1.5", "--n", "12", "--p", "4"]) == 2
         assert main(["bound", "--rho-max", "0.5", "--n", "4", "--p", "4"]) == 2
@@ -296,6 +309,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite", ["integral-vs-mc", "theorem2", "theorem4"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, capsys, suite, seed):
+        assert main(["verify", suite, "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must fit in 64 unsigned bits\n"
+        assert captured.out == ""
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

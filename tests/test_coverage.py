@@ -256,6 +256,25 @@ class TestCoverageProbability:
         assert abs(est.p_hat - analytic) < 3.0 * est.se
 
 
+PERFBENCH_CELLS = [
+    TwoModelConfig(m=1, n=3, rho=0.99, d=2.0, alpha=0.05),
+    TwoModelConfig(m=5, n=7, rho=0.7, d=2.0, alpha=0.05),
+    TwoModelConfig(m=44, n=46, rho=0.95, d=math.log(46), alpha=0.05),
+]
+
+
+# (value, error estimate) at gamma = 0, 1, 2 on each perfbench cell, from
+# the rule that evaluated both normal cdfs at every y node.
+PINNED = [
+    [(0.9504340491279583, 8.157667029875905e-09), (0.9384069852326764, 2.0794500912644524e-08),
+     (0.9406825628481574, 1.8712440407108443e-09)],
+    [(0.954046112513294, 8.10100319096879e-11), (0.9416191007578382, 9.091371638920543e-11),
+     (0.9353271872372279, 1.8559336423897354e-10)],
+    [(0.9803648314548812, 2.3502972531430064e-07), (0.8357691320647912, 7.473965324574582e-08),
+     (0.8492362315337709, 8.479319503552815e-07)],
+]
+
+
 class TestCoverageGrid:
     def test_matches_direct_evaluation(self):
         cfg = make_cfg(m=9, n=13, rho=0.85, d=2.0)
@@ -263,12 +282,15 @@ class TestCoverageGrid:
         for gamma in (0.0, 0.7, 2.0, 5.0):
             assert grid.coverage_at(gamma) == coverage_probability(gamma, cfg)
 
-
-PERFBENCH_CELLS = [
-    TwoModelConfig(m=1, n=3, rho=0.99, d=2.0, alpha=0.05),
-    TwoModelConfig(m=5, n=7, rho=0.7, d=2.0, alpha=0.05),
-    TwoModelConfig(m=44, n=46, rho=0.95, d=math.log(46), alpha=0.05),
-]
+    @pytest.mark.parametrize("cfg, pinned", zip(PERFBENCH_CELLS, PINNED))
+    def test_saturated_cdfs_leave_values_pinned(self, cfg, pinned):
+        # Saturated cdfs are 1 in double or below 7.6e-24, so taking them
+        # as 1 and 0 moves no value or error estimate by more than rounding.
+        grid = CoverageGrid(cfg)
+        for gamma, (value, error) in zip((0.0, 1.0, 2.0), pinned):
+            got_value, got_error = grid.coverage_with_error(gamma)
+            assert abs(got_value - value) <= 1e-15
+            assert abs(got_error - error) <= 1e-15
 
 
 class TestCoverageDerivatives:
