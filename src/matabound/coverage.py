@@ -45,8 +45,9 @@ taken as 1 or 0.  Pieces where P (below) is 0 that way get no panels;
 on the others ``ndtr`` runs on the live sides only, with the pieces
 ordered by class so that each call covers one contiguous slice of
 nodes.  Every value carries a Kronrod-Gauss error estimate in both
-variables, at most 1e-6, or ``QuadratureError`` is raised.  The rule
-takes no options and no gamma range: ``QuadratureConfig`` records its
+variables, at most 1e-6, or ``QuadratureError`` is raised; the f_m mass
+outside y's 1e-10 quantiles, at most 2e-10, is not in that estimate.  The
+rule takes no options and no gamma range: ``QuadratureConfig`` records its
 fixed constants.
 
 The gamma derivatives C' and C'' of the coverage C are integrated on the

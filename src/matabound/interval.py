@@ -43,33 +43,23 @@ _RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MataRequest:
-    """Inputs for one interval computation.
+    """Inputs for one interval computation over the all-subsets family.
 
-    ``family`` defaults to all subsets of the droppable columns; it must
-    contain the full model and hold distinct members.  ``alpha`` is the
-    two-sided miss probability, restricted to (0, 0.5].
+    ``alpha`` is the two-sided miss probability, restricted to (0, 0.5].
+    An interval over another family is ``solve_interval(req, fits=,
+    weights=)`` with that family's ``fit_family`` and ``model_weights``.
     """
 
     prob: RegressionProblem
     spec: WeightSpec
     alpha: float = 0.05
-    family: tuple[ModelSubset, ...] | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")
-        if self.family is not None:
-            fam = tuple(self.family)
-            if ModelSubset(0) not in fam:
-                raise ValueError("family must contain the full model")
-            if len(set(fam)) != len(fam):
-                raise ValueError("family members must be distinct")
-            object.__setattr__(self, "family", fam)
 
     def resolved_family(self) -> list[ModelSubset]:
-        if self.family is None:
-            return all_subsets(self.prob.p, self.prob.q)
-        return list(self.family)
+        return all_subsets(self.prob.p, self.prob.q)
 
 
 @dataclass(frozen=True)
@@ -125,7 +115,9 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
     ``h - target``.  Each step standardizes both tails' points once, as
     ``x = (theta - z) / scale``, and takes ``h`` and the density kernel
     from that ``x``.  A tail stops, at its last evaluated point, once its
-    step is within ``_STEP_RTOL`` of max(|z|, largest scale).
+    step is within ``_STEP_RTOL`` of max(|z|, largest scale).  The loop
+    stays scalar per tail: sharing ``delta_u``'s array loop gave the same
+    bits but doubled the 2- and 8-model solves of a Monte Carlo audit.
     """
     live = w > 0.0
     q = stdtrit(df, targets[0]) * scale

@@ -35,7 +35,6 @@ from .errors import EventMismatch
 from .interval import MataRequest, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
-    ModelSubset,
     RegressionProblem,
     all_subsets,
     fit_family,
@@ -76,13 +75,14 @@ class SimScenario:
     seed: int
     spec: WeightSpec
     alpha: float = 0.05
-    family: tuple[ModelSubset, ...] | None = None
     audit_fraction: float = 0.01
 
     def __post_init__(self):
         beta = np.asarray(self.beta_over_sigma, dtype=float)
         if beta.shape != (self.prob.p,):
             raise ValueError(f"beta_over_sigma must have length p={self.prob.p}")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta_over_sigma must be finite")
         if self.reps < _MIN_REPS:
             raise ValueError(f"reps must be at least {_MIN_REPS}")
         _check_seed(self.seed)
@@ -108,7 +108,7 @@ class CoverageEstimate:
 
 
 class _SimKernel:
-    """Vectorized per-replicate h(theta) for a fixed design and family.
+    """Vectorized per-replicate h(theta) over a design's all-subsets family.
 
     The noise-only least-squares coefficients and residual sum of squares
     are precomputed once; changing the coefficient vector is a shift, so
@@ -126,16 +126,12 @@ class _SimKernel:
     ``keep`` is stored, for ``responses``.
     """
 
-    def __init__(self, prob: RegressionProblem, family, spec: WeightSpec,
+    def __init__(self, prob: RegressionProblem, spec: WeightSpec,
                  alpha: float, reps: int, seed: int, keep=()):
-        if family is None:
-            family = all_subsets(prob.p, prob.q)
-        if ModelSubset(0) not in family:
-            raise ValueError("family must contain the full model")
         self.prob = prob
         self.spec = spec
         self.alpha = alpha
-        self.family = sorted(set(family), key=lambda K: K.mask)
+        self.family = all_subsets(prob.p, prob.q)
         stats = prob.stats
 
         self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
@@ -219,7 +215,7 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
     audited = np.arange(0)
     if sc.audit_fraction:
         audited = np.arange(0, sc.reps, max(1, int(round(1.0 / sc.audit_fraction))))
-    kernel = _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps, sc.seed, keep=audited)
+    kernel = _SimKernel(sc.prob, sc.spec, sc.alpha, sc.reps, sc.seed, keep=audited)
     covered = kernel.covered(sc.beta_over_sigma)
     p_hat = float(np.mean(covered))
     if not audited.size:
@@ -233,8 +229,8 @@ def _audit(sc: SimScenario, kernel: _SimKernel, covered, audited) -> float:
     returns the largest endpoint residual."""
     theta = float(sc.prob.a @ sc.beta_over_sigma)
     # The fits and weights carry each replicate's response; the request
-    # supplies the design, alpha and family.
-    req = MataRequest(sc.prob, sc.spec, sc.alpha, tuple(kernel.family))
+    # supplies the design and alpha.
+    req = MataRequest(sc.prob, sc.spec, sc.alpha)
     # Chunks keep the fits' (rows x models x n) residual block within bound.
     rows = max(1, _RESIDUAL_BLOCK // (len(kernel.family) * sc.prob.n))
     max_residual = 0.0
@@ -262,7 +258,6 @@ def min_coverage_scan(
     grid,
     reps: int,
     seed: int,
-    family=None,
 ) -> tuple[CoverageEstimate, np.ndarray]:
     """Scan coverage over scaled-coefficient vectors; return the minimum.
 
@@ -277,11 +272,13 @@ def min_coverage_scan(
     free = prob.p - prob.q
     if any(v.shape != (free,) for v in grid):
         raise ValueError(f"grid vectors must have length p - q = {free}")
+    if not all(np.isfinite(v).all() for v in grid):
+        raise ValueError("grid vectors must be finite")
     if reps < _MIN_SCAN_REPS:
         raise ValueError(f"scan reps must be at least {_MIN_SCAN_REPS}")
     _check_seed(seed)
 
-    kernel = _SimKernel(prob, family, spec, alpha, reps, seed)
+    kernel = _SimKernel(prob, spec, alpha, reps, seed)
     best_p, best_v = math.inf, None
     for v in grid:
         beta = np.zeros(prob.p)
@@ -336,6 +333,8 @@ def w1_decay_scan(
     gammas = tuple(float(g) for g in gamma_grid)
     if not gammas or not ns:
         raise ValueError("n_list and gamma_grid must be nonempty")
+    if not np.isfinite(gammas).all():
+        raise ValueError("gamma_grid must be finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if reps < _MIN_SCAN_REPS:

@@ -130,6 +130,17 @@ class TestCurveCommand:
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0:1:0"]) == 2
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0.5,1.2"]) == 2
 
+    @pytest.mark.parametrize("grid, message", [("0:1", "start:stop:step"),
+                                               ("0:x:0.1", "cannot parse --rho-grid"),
+                                               ("0.5,x", "cannot parse --rho-grid")])
+    def test_malformed_grid_rejected(self, capsys, grid, message):
+        assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", grid]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_n_must_exceed_p(self, capsys):
+        assert main(["curve", "--p", "4", "--n", "12,4", "--rho-grid", "0.5"]) == 2
+        assert "every --n must exceed --p" in capsys.readouterr().err
+
     def test_non_integer_n_rejected(self, capsys):
         assert main(["curve", "--p", "4", "--n", "12,7.9", "--rho-grid", "0.5"]) == 2
         assert "--n" in capsys.readouterr().err
@@ -186,6 +197,20 @@ class TestIntervalCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "column 2" in err
 
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("\n,\n", "empty file"),
+                                               ("x1,x2\n", "no data rows below the header")])
+    def test_empty_csv_rejected(self, tmp_path, capsys, text, message):
+        data = tmp_path / "empty.csv"
+        data.write_text(text)
+        assert main(["interval", "--data", str(data), "--a", "1", "--q", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unparsable_interest_vector(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_problem_csv(data, random_problem(609, n=12, p=3, q=1))
+        assert main(["interval", "--data", str(data), "--a", "1,zero,0", "--q", "1"]) == 2
+        assert "cannot parse --a" in capsys.readouterr().err
+
     def test_ragged_csv_rejected(self, tmp_path, capsys):
         data = tmp_path / "ragged.csv"
         data.write_text("1.0,2.0\n3.0\n")
@@ -231,6 +256,14 @@ class TestRhoMaxCommand:
         assert code == 0
         _, rho_max, _ = correlation_profile(prob)
         assert f"{rho_max:.6g}" in capsys.readouterr().out
+
+
+    def test_response_needs_a_design_column(self, tmp_path, capsys):
+        data = tmp_path / "y.csv"
+        data.write_text("1.0\n2.0\n3.0\n")
+        assert main(["rho-max", "--data", str(data), "--a", "1", "--q", "1",
+                     "--response"]) == 2
+        assert "at least one design column" in capsys.readouterr().err
 
 
 class TestCsvReader:
@@ -295,6 +328,16 @@ class TestConfigFile:
         row = capsys.readouterr().out.strip().splitlines()[-1]
         assert row.split(",")[:2] == ["14", "10"]
         assert float(row.split(",")[4]) == 0.6
+
+    def test_config_path_and_placement_checked(self, tmp_path, capsys):
+        assert main(["--config"]) == 2
+        assert "--config needs a file path" in capsys.readouterr().err
+        assert main(["--config", str(tmp_path / "missing.conf"), "bound"]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 14\n")
+        assert main(["bound", "--rho-max", "0.5", "--p", "4", "--config", str(conf)]) == 2
+        assert "--config must precede a subcommand" in capsys.readouterr().err
 
     def test_bad_config_line(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import stdtr
 from scipy.stats import chi2
@@ -23,6 +24,7 @@ from matabound import (
     upper_bound,
 )
 import matabound.coverage as coverage
+from matabound.bound import resolve_d
 from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes
 from matabound.errors import DomainError, QuadratureError
 from matabound.weights import w1
@@ -293,6 +295,59 @@ class TestCoverageGrid:
             assert abs(got_error - error) <= 1e-15
 
 
+def exact_coverage_at_zero(cfg):
+    """C(0) as one t integral.  Given t = x / y, y^2 (m + t^2) is
+    chi-square with m + 1 df, so the y integral of each normal cdf is a
+    t_{m+1} cdf, and D_u(-t) = -D_{1-u}(t) folds t < 0 onto t > 0:
+
+        C(0) = 2 int_0^inf f_{t_m}(t) [T_{m+1}(c(t) (D_hi - rho t) / s)
+                                       - T_{m+1}(c(t) (D_lo - rho t) / s)] dt
+
+    with c(t) = sqrt((m + 1) / (m + t^2)).  No f_m quantile truncates it.
+    QUADPACK's adaptive ``quad`` runs on the rule's base t panels, with
+    t = 64 / v on the tail panels."""
+    m, rho = cfg.m, cfg.rho
+    s = math.sqrt(1.0 - rho * rho)
+    u = np.array([cfg.alpha / 2.0, 1.0 - cfg.alpha / 2.0])
+
+    def integrand(t):
+        dlo, dhi = delta_u(t, 1.0, u, cfg)
+        c = math.sqrt((m + 1.0) / (m + t * t)) / s
+        return sps.t.pdf(t, m) * (stdtr(m + 1, c * (dhi - rho * t))
+                                  - stdtr(m + 1, c * (dlo - rho * t)))
+
+    def tail(v):
+        return integrand(64.0 / v) * 64.0 / (v * v)
+
+    total = 0.0
+    for a, b, is_tail in zip(*coverage._t_panels(cfg)):
+        f = tail if is_tail else integrand
+        total += quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return 2.0 * total
+
+
+# (m, rho, n, d rule) configs of the 64-config sweep (tools/sweep64.py).
+EXACT_C0_CONFIGS = [(1, 0.3, 3, "aic"), (1, 0.9, 10**6, "bic"), (1, 0.999999, 10**6, "aic"),
+                    (1, 0.999999, 10**6, "bic"), (5, 0.3, 10**6, "aic"), (5, 0.9, 7, "aic"),
+                    (5, 0.99, 10**6, "bic"), (44, 0.3, 46, "bic"), (44, 0.9, 46, "aic"),
+                    (44, 0.999999, 10**6, "bic"), (200, 0.3, 202, "aic"),
+                    (200, 0.99, 10**6, "bic"), (200, 0.999999, 202, "aic")]
+
+
+class TestExactCoverageAtZero:
+    @pytest.mark.parametrize("m, rho, n, rule", EXACT_C0_CONFIGS)
+    def test_grid_and_bound_against_exact_c0(self, m, rho, n, rule):
+        # 2.5e-10 covers the f_m mass outside the rule's y domain (at most
+        # 2e-10), which its error estimate leaves out.
+        d = resolve_d(rule, n)
+        cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=0.05)
+        exact = exact_coverage_at_zero(cfg)
+        value, error = CoverageGrid(cfg).coverage_with_error(0.0)
+        assert abs(value - exact) <= error + 2.5e-10
+        res = upper_bound(rho, m, n, d, 0.05)
+        assert res.upper_bound <= exact + res.error_estimate
+
+
 class TestCoverageDerivatives:
     @pytest.mark.parametrize("cfg", PERFBENCH_CELLS)
     def test_match_central_differences(self, cfg):
@@ -369,6 +424,11 @@ class TestConfigValidation:
                 TwoModelConfig(m=5, n=7, rho=0.5, d=d, alpha=0.05)
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 WeightSpec.gic(7, d)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, float("nan")])
+    def test_alpha_range(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            TwoModelConfig(m=5, n=7, rho=0.5, d=2.0, alpha=alpha)
 
     def test_m_n_consistency(self):
         with pytest.raises(ValueError):

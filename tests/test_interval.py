@@ -20,7 +20,7 @@ from matabound import (
     solve_interval,
     w1,
 )
-from matabound.errors import BracketFailure
+from matabound.errors import BracketFailure, DegenerateFit
 from matabound.interval import _family_arrays, h
 
 from helpers import random_problem
@@ -46,9 +46,10 @@ class TestSingleModel:
     def test_equals_classical_t_interval(self):
         for seed in range(20):
             prob = random_problem(seed, n=22, p=4, q=2)
-            req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.05,
-                              family=(ModelSubset(0),))
-            iv = solve_interval(req)
+            spec = WeightSpec.aic(prob.n)
+            fits = fit_family(prob, [ModelSubset(0)])
+            weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
+            iv = solve_interval(MataRequest(prob, spec, alpha=0.05), fits=fits, weights=weights)
             lo, hi = classical_t_interval(prob, 0.05)
             assert iv.lower == pytest.approx(lo, abs=1e-10)
             assert iv.upper == pytest.approx(hi, abs=1e-10)
@@ -107,7 +108,7 @@ class TestSolveInterval:
         sub = ModelSubset.from_indices([3])
         fam = (ModelSubset(0), sub, ModelSubset.from_indices([3, 4]))
         fits = fit_family(prob, list(fam))
-        req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.1, family=fam)
+        req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.1)
         weights = {K: (1.0 if K == sub else 0.0) for K in fam}
         iv = solve_interval(req, fits=fits, weights=weights)
         fit = fits[sub]
@@ -280,17 +281,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.0)
 
-    def test_family_must_contain_full_model(self):
+    def test_zero_residual_scale_rejected(self):
         prob = random_problem(403)
-        with pytest.raises(ValueError, match="full model"):
-            MataRequest(prob, WeightSpec.aic(prob.n),
-                        family=(ModelSubset.from_indices([3]),))
-
-    def test_family_members_distinct(self):
-        prob = random_problem(405)
+        fits = fit_family(prob)
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
         K = ModelSubset.from_indices([3])
-        with pytest.raises(ValueError, match="distinct"):
-            MataRequest(prob, WeightSpec.aic(prob.n), family=(ModelSubset(0), K, K))
+        fits[K] = replace(fits[K], s2=0.0)
+        with pytest.raises(DegenerateFit, match="zero residual scale"):
+            _family_arrays(fits, weights, prob.a)
 
 
 class TestBatchEquivalence:

@@ -282,6 +282,12 @@ class TestSubsets:
         assert K.cardinality == 3
         assert ModelSubset.from_indices(K.indices) == K
 
+    def test_negative_mask_and_index_rejected(self):
+        with pytest.raises(ValueError, match="mask must be nonnegative"):
+            ModelSubset(-1)
+        with pytest.raises(ValueError, match="indices must be nonnegative"):
+            ModelSubset.from_indices([2, -1])
+
 
 class TestProblemValidation:
     def test_interest_vector_tail_must_vanish(self):
@@ -291,6 +297,20 @@ class TestProblemValidation:
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(ValueError, match="n > p"):
             RegressionProblem(np.eye(3), np.array([1.0, 0, 0]), q=1)
+
+    def test_shapes_and_ranges_checked(self):
+        X, a = np.eye(5)[:, :3], np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="2-d"):
+            RegressionProblem(X[:, 0], a, q=1)
+        with pytest.raises(ValueError, match="a must have length p=3"):
+            RegressionProblem(X, a[:2], q=1)
+        for q in (0, 3):
+            with pytest.raises(ValueError, match="1 <= q < p"):
+                RegressionProblem(X, a, q=q)
+        with pytest.raises(ValueError, match="a is zero"):
+            RegressionProblem(X, np.zeros(3), q=1)
+        with pytest.raises(ValueError, match="y must have length n=5"):
+            RegressionProblem(X, a, q=1, y=np.zeros(4))
 
     def test_arrays_are_frozen(self):
         prob = random_problem(71)

@@ -14,7 +14,6 @@ from matabound import (
     SimScenario,
     TwoModelConfig,
     WeightSpec,
-    all_subsets,
     coverage_probability,
     fit_family,
     min_coverage_scan,
@@ -22,6 +21,7 @@ from matabound import (
     simulate_coverage,
     w1_decay_scan,
 )
+from matabound import suites
 from matabound.errors import EventMismatch, InvalidKernel
 from matabound.interval import _family_arrays, h
 from matabound.mcverify import _SimKernel
@@ -33,15 +33,18 @@ from helpers import random_problem
 
 class TestSimulateCoverage:
     def test_single_model_family_hits_nominal(self):
+        # Droppable coefficients 1e4 standard errors from zero leave the
+        # restricted models weights below 1e-47 on every replicate: the
+        # interval is the full model's t interval, exactly nominal.
         prob = random_problem(501, n=15, p=3, q=1, with_y=False)
+        se = np.sqrt(np.diag(prob.stats.xtx_inv))
         sc = SimScenario(
             prob=prob,
-            beta_over_sigma=np.array([1.0, -0.5, 2.0]),
+            beta_over_sigma=np.array([1.0, -1e4 * se[1], 1e4 * se[2]]),
             reps=20_000,
             seed=42,
             spec=WeightSpec.aic(prob.n),
             alpha=0.05,
-            family=(ModelSubset(0),),
         )
         est = simulate_coverage(sc)
         assert abs(est.p_hat - 0.95) < 3.0 * est.se
@@ -87,8 +90,7 @@ class TestSimulateCoverage:
         sc2 = SimScenario(prob=prob, beta_over_sigma=(2.0 * beta) / 2.0, **kwargs)
         np.testing.assert_array_equal(sc1.beta_over_sigma, sc2.beta_over_sigma)
         covered = [
-            _SimKernel(sc.prob, sc.family, sc.spec, sc.alpha, sc.reps,
-                       sc.seed).covered(sc.beta_over_sigma)
+            _SimKernel(sc.prob, sc.spec, sc.alpha, sc.reps, sc.seed).covered(sc.beta_over_sigma)
             for sc in (sc1, sc2)
         ]
         np.testing.assert_array_equal(*covered)
@@ -179,8 +181,7 @@ class TestSimKernelProperties:
         prob = random_problem(seed, n=p + extra, p=p, q=q, with_y=False)
         beta = np.array(beta[:p])
         spec = WeightSpec.gic(prob.n, d)
-        kernel = _SimKernel(prob, all_subsets(p, q), spec, 0.05, reps=8, seed=seed,
-                            keep=range(8))
+        kernel = _SimKernel(prob, spec, 0.05, reps=8, seed=seed, keep=range(8))
         w, _, _ = kernel.family_arrays(beta)
         h_theta = kernel.h_at_truth(beta)
         theta = float(prob.a @ beta)
@@ -206,7 +207,7 @@ class TestSimKernelBlocks:
                          spec=WeightSpec.aic(prob.n))
 
         def outputs():
-            kernel = _SimKernel(prob, None, sc.spec, sc.alpha, sc.reps, sc.seed)
+            kernel = _SimKernel(prob, sc.spec, sc.alpha, sc.reps, sc.seed)
             est = simulate_coverage(sc)
             return kernel, (kernel.bn, kernel.rss, kernel.h_at_truth(beta),
                             kernel.covered(beta), est.p_hat, est.audited,
@@ -228,7 +229,7 @@ class TestSimKernelBlocks:
         prob = random_problem(519, n=12, p=4, q=1, with_y=False)
         beta = np.array([1.0, 0.5, -2.0, 0.2])
         spec = WeightSpec.aic(prob.n)
-        short, long = (_SimKernel(prob, None, spec, 0.05, reps, 29) for reps in (1_025, 1_536))
+        short, long = (_SimKernel(prob, spec, 0.05, reps, 29) for reps in (1_025, 1_536))
         np.testing.assert_array_equal(short.bn, long.bn[:1_025])
         np.testing.assert_array_equal(short.rss, long.rss[:1_025])
         np.testing.assert_array_equal(short.h_at_truth(beta), long.h_at_truth(beta)[:1_025])
@@ -240,7 +241,7 @@ class TestSimKernelBlocks:
         beta = np.array([0.5, -0.3, 1.0, 0.0, 2.0, -1.0, 0.3, 0.0])
         peaks = []
         for reps in (10_000, 40_000):
-            kernel = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, reps, 3)
+            kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, reps, 3)
             assert len(kernel.family) == 64 and kernel.rows < reps
             tracemalloc.start()
             try:
@@ -253,11 +254,11 @@ class TestSimKernelBlocks:
 
     def test_responses_only_for_kept_replicates(self):
         prob = random_problem(521, n=10, p=3, q=1, with_y=False)
-        kernel = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+        kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
                             keep=[1_100, 5, 600])
         beta = np.array([1.0, -1.0, 0.5])
         np.testing.assert_array_equal(kernel.kept, [5, 600, 1_100])
-        full = _SimKernel(prob, None, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+        full = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
                           keep=range(1_200))
         np.testing.assert_array_equal(kernel.responses([600, 5], beta),
                                       full.responses([600, 5], beta))
@@ -298,7 +299,7 @@ class TestMinCoverageScan:
         spec = WeightSpec.aic(prob.n)
         grid = [np.zeros(3), np.array([1.5, 0.0, -2.0]), np.array([0.0, 3.0, 0.5])]
         est, argmin = min_coverage_scan(prob, spec, 0.05, grid, reps=2_000, seed=19)
-        kernel = _SimKernel(prob, None, spec, 0.05, 2_000, 19)
+        kernel = _SimKernel(prob, spec, 0.05, 2_000, 19)
         p_hats = [np.mean(kernel.covered(np.concatenate([np.zeros(2), v]))) for v in grid]
         assert est.p_hat == min(p_hats)
         np.testing.assert_array_equal(argmin, grid[int(np.argmin(p_hats))])
@@ -339,3 +340,57 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="length"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p + 1),
                         reps=10_000, seed=1, spec=WeightSpec.aic(prob.n))
+
+    @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("alpha", 0.6),
+                                              ("audit_fraction", -0.1),
+                                              ("audit_fraction", 1.5)])
+    def test_alpha_and_audit_fraction_ranges(self, field, value):
+        prob = random_problem(511, with_y=False)
+        with pytest.raises(ValueError, match=field):
+            SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000, seed=1,
+                        spec=WeightSpec.aic(prob.n), **{field: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected_by_name(self, bad):
+        prob = random_problem(511, with_y=False)
+        spec = WeightSpec.aic(prob.n)
+        beta = np.zeros(prob.p)
+        beta[3] = bad
+        with pytest.raises(ValueError, match="beta_over_sigma must be finite"):
+            SimScenario(prob=prob, beta_over_sigma=beta, reps=10_000, seed=1, spec=spec,
+                        audit_fraction=0.0)
+        with pytest.raises(ValueError, match="grid vectors must be finite"):
+            min_coverage_scan(prob, spec, 0.05, [np.zeros(3), beta[2:]], reps=2_000, seed=1)
+        with pytest.raises(ValueError, match="gamma_grid must be finite"):
+            w1_decay_scan(5, [100], [0.0, bad], eps=0.1, reps=2_000, seed=1)
+
+    def test_scan_reps_eps_and_grids_checked(self):
+        prob = random_problem(511, with_y=False)
+        spec = WeightSpec.aic(prob.n)
+        with pytest.raises(ValueError, match="scan reps"):
+            min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=999, seed=1)
+        with pytest.raises(ValueError, match="reps"):
+            w1_decay_scan(5, [100], [0.0], eps=0.1, reps=999, seed=1)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="eps"):
+                w1_decay_scan(5, [100], [0.0], eps=eps, reps=2_000, seed=1)
+        for ns, gammas in (([], [0.0]), ([100], [])):
+            with pytest.raises(ValueError, match="nonempty"):
+                w1_decay_scan(5, ns, gammas, eps=0.1, reps=2_000, seed=1)
+
+    def test_two_model_problem_checks(self):
+        with pytest.raises(ValueError, match="n - m >= 2"):
+            two_model_problem(5, 6, 0.5)
+        for rho in (1.0, -1.0):
+            with pytest.raises(ValueError, match="rho"):
+                two_model_problem(5, 8, rho)
+
+
+class TestSuites:
+    def test_integral_vs_mc_and_theorem2_rows_are_finite(self, monkeypatch):
+        monkeypatch.setattr(suites, "THEOREM2_SCAN_REPS", 1_000)
+        for suite, count in ((suites.integral_vs_mc_suite, 24), (suites.theorem2_suite, 2)):
+            rows = suite(reps=10_000, seed=5)
+            assert len(rows) == count
+            for r in rows:
+                assert np.isfinite([r.value, r.reference, r.tolerance]).all(), r

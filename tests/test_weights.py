@@ -1,6 +1,7 @@
 """Weight kernels, normalization, and the information-criterion equivalence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ class TestGic:
         assert gic(math.e, 0, p=16, spec=spec) == pytest.approx(
             60.0 + math.log(60) * 16, rel=1e-14
         )
+
+    def test_custom_spec_and_negative_rss_rejected(self):
+        custom = WeightSpec(n=20, kernel=lambda x, k: 1.0 / (1.0 + x) ** 10)
+        with pytest.raises(ValueError, match="information-criterion"):
+            gic(1.0, 1, 5, custom)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gic(-1.0, 1, 5, WeightSpec.aic(20))
 
     def test_perfect_fit_rejected(self):
         with pytest.raises(DegenerateFit):
@@ -107,6 +115,18 @@ class TestModelWeights:
         assert len(fits) == 4096
         weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
         assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nonpositive_rss_and_negative_u_rejected(self):
+        prob = random_problem(41)
+        K = ModelSubset.from_indices([3])
+        fits = fit_family(prob, [ModelSubset(0), K])
+        spec = WeightSpec.aic(prob.n)
+        for rss in (0.0, -1.0):
+            with pytest.raises(DegenerateFit, match="rss must be positive"):
+                model_weights(fits, rss, spec)
+        fits[K] = replace(fits[K], u=-1e-3)
+        with pytest.raises(ValueError, match="negative restriction statistic"):
+            model_weights(fits, fits[ModelSubset(0)].rss, spec)
 
     def test_requires_full_model(self):
         prob = random_problem(131)
@@ -197,6 +217,10 @@ class TestKernelProbes:
         with pytest.raises(InvalidKernel, match="C2"):
             probe_kernel_conditions(lambda x, k: math.exp(-k) / (1.0 + x) ** 5, k_max=3)
 
+    def test_k_max_at_least_one(self):
+        with pytest.raises(ValueError, match="k_max"):
+            probe_kernel_conditions(lambda x, k: 1.0 / (1.0 + x) ** 10, 0)
+
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidKernel):
             probe_kernel_conditions(lambda x, k: -1.0, k_max=2)
@@ -222,6 +246,10 @@ class TestSpecValidation:
             WeightSpec(n=20)
         with pytest.raises(ValueError):
             WeightSpec(n=20, d=2.0, kernel=lambda x, k: 1.0 / (1 + x))
+
+    def test_sample_size_at_least_two(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            WeightSpec.aic(1)
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
