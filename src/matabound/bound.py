@@ -8,10 +8,9 @@ Coverage is even in gamma, so only ``gamma >= 0`` is searched: a coarse
 grid of step 1 on [0, 12] guards against multiple local minima, then a
 safeguarded Newton iteration on C'(gamma) = 0 polishes the grid minimum
 inside the bracket of its grid neighbours, with C' and C'' integrated on
-the coverage's own nodes (``CoverageGrid.coverage_derivatives``).  It is
-the recipe of ``coverage.delta_u``: a step that leaves the bracket, or
-comes with C'' <= 0, is replaced by the bracket midpoint, and the sign of
-C' tightens the bracket.  Step 1 suffices: over 64 configs (m in {1, 5,
+the coverage's own nodes (``CoverageGrid.coverage_derivatives``).  Its
+step is ``interval._newton_step`` on (C', C''), the step of the endpoint
+solve.  Step 1 suffices: over 64 configs (m in {1, 5,
 44, 200}, rho in {.3, .9, .99, .999999}, n in {m + 2, 1e6}, AIC and BIC,
 alpha 0.05) the minimum lies at gamma <= 2.36 and the step-1 grid
 minimum within 0.89 of it.  Past gamma = 3 the curve stays at least
@@ -34,7 +33,7 @@ import numpy as np
 
 from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
-from .interval import _MAX_ITERATIONS
+from .interval import _MAX_ITERATIONS, _newton_step
 
 _GRID_STEP = 1.0
 _RULE = QuadratureConfig()
@@ -135,14 +134,13 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
     within ``gamma_refine_tol``.
     """
     tol = _RULE.gamma_refine_tol
-    hi = float(gammas[i + 1])
+    bracket = [float(gammas[max(i - 1, 0)]), float(gammas[i + 1])]
     if i == 0:
         # C is even, so C'(0) = 0 and the vertex is 0, already integrated.
         # Start one tolerance off it, where C'' is C''(0) to O(tol^2): a true
         # minimum at 0 then ends after that one integral.
-        lo, x = 0.0, tol
+        x = tol
     else:
-        lo = float(gammas[i - 1])
         below, above = values[i - 1] - values[i], values[i + 1] - values[i]
         x = float(gammas[i]) + 0.5 * _GRID_STEP * (below - above) / (below + above)
     best = float(gammas[i]), values[i]
@@ -150,17 +148,9 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
         value, d1, d2 = grid.coverage_derivatives(x)
         if value <= best[1]:
             best = x, value
-        if d1 < 0.0:
-            lo = x
-        elif d1 > 0.0:
-            hi = x
-        nxt = x - d1 / d2 if d2 > 0.0 else math.nan
-        # A converged step may round onto the bracket end it started from.
-        if not (lo < nxt < hi or abs(nxt - x) <= tol):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= tol:
+        x = _newton_step(x, d1, d2, bracket, tol)
+        if x is None:
             return best
-        x = nxt
     raise QuadratureError(f"gamma polish unconverged after {_MAX_ITERATIONS} steps")
 
 

@@ -211,7 +211,7 @@ def _t_cdf(z, nu: int):
     return stdtr(nu, z)
 
 
-def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = _RULE.delta_tol):
+def delta_u(x, y, u, cfg: TwoModelConfig):
     """Solve the mixed tail-area equation for its unique root.
 
     Vectorized over ``x``, ``y`` and ``u`` (broadcast together).  With
@@ -223,10 +223,9 @@ def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = _RULE.delta_tol):
     as ``D_u(t) = -D_{1-u}(-t)``, so that ``g`` is always evaluated where
     the t cdfs keep full relative precision.  The root lies between the two
     pure-model closed-form roots, which bracket a safeguarded Newton
-    iteration started from their ``w1``-weighted blend: a step that
-    leaves the bracket is replaced by the bracket midpoint, and the
-    bracket is tightened by the sign of ``g``.  Returns ``y * D``; the
-    residual of the equation must be below ``tol`` everywhere.
+    iteration started from their ``w1``-weighted blend.  Returns
+    ``y * D``; the residual of the equation must be below
+    ``QuadratureConfig.delta_tol`` everywhere.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -244,15 +243,16 @@ def delta_u(x, y, u, cfg: TwoModelConfig, tol: float = _RULE.delta_tol):
     sign = np.where(upper, -1.0, 1.0)
     x, y, sign, u, q_sub, q_full = np.broadcast_arrays(x, y, sign, u, q_sub, q_full)
     t = (sign * x / y).ravel()
-    D = _solve_reduced(t, u.ravel(), q_sub.ravel(), q_full.ravel(), cfg, tol)
+    D = _solve_reduced(t, u.ravel(), q_sub.ravel(), q_full.ravel(), cfg)
     delta = sign * y * D.reshape(x.shape)
     return float(delta) if delta.ndim == 0 else delta
 
 
-def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
+def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig):
     """Root ``D`` of ``g`` (see ``delta_u``) for ``u <= 1/2``, one entry per t.
 
     ``q_sub`` and ``q_full`` are the t_{m+1} and t_m quantiles of ``u``.
+    Its loop is the array form of ``interval._newton_step``.
     """
     m, rho = cfg.m, cfg.rho
     s = math.sqrt(1.0 - rho * rho)
@@ -296,6 +296,7 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig, tol: float):
         )
 
     worst = float(np.max(np.abs(g(D, w, a, b, u))))
+    tol = _RULE.delta_tol
     if worst > tol:
         raise QuadratureError(f"delta_u residual {worst:.3e} exceeds tolerance {tol:.1e}")
     return D
@@ -330,7 +331,10 @@ def _root_regime_changes(cfg: TwoModelConfig) -> list[float]:
     """t > 0 where a root D_u(t) enters, crosses or leaves the submodel
     step ``D = |rho| t``: there ``e w1 + (1 - w1) T_m(|rho| t) = u`` for
     e = 0, 1/2, 1.  The root, and with it the integrand, changes regime
-    over a width in t proportional to s."""
+    over a width in t proportional to s.  The error estimate misses that
+    change without these cuts: at (m 44, n 1e6, rho .999999, BIC) and gamma
+    0.10778 the coverage then reads 4.1e-6 below its converged value, 5.8
+    times its estimate, against 3.7e-10 with them."""
     def excess(t, e, u):
         w = w1(t * t, cfg.m, cfg.n, cfg.d)
         return e * w + (1.0 - w) * _t_cdf(abs(cfg.rho) * t, cfg.m) - u
@@ -355,7 +359,8 @@ def _t_nodes(a, b, tail) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coverage_probability(gamma: float, cfg: TwoModelConfig) -> float:
-    """Coverage probability of the two-model interval at the given gamma."""
+    """Coverage at gamma by a fresh ``CoverageGrid``; the package uses a grid
+    directly, and this stays because the benchmark calls and traces it."""
     return CoverageGrid(cfg).coverage_at(gamma)
 
 

@@ -12,10 +12,10 @@ both roots exist and are unique.  Being a convex combination of the
 models' tail areas, ``h`` crosses each target between the smallest and
 largest of the models' own roots (the ends of their t intervals), so
 those roots give an exact bracket and no search is needed.
-``solve_interval`` refines both endpoints in it by the safeguarded Newton
-iteration that ``coverage.delta_u`` uses, evaluating ``h`` at both tails'
-points in one call.  The same ``h`` serves the Monte Carlo oracle, with
-replicates on a leading axis.
+``solve_interval`` refines both endpoints in it by ``_newton_step``, the
+safeguarded Newton step of ``bound``'s polish and ``coverage.delta_u``,
+evaluating ``h`` at both tails' points in one call.  The same ``h`` serves
+the Monte Carlo oracle, with replicates on a leading axis.
 """
 
 from __future__ import annotations
@@ -103,21 +103,36 @@ def _t_pdf(z, nu):
     return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
 
 
+def _newton_step(x, g, slope, bracket, small):
+    """Next iterate of a safeguarded Newton iteration on ``g``, increasing in
+    ``x``, or None once the step is within ``small``.  The [lo, hi] list
+    ``bracket`` is tightened in place by the sign of ``g``; the step
+    ``x - g / slope`` is taken if ``slope > 0`` and it lands inside the
+    bracket or within ``small``, and the bracket midpoint otherwise."""
+    if g < 0.0:
+        bracket[0] = x
+    elif g > 0.0:
+        bracket[1] = x
+    nxt = x - g / slope if slope > 0.0 else math.nan
+    # A converged step may round onto the bracket end it started from.
+    if not (bracket[0] < nxt < bracket[1] or abs(nxt - x) <= small):
+        nxt = 0.5 * (bracket[0] + bracket[1])
+    return None if abs(nxt - x) <= small else nxt
+
+
 def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
     """Roots of h(z) = target for both (descending) targets, and |h - target|.
 
     ``h`` is a convex combination of decreasing tail areas, so each root
     lies between the smallest and largest of the live models' own roots
     ``theta_K -/+ q_K scale_K``: that bracket is exact.  Each tail starts
-    at the weight blend of those roots and takes safeguarded Newton steps,
-    as ``coverage.delta_u`` does: a step that leaves the bracket is
-    replaced by its midpoint, and the bracket is tightened by the sign of
-    ``h - target``.  Each step standardizes both tails' points once, as
-    ``x = (theta - z) / scale``, and takes ``h`` and the density kernel
-    from that ``x``.  A tail stops, at its last evaluated point, once its
-    step is within ``_STEP_RTOL`` of max(|z|, largest scale).  The loop
-    stays scalar per tail: sharing ``delta_u``'s array loop gave the same
-    bits but doubled the 2- and 8-model solves of a Monte Carlo audit.
+    at the weight blend of those roots and takes ``_newton_step`` on
+    ``target - h`` with slope ``-h'``.  Each step standardizes both tails'
+    points once, as ``x = (theta - z) / scale``, and takes ``h`` and the
+    density kernel from that ``x``.  A tail stops, at its last evaluated
+    point, once its step is within ``_STEP_RTOL`` of max(|z|, largest
+    scale).  The loop stays scalar per tail: sharing ``delta_u``'s array
+    loop doubled the 2- and 8-model solves of a Monte Carlo audit.
     """
     live = w > 0.0
     q = stdtrit(df, targets[0]) * scale
@@ -135,21 +150,11 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
         slope = (peak * (1.0 + x * x / df) ** power).sum(axis=-1).tolist()
         # h(w, theta, scale, df, z), without building x again
         tail_areas = (w * stdtr(df, x)).sum(axis=-1).tolist()
-        active = []
         for j, hj, sj in zip(tails, tail_areas, slope):
-            gj, zj, bracket = hj - targets[j], zs[j], brackets[j]
-            bracket[gj < 0.0] = zj
-            nxt = zj + gj / sj if sj > 0.0 else math.nan
-            small = _STEP_RTOL * max(abs(zj), scale_max)
-            # A converged step may round onto the bracket end it started from.
-            if not (bracket[0] < nxt < bracket[1] or abs(nxt - zj) <= small):
-                nxt = 0.5 * (bracket[0] + bracket[1])
-            if abs(nxt - zj) <= small:
-                roots[j], residuals[j] = zj, abs(gj)
-            else:
-                zs[j] = nxt
-                active.append(j)
-        tails = active
+            gj, zj = targets[j] - hj, zs[j]
+            roots[j], residuals[j] = zj, abs(gj)
+            zs[j] = _newton_step(zj, gj, sj, brackets[j], _STEP_RTOL * max(abs(zj), scale_max))
+        tails = [j for j in tails if zs[j] is not None]
         if not tails:
             break
     else:

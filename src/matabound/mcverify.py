@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bound import resolve_d
 from .errors import EventMismatch
 from .interval import MataRequest, h, solve_interval
 from .linreg import (
@@ -325,8 +326,6 @@ def w1_decay_scan(
     same (Z, Q) draws serve every (n, gamma) cell.  For the BIC rule the
     penalty is d = ln n at each n.
     """
-    from .bound import resolve_d
-
     ns = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import resolve_d, upper_bound
-from .coverage import TwoModelConfig, coverage_probability
+from .coverage import CoverageGrid, TwoModelConfig
 from .linreg import RegressionProblem
 from .mcverify import SimScenario, min_coverage_scan, simulate_coverage, w1_decay_scan
 from .weights import WeightSpec
@@ -101,9 +101,9 @@ def integral_vs_mc_suite(reps: int = 100_000, seed: int = 20240801) -> list[Chec
     for m, n, rule in INTEGRAL_VS_MC_SETUPS:
         d = resolve_d(rule, n)
         for rho in INTEGRAL_VS_MC_RHOS:
-            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=ALPHA)
+            grid = CoverageGrid(TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=ALPHA))
             for gamma in INTEGRAL_VS_MC_GAMMAS:
-                analytic = coverage_probability(gamma, cfg)
+                analytic = grid.coverage_at(gamma)
                 sc = two_model_scenario(m, n, rho, gamma, d, ALPHA, reps, seed)
                 est = simulate_coverage(sc)
                 tol = 3.0 * est.se

@@ -189,6 +189,14 @@ class TestPolish:
         assert abs(res.upper_bound - (0.95 - 0.01**2 / (4 * 0.012))) <= 1e-13
 
 
+    def test_unconverged_polish_raises(self, monkeypatch):
+        u = np.polynomial.Polynomial([-1.37, 1.0])
+        synthetic_curve(monkeypatch, (0.94 + 0.01 * u**2 + 0.004 * u**3 + 0.001 * u**4).coef)
+        monkeypatch.setattr(bound, "_MAX_ITERATIONS", 1)
+        with pytest.raises(QuadratureError, match="gamma polish unconverged after 1 steps"):
+            upper_bound(0.5, m=5, n=7, d=2.0, alpha=0.05)
+
+
 class TestIntegralCount:
     @pytest.fixture
     def integrated(self, monkeypatch):

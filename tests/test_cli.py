@@ -177,6 +177,26 @@ class TestIntervalCommand:
                                      if K.mask else "{} (full)")
             assert float(value) == pytest.approx(wgt, rel=1e-5)
 
+    def test_crossed_endpoints_exit_3(self, tmp_path, capsys, monkeypatch):
+        from matabound import interval
+
+        solve = interval._solve_tails
+
+        def swapped(*args):
+            roots, residuals = solve(*args)
+            return roots[::-1], residuals
+
+        monkeypatch.setattr(interval, "_solve_tails", swapped)
+        prob = random_problem(605, n=20, p=4, q=2)
+        data = tmp_path / "data.csv"
+        write_problem_csv(data, prob)
+        a_flag = ",".join(repr(float(v)) for v in prob.a)
+        code = main(["interval", "--data", str(data), f"--a={a_flag}", "--q", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "numerical failure: endpoints crossed" in captured.err
+        assert captured.out == ""
+
     def test_refuses_oversized_family(self, tmp_path, capsys):
         rng = np.random.default_rng(603)
         X = rng.standard_normal((40, 33))

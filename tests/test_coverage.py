@@ -1,5 +1,6 @@
 """Coverage double integral: inner root solve, densities, and MC agreement."""
 
+import copy
 import math
 from dataclasses import asdict
 
@@ -100,8 +101,8 @@ class TestDeltaU:
         cfg = make_cfg(m=5, n=7, rho=0.96, d=math.log(7))
         xs = np.linspace(-6.0, 18.0, 23)[:, None]
         ys = np.linspace(0.05, 2.5, 17)[None, :]
-        dlo = delta_u(xs, ys, 0.025, cfg, tol=1e-10)
-        dhi = delta_u(xs, ys, 0.975, cfg, tol=1e-10)
+        dlo = delta_u(xs, ys, 0.025, cfg)
+        dhi = delta_u(xs, ys, 0.975, cfg)
         assert dlo.shape == (23, 17)
         assert np.all(dlo < dhi)
 
@@ -167,11 +168,13 @@ class TestDeltaUProperties:
         assert abs(scaled - k * base) <= 1e-12 * k * max(abs(base), y)
 
     @settings(max_examples=200, deadline=None)
-    @given(delta_u_cases(), st.sampled_from([1e-10, 1e-12]))
-    def test_residual_within_tolerance(self, case, tol):
+    @given(delta_u_cases())
+    def test_residual_within_tolerance(self, case):
+        # delta_u itself refuses residuals above 1e-10; the solve reaches
+        # rounding level, so every example is held to 1e-12.
         cfg, x, y, u = case
-        delta = delta_u(x, y, u, cfg, tol=tol)
-        assert abs(direct_lhs(delta, x, y, cfg) - u) <= tol
+        delta = delta_u(x, y, u, cfg)
+        assert abs(direct_lhs(delta, x, y, cfg) - u) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(delta_u_cases())
@@ -394,6 +397,42 @@ class TestCoverageSweep:
                                 continue
                             assert err <= coverage._TOL
                             assert 0.0 < value < 1.0
+
+
+class TestNumericalFailures:
+    """The rule's numerical-failure raises, each reached by breaking one
+    piece of it."""
+
+    def test_delta_u_unconverged(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_MAX_ITERATIONS", 1)
+        with pytest.raises(QuadratureError,
+                           match=r"delta_u: 7 points unconverged after 1 iterations"):
+            delta_u(np.linspace(-3.0, 3.0, 7), 1.0, 0.025, make_cfg())
+
+    def test_delta_u_residual_over_tolerance(self, monkeypatch):
+        rule = copy.copy(coverage._RULE)
+        object.__setattr__(rule, "delta_tol", -1.0)
+        monkeypatch.setattr(coverage, "_RULE", rule)
+        with pytest.raises(QuadratureError,
+                           match=r"delta_u residual .* exceeds tolerance -1\.0e\+00"):
+            delta_u(0.5, 1.0, 0.025, make_cfg())
+
+    def test_quantiles_out_of_order(self, monkeypatch):
+        solve = coverage.delta_u
+        monkeypatch.setattr(coverage, "delta_u", lambda t, y, u, cfg: solve(t, y, 1.0 - u, cfg))
+        with pytest.raises(QuadratureError, match="tail-area quantiles out of order"):
+            CoverageGrid(make_cfg())
+
+    def test_coverage_outside_the_unit_interval(self, monkeypatch):
+        integrals = CoverageGrid._t_integrals
+
+        def negated(self, *args):
+            kron, err, dkron = integrals(self, *args)
+            return -kron, err, dkron
+
+        monkeypatch.setattr(CoverageGrid, "_t_integrals", negated)
+        with pytest.raises(QuadratureError, match=r"coverage estimate -0\.9\d* escaped \(0, 1\)"):
+            CoverageGrid(make_cfg()).coverage_at(1.0)
 
 
 class TestConfigValidation:

@@ -21,7 +21,7 @@ from matabound import (
     w1,
 )
 from matabound.errors import BracketFailure, DegenerateFit
-from matabound.interval import _family_arrays, h
+from matabound.interval import _family_arrays, _newton_step, h
 
 from helpers import random_problem
 
@@ -191,6 +191,20 @@ class TestSolveInterval:
         with pytest.raises(BracketFailure, match="not resolved"):
             solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
 
+    def test_crossed_endpoints_raise_bracket_failure(self, monkeypatch):
+        from matabound import interval
+
+        solve = interval._solve_tails
+
+        def swapped(*args):
+            roots, residuals = solve(*args)
+            return roots[::-1], residuals
+
+        monkeypatch.setattr(interval, "_solve_tails", swapped)
+        prob = random_problem(325, n=24, p=5, q=2)
+        with pytest.raises(BracketFailure, match="endpoints crossed"):
+            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
+
     def test_scale_equivariance(self):
         prob = random_problem(307, n=26, p=5, q=2)
         iv = solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
@@ -271,6 +285,42 @@ class TestTailAreaProperties:
         assert abs(h_of(iv.lower, req.prob, fits, iv.weights_used)
                    - (1.0 - req.alpha / 2.0)) <= 1e-12
         assert abs(h_of(iv.upper, req.prob, fits, iv.weights_used) - req.alpha / 2.0) <= 1e-12
+
+
+class TestNewtonStep:
+    """The safeguarded step shared by the endpoint solve and the gamma polish."""
+
+    def test_bracket_tightens_by_the_sign(self):
+        below, above, root = [0.0, 2.0], [0.0, 2.0], [0.0, 2.0]
+        assert _newton_step(0.5, -0.5, 1.0, below, 1e-13) == 1.0
+        assert below == [0.5, 2.0]
+        assert _newton_step(1.5, 0.5, 1.0, above, 1e-13) == 1.0
+        assert above == [0.0, 1.5]
+        assert _newton_step(1.0, 0.0, 1.0, root, 1e-13) is None
+        assert root == [0.0, 2.0]
+
+    def test_midpoint_when_the_step_leaves_the_bracket(self):
+        bracket = [0.0, 2.0]
+        # the step from 1.5 lands at 5.5, outside [1.5, 2]
+        assert _newton_step(1.5, -4.0, 1.0, bracket, 1e-13) == 1.75
+        assert bracket == [1.5, 2.0]
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
+    def test_midpoint_without_a_positive_slope(self, slope):
+        bracket = [0.0, 2.0]
+        assert _newton_step(0.5, 0.1, slope, bracket, 1e-13) == 0.25
+        assert bracket == [0.0, 0.5]
+
+    def test_converged_step_onto_the_bracket_end_is_accepted(self):
+        # g > 0 moves the upper end onto x, and x - g / slope rounds back
+        # onto it: not inside the bracket, but converged, so no midpoint.
+        bracket = [0.0, 2.0]
+        assert _newton_step(1.0, 1e-20, 1.0, bracket, 1e-13) is None
+        assert bracket == [0.0, 1.0]
+
+    def test_none_once_the_step_is_within_small(self):
+        assert _newton_step(1.0, 1e-14, 1.0, [0.0, 2.0], 1e-13) is None
+        assert _newton_step(1.0, 1e-12, 1.0, [0.0, 2.0], 1e-13) == 1.0 - 1e-12
 
 
 class TestRequestValidation:

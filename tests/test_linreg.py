@@ -12,7 +12,8 @@ from matabound import (
     correlation_profile,
     fit_family,
 )
-from matabound.errors import MissingResponse, RankDeficient
+import matabound.linreg as linreg
+from matabound.errors import MissingResponse, RankDeficient, SingularRestriction
 from matabound.linreg import MAX_FREE_COEFFICIENTS, forward
 
 from helpers import random_problem
@@ -146,6 +147,27 @@ class TestFitRestricted:
         prob = random_problem(37, p=5, q=2)
         with pytest.raises(ValueError, match="protected"):
             fit_restricted(prob, ModelSubset.from_indices([0]))
+
+
+class TestSingularRestriction:
+    """Raised defensively: a full-rank design reaches neither raise."""
+
+    def test_failed_cholesky(self, monkeypatch):
+        prob = random_problem(131, n=20, p=4, q=2)
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(SingularRestriction, match="a restriction of 1 columns is singular"):
+            fit_family(prob)
+
+    def test_rss_identity_violated(self, monkeypatch):
+        prob = random_problem(133, n=20, p=4, q=2)
+        direct = linreg._direct_rss
+        monkeypatch.setattr(linreg, "_direct_rss", lambda *args: direct(*args) * (1.0 + 1e-6))
+        with pytest.raises(SingularRestriction, match="RSS identity violated"):
+            fit_family(prob)
 
 
 class TestCorrelationProfile:

@@ -14,7 +14,8 @@ bit:
   orthogonal to the target, with coefficients +-16 standard errors.
 
 ``--compare`` reads an earlier run of this tool, prints how many entries
-differ (or are missing on one side) and exits 1 if any do.
+differ (or are missing on one side) and the first 10 of their keys, and
+exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ def coverage_entries() -> dict[str, str]:
     return out
 
 
-def compare(new: dict[str, str], old: dict[str, str]) -> int:
-    """Number of entries that differ or are on one side only."""
-    return sum(new.get(k) != old.get(k) for k in new.keys() | old.keys())
+def compare(new: dict[str, str], old: dict[str, str]) -> list[str]:
+    """Sorted keys of the entries that differ or are on one side only."""
+    return sorted(k for k in new.keys() | old.keys() if new.get(k) != old.get(k))
 
 
 def main(argv=None) -> int:
@@ -117,8 +118,11 @@ def main(argv=None) -> int:
         print(text)
     if args.compare:
         with open(args.compare) as fh:
-            differing = compare(digest, json.load(fh))
-        print(f"entries {len(digest)}: {differing} differ", file=sys.stderr)
+            old = json.load(fh)
+        differing = compare(digest, old)
+        print(f"entries {len(digest)}: {len(differing)} differ", file=sys.stderr)
+        for k in differing[:10]:
+            print(f"  {k}: {old.get(k)} -> {digest.get(k)}", file=sys.stderr)
         return 1 if differing else 0
     return 0
 
