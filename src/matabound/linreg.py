@@ -219,28 +219,46 @@ class DesignStats:
         """Least-squares coefficients (R, p) of the rows of ``Y`` (R, n)."""
         return scipy.linalg.solve_triangular(self.R, self.Q.T @ Y.T, lower=False).T
 
-    def restriction_blocks(self, subsets) -> list[tuple]:
-        """The restricted models of mask-ordered ``subsets``, one block per
-        cardinality k: their places ``pos`` (G,) in ``subsets``, zeroed
-        columns ``idx`` (G, k), Cholesky factors ``L`` (G, k, k) of
-        ``D_K = (X'X)^-1`` restricted to K, ``c = L^-1 g`` (k, G) for the
-        entries ``g`` of ``(X'X)^-1 a`` in K and the variance factors
-        ``v = v_theta - c'c`` (G,) of ``a @ beta_K``, all shared by
-        ``fit_family`` and the Monte Carlo kernel."""
-        masks = np.array([K.mask for K in subsets], dtype=np.int64)
-        zeroed = (masks[:, None] >> np.arange(self.R.shape[0])) & 1 == 1
-        card = zeroed.sum(axis=1)
-        blocks = []
-        for k in np.unique(card[card > 0]):
-            pos = np.flatnonzero(card == k)
-            idx = np.nonzero(zeroed[pos])[1].reshape(len(pos), k)
-            try:
-                L = np.linalg.cholesky(self.xtx_inv[idx[:, :, None], idx[:, None, :]])
-            except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
-                raise SingularRestriction(f"a restriction of {k} columns is singular") from exc
-            c, cc = forward(L, self.xtx_inv_a[idx.T][:, :, None])
-            blocks.append((pos, idx, L, c[:, :, 0], self.v_theta - cc[:, 0]))
-        return blocks
+
+def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = None):
+    """Sort, check and decode a model family (default: all subsets) once.
+
+    Returns its distinct members in mask order; each model's ``|K|`` and
+    variance factor ``v`` of ``a @ beta_K`` (M,); and one block
+    ``(pos, idx, L, c)`` per cardinality k > 0: the models' places ``pos``
+    (G,), zeroed columns ``idx`` (G, k), Cholesky factors ``L`` (G, k, k)
+    of ``D_K = (X'X)^-1`` restricted to K, and ``c = L^-1 g`` (k, G) for
+    the entries ``g`` of ``(X'X)^-1 a`` in K, so ``v = v_theta - c'c``.
+    Masks are read as Python ints, so a design may have any width; a member
+    zeroing a protected or out-of-range column raises ``ValueError``.
+    """
+    p, q, stats = prob.p, prob.q, prob.stats
+    if family is None:
+        family = all_subsets(p, q)
+    subsets = tuple(sorted(set(family), key=lambda K: K.mask))
+    allowed = ((1 << (p - q)) - 1) << q
+    for K in subsets:
+        if K.mask & ~allowed:
+            raise ValueError(f"{K} constrains protected or out-of-range columns "
+                             f"(allowed columns are {q}..{p - 1})")
+    width = (p + 7) // 8
+    packed = np.frombuffer(b"".join(K.mask.to_bytes(width, "little") for K in subsets),
+                           dtype=np.uint8).reshape(len(subsets), width)
+    zeroed = np.unpackbits(packed, axis=1, count=p, bitorder="little").view(bool)
+    card = zeroed.sum(axis=1)
+    v = np.full(len(subsets), stats.v_theta)
+    blocks = []
+    for k in np.unique(card[card > 0]):
+        pos = np.flatnonzero(card == k)
+        idx = np.nonzero(zeroed[pos])[1].reshape(len(pos), k)
+        try:
+            L = np.linalg.cholesky(stats.xtx_inv[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
+            raise SingularRestriction(f"a restriction of {k} columns is singular") from exc
+        c, cc = forward(L, stats.xtx_inv_a[idx.T][:, :, None])
+        v[pos] = stats.v_theta - cc[:, 0]
+        blocks.append((pos, idx, L, c[:, :, 0]))
+    return subsets, card, v, blocks
 
 
 def forward(L: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +321,7 @@ def fit_family(
     Y = prob.y[None, :] if single else np.asarray(responses, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != prob.n:
         raise ValueError(f"responses must have shape (R, n={prob.n}), got {Y.shape}")
-    if family is None:
-        family = all_subsets(prob.p, prob.q)
-    _validate_family_masks(prob, family)
-    subsets = tuple(sorted(set(family), key=lambda K: K.mask))
+    subsets, card, v, blocks = family_table(prob, family)
     stats = prob.stats
 
     B = stats.solve_ls(Y)
@@ -314,19 +329,17 @@ def fit_family(
     rss_full = np.einsum("ri,ri->r", resid, resid)
     beta = np.repeat(B[:, None, :], len(subsets), axis=1)
     u = np.zeros((Y.shape[0], len(subsets)))
-    v = np.full(len(subsets), stats.v_theta)
-    for pos, idx, L, _, v_k in stats.restriction_blocks(subsets):
-        v[pos] = v_k
+    for pos, idx, L, _ in blocks:
         z, zz = forward(L, B.T[idx.T])  # z = L^-1 b_K, u_K = z'z
         u[:, pos] = zz.T
         # beta_K = b - E'z with E = L^-1 (X'X)^-1[K, :]
         beta[:, pos] -= np.einsum("kgp,kgr->rgp", forward(L, stats.xtx_inv[idx.T])[0], z)
         beta[:, pos[:, None], idx] = 0.0
-    df = np.array([prob.n - prob.p + K.cardinality for K in subsets])
+    df = prob.n - prob.p + card
     rss = _direct_rss(Y, beta, prob.X)
     expected = rss_full[:, None] + u
     bad = np.argwhere((np.abs(rss - expected) > _RSS_IDENTITY_RTOL * np.maximum(expected, 1e-300))
-                      & (df > prob.n - prob.p))
+                      & (card > 0))
     if bad.size:
         r, j = bad[0]
         raise SingularRestriction(f"RSS identity violated for {subsets[j]} on response {r}: "
@@ -348,16 +361,6 @@ def _direct_rss(Y: np.ndarray, beta: np.ndarray, X: np.ndarray) -> np.ndarray:
             resid = Y[r:r + rows, None, :] - beta[r:r + rows, m:m + models] @ X.T
             rss[r:r + rows, m:m + models] = np.einsum("rmi,rmi->rm", resid, resid)
     return rss
-
-
-def _validate_family_masks(prob: RegressionProblem, family) -> None:
-    allowed = ((1 << (prob.p - prob.q)) - 1) << prob.q
-    for K in family:
-        if K.mask & ~allowed:
-            raise ValueError(
-                f"{K} constrains protected or out-of-range columns "
-                f"(allowed columns are {prob.q}..{prob.p - 1})"
-            )
 
 
 def correlation_profile(

@@ -5,11 +5,12 @@ interval without solving the estimating equations: since ``h`` is
 decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
 replicate.  The weights and ``h`` are the interval solver's own,
-evaluated for a block of replicates at once.  A deterministic audit subsample is
-fitted again as one response matrix by ``fit_family``, which shares only the
-restriction blocks and ``linreg.forward`` with the kernel: its full-model fit
-(QR), each model's RSS (from residuals) and the endpoints (``solve_interval``)
-are its own.  Containment must agree with the h-event replicate by replicate;
+evaluated for a block of replicates at once.  A deterministic audit
+subsample is fitted again as one response matrix by ``fit_family``, which
+shares only the family table (``linreg.family_table``) and
+``linreg.forward`` with the kernel: its full-model fit (QR), each model's
+RSS (from residuals) and the endpoints (``solve_interval``) are its own.
+Containment must agree with the h-event replicate by replicate;
 disagreement raises ``EventMismatch`` and means a bug, not bad luck.
 
 Coverage depends on the parameters only through the scaled droppable
@@ -37,7 +38,7 @@ from .interval import MataRequest, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
     RegressionProblem,
-    all_subsets,
+    family_table,
     fit_family,
     forward,
 )
@@ -115,7 +116,7 @@ class _SimKernel:
     are precomputed once; changing the coefficient vector is a shift, so
     scanning a parameter grid reuses the same draws (common random
     numbers).  The restricted fits are formed here from those shifts, not
-    through ``fit_family``; the two share only the restriction blocks and
+    through ``fit_family``; the two share only ``linreg.family_table`` and
     ``linreg.forward``.  Weights and ``h`` are the package's single
     implementations, with replicates on the leading axis.
 
@@ -132,20 +133,14 @@ class _SimKernel:
         self.prob = prob
         self.spec = spec
         self.alpha = alpha
-        self.family = all_subsets(prob.p, prob.q)
-        stats = prob.stats
-
-        self.df = np.array([float(prob.n - prob.p + K.cardinality) for K in self.family])
-        self.card = self.df[1:] - self.df[0]  # |K|, as df = n - p + |K|
-        self.v = np.full(len(self.family), stats.v_theta)
-        self.blocks = stats.restriction_blocks(self.family)
-        for pos, *_, v in self.blocks:
-            self.v[pos] = v
+        self.family, card, self.v, self.blocks = family_table(prob)
+        self.df = (prob.n - prob.p + card).astype(float)
+        self.card = card[1:]
         width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
         self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
         rng = np.random.Generator(np.random.Philox(key=seed))
-        coef = prob.X @ stats.xtx_inv
+        coef = prob.X @ prob.stats.xtx_inv
         self.bn = np.empty((reps, prob.p))
         self.rss = np.empty(reps)
         self.kept = np.unique(np.asarray(keep, dtype=np.intp))
@@ -170,7 +165,7 @@ class _SimKernel:
         theta0 = (b_hat * self.prob.a).sum(axis=1)
         theta = np.repeat(theta0[:, None], len(self.family), axis=1)
         u = np.zeros(theta.shape)
-        for pos, idx, L, c, _ in self.blocks:
+        for pos, idx, L, c in self.blocks:
             z, zz = forward(L, b_hat.T[idx.T])  # (k, G, rows): L^-1 b_K
             cz = c[0, :, None] * z[0]
             for zi, ci in zip(z[1:], c[1:]):

@@ -95,7 +95,7 @@ THEOREM4_M = 5
 THEOREM4_EPS = 0.01
 
 
-def integral_vs_mc_suite(reps: int = 100_000, seed: int = 20240801) -> list[CheckRow]:
+def integral_vs_mc_suite(reps: int, seed: int) -> list[CheckRow]:
     """Compare the coverage double integral with simulation on a fixed grid."""
     rows = []
     for m, n, rule in INTEGRAL_VS_MC_SETUPS:
@@ -117,7 +117,7 @@ def integral_vs_mc_suite(reps: int = 100_000, seed: int = 20240801) -> list[Chec
     return rows
 
 
-def theorem2_suite(reps: int = 100_000, seed: int = 20240802) -> list[CheckRow]:
+def theorem2_suite(reps: int, seed: int) -> list[CheckRow]:
     """Full-family minimum-coverage scan against the two-model bound.
 
     The scan grid pushes the two non-maximal droppable coefficients far
@@ -153,7 +153,7 @@ def theorem2_suite(reps: int = 100_000, seed: int = 20240802) -> list[CheckRow]:
     return rows
 
 
-def theorem4_suite(reps: int = 100_000, seed: int = 20240803) -> list[CheckRow]:
+def theorem4_suite(reps: int, seed: int) -> list[CheckRow]:
     """Decay of P(w1 >= ``THEOREM4_EPS``), the single-constraint weight, as
     n grows with m = ``THEOREM4_M`` fixed."""
     table = w1_decay_scan(THEOREM4_M, [100, 10_000], gamma_grid=[0.0, 1.0, 2.0],

@@ -177,6 +177,15 @@ class TestIntervalCommand:
                                      if K.mask else "{} (full)")
             assert float(value) == pytest.approx(wgt, rel=1e-5)
 
+    def test_wide_design_exits_0(self, tmp_path, capsys):
+        # 64 design columns plus the response: model masks need more than 64 bits
+        prob = random_problem(603, n=80, p=64, q=62)
+        data = tmp_path / "data.csv"
+        write_problem_csv(data, prob)
+        a_flag = ",".join(repr(float(v)) for v in prob.a)
+        assert main(["interval", "--data", str(data), f"--a={a_flag}", "--q", "62"]) == 0
+        assert capsys.readouterr().out.startswith("n=80 p=64 q=62 models=4 ")
+
     def test_crossed_endpoints_exit_3(self, tmp_path, capsys, monkeypatch):
         from matabound import interval
 

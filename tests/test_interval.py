@@ -392,3 +392,33 @@ class TestBatchEquivalence:
         np.testing.assert_allclose(batch.rss[1], 4.0 * batch.rss[0], rtol=1e-12)
         with pytest.raises(ValueError, match="shape"):
             fit_family(prob, None, Y[:, 1:])
+
+
+class TestWideDesigns:
+    """Designs of 64 or more columns, whose model masks need more than 64 bits."""
+
+    @pytest.mark.parametrize("p, q", [(64, 62), (70, 67)])
+    def test_endpoints_solve_the_reduced_design_refits(self, p, q):
+        prob = random_problem(411 + p, n=p + 20, p=p, q=q)
+        spec = WeightSpec.bic(prob.n)
+        iv = solve_interval(MataRequest(prob, spec, alpha=0.05))
+        assert [K.mask for K in iv.weights_used] == [t << q for t in range(1 << (p - q))]
+        # independent oracle: refit every model on its kept columns and
+        # weight it by exp(-GIC / 2)
+        gic, theta, scale, df = [], [], [], []
+        for K in iv.weights_used:
+            kept = [j for j in range(p) if j not in K.indices]
+            Xk, ak = prob.X[:, kept], prob.a[kept]
+            beta, *_ = np.linalg.lstsq(Xk, prob.y, rcond=None)
+            rss = float(np.sum((prob.y - Xk @ beta) ** 2))
+            nu = prob.n - len(kept)
+            gic.append(prob.n * math.log(rss) + spec.d * len(kept))
+            theta.append(ak @ beta)
+            scale.append(math.sqrt(rss / nu * (ak @ np.linalg.solve(Xk.T @ Xk, ak))))
+            df.append(nu)
+        w = np.exp(-0.5 * (np.array(gic) - min(gic)))
+        w /= w.sum()
+        np.testing.assert_allclose(list(iv.weights_used.values()), w, rtol=1e-9, atol=1e-15)
+        theta, scale, df = map(np.array, (theta, scale, df))
+        for z, target in ((iv.lower, 0.975), (iv.upper, 0.025)):
+            assert float(w @ stdtr(df, (theta - z) / scale)) == pytest.approx(target, abs=1e-9)

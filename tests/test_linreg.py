@@ -14,7 +14,7 @@ from matabound import (
 )
 import matabound.linreg as linreg
 from matabound.errors import MissingResponse, RankDeficient, SingularRestriction
-from matabound.linreg import MAX_FREE_COEFFICIENTS, forward
+from matabound.linreg import MAX_FREE_COEFFICIENTS, family_table, forward
 
 from helpers import random_problem
 
@@ -148,6 +148,14 @@ class TestFitRestricted:
         with pytest.raises(ValueError, match="protected"):
             fit_restricted(prob, ModelSubset.from_indices([0]))
 
+    def test_out_of_range_column_rejected_on_a_wide_design(self):
+        # masks of a 64-column design need more than 64 bits
+        prob = random_problem(39, n=80, p=64, q=62)
+        for bad in ([64], [62, 70], [0, 63]):
+            with pytest.raises(ValueError, match="constrains protected or out-of-range columns "
+                               r"\(allowed columns are 62\.\.63\)"):
+                fit_restricted(prob, ModelSubset.from_indices(bad))
+
 
 class TestSingularRestriction:
     """Raised defensively: a full-rank design reaches neither raise."""
@@ -237,7 +245,7 @@ class TestNoncentrality:
     # true coefficients is twice the noncentrality of the restriction.
     @staticmethod
     def u_of(prob, K, b):
-        ((_, idx, L, _, _),) = prob.stats.restriction_blocks([FULL, K])
+        *_, ((_, idx, L, _),) = family_table(prob, [FULL, K])
         return float(forward(L, b[idx.T][:, :, None])[1][0, 0])
 
     def test_zero_at_restricted_truth(self):
@@ -267,7 +275,7 @@ class TestForwardSubstitution:
         # many rows share the call (LAPACK and BLAS pick kernels by shape).
         prob = random_problem(67, n=30, p=12, q=2, with_y=False)
         B = np.random.default_rng(68).standard_normal((5000, prob.p))
-        for _, idx, L, _, _ in prob.stats.restriction_blocks(all_subsets(prob.p, prob.q)):
+        for _, idx, L, _ in family_table(prob)[3]:
             z, u = forward(L, B.T[idx.T])
             for rows in (1, 7, 513):
                 z_r, u_r = forward(L, B[:rows].T[idx.T])

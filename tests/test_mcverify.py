@@ -52,6 +52,18 @@ class TestSimulateCoverage:
             math.sqrt(est.p_hat * (1 - est.p_hat) / est.reps)
         )
 
+    def test_wide_design_single_model_family_hits_nominal(self):
+        # The same collapse on a 70-column design (8 models), whose model
+        # masks need more than 64 bits; the audit runs 100 replicates.
+        prob = random_problem(503, n=90, p=70, q=67, with_y=False)
+        beta = np.zeros(prob.p)
+        beta[prob.q:] = 1e4 * np.sqrt(np.diag(prob.stats.xtx_inv))[prob.q:] * [1, -1, 1]
+        est = simulate_coverage(SimScenario(prob=prob, beta_over_sigma=beta, reps=10_000,
+                                            seed=43, spec=WeightSpec.bic(prob.n)))
+        assert abs(est.p_hat - 0.95) < 3.0 * est.se
+        assert est.audited == 100
+        assert est.audit_max_residual < 1e-9
+
     def test_two_model_agrees_with_integral(self):
         cfg = TwoModelConfig(m=5, n=7, rho=0.7, d=2.0, alpha=0.05)
         analytic = coverage_probability(1.0, cfg)
@@ -394,3 +406,6 @@ class TestSuites:
             assert len(rows) == count
             for r in rows:
                 assert np.isfinite([r.value, r.reference, r.tolerance]).all(), r
+        # The last rows are theorem2's.  Theorem 2: the bound is at or above
+        # the full-family scan minimum.
+        assert all(r.passed for r in rows), rows

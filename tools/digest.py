@@ -2,12 +2,14 @@
 
     PYTHONPATH=src python3 tools/digest.py [--out FILE] [--compare OLD.json]
 
-Records, as ``float.hex`` strings so that equal entries are equal bit for
-bit:
+Records, as ``float.hex`` strings or SHA-256 hex digests so that equal
+entries are equal bit for bit:
 
 * the ``solve_interval`` endpoints and ``h_residuals`` of 44 seeded
   all-subsets datasets: 40 with p in 3..8, and 4 with p = 12, q = 2
   (1,024 models);
+* per dataset, a SHA-256 of the bytes of ``fit_family``'s per-model
+  ``df``, ``v``, ``rss`` and ``u``, models in mask order;
 * ``p_hat``, ``audited`` and ``audit_max_residual`` of audited
   (1%, 1e5 replicates) ``simulate_coverage`` runs on two two-model
   designs and on an 8-model design whose two extra droppable columns are
@@ -21,6 +23,7 @@ exits 1 if any do.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -28,7 +31,7 @@ import sys
 import numpy as np
 
 from matabound import MataRequest, RegressionProblem, SimScenario, WeightSpec
-from matabound import simulate_coverage, solve_interval
+from matabound import fit_family, simulate_coverage, solve_interval
 from matabound.suites import _correlated_design
 
 ALPHA = 0.05
@@ -70,6 +73,10 @@ def interval_entries() -> dict[str, str]:
         values = (iv.lower, iv.upper, *iv.h_residuals)
         for name, v in zip(("lower", "upper", "h_residual_lo", "h_residual_hi"), values):
             out[f"interval/{seed}/{name}"] = float(v).hex()
+        fits = fit_family(prob).values()
+        for name in ("df", "v", "rss", "u"):
+            values = np.array([getattr(f, name) for f in fits])
+            out[f"fits/{seed}/{name}"] = hashlib.sha256(values.tobytes()).hexdigest()
     return out
 
 
