@@ -24,10 +24,6 @@ class DegenerateFit(MatacoverError):
     """Residual sum of squares is zero (perfect fit); tail areas undefined."""
 
 
-class InvalidKernel(MatacoverError):
-    """Weight kernel violated positivity/finiteness or a monotonicity probe."""
-
-
 class BracketFailure(MatacoverError):
     """A tail-area root solve missed its residual tolerance or iteration cap."""
 

@@ -45,7 +45,8 @@ _RESIDUAL_TOL = 1e-9
 class MataRequest:
     """Inputs for one interval computation over the all-subsets family.
 
-    ``alpha`` is the two-sided miss probability, restricted to (0, 0.5].
+    ``alpha`` is the two-sided miss probability, restricted to (0, 0.5],
+    and ``spec.n`` must be the problem's sample size.
     An interval over another family is ``solve_interval(req, fits=,
     weights=)`` with that family's ``fit_family`` and ``model_weights``.
     """
@@ -55,6 +56,7 @@ class MataRequest:
     alpha: float = 0.05
 
     def __post_init__(self):
+        self.spec.check_n(self.prob.n)
         if not 0.0 < self.alpha <= 0.5:
             raise ValueError("alpha must lie in (0, 0.5]")
 

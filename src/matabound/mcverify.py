@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import resolve_d
 from .errors import EventMismatch
 from .interval import MataRequest, h, solve_interval
 from .linreg import (
@@ -42,7 +41,7 @@ from .linreg import (
     fit_family,
     forward,
 )
-from .weights import WeightSpec, normalized_weights, w1
+from .weights import WeightSpec, w1
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
@@ -80,6 +79,7 @@ class SimScenario:
     audit_fraction: float = 0.01
 
     def __post_init__(self):
+        self.spec.check_n(self.prob.n)
         beta = np.asarray(self.beta_over_sigma, dtype=float)
         if beta.shape != (self.prob.p,):
             raise ValueError(f"beta_over_sigma must have length p={self.prob.p}")
@@ -172,7 +172,7 @@ class _SimKernel:
                 cz += ci[:, None] * zi
             u[:, pos] = zz.T
             theta[:, pos] -= cz.T
-        w = normalized_weights(self.spec.log_kernel(u[:, 1:] / rss[:, None], self.card))
+        w = self.spec.weights(u[:, 1:] / rss[:, None], self.card)
         scale = np.sqrt((rss[:, None] + u) / self.df * self.v)
         return w, theta, scale
 
@@ -234,8 +234,7 @@ def _audit(sc: SimScenario, kernel: _SimKernel, covered, audited) -> float:
         chunk = audited[start:start + rows]
         Y = kernel.responses(chunk, sc.beta_over_sigma)
         fits = fit_family(sc.prob, kernel.family, Y)
-        x = fits.u[:, 1:] / fits.rss[:, :1]
-        weights = normalized_weights(sc.spec.log_kernel(x, kernel.card))
+        weights = sc.spec.weights(fits.u[:, 1:] / fits.rss[:, :1], kernel.card)
         for r, i in enumerate(chunk.tolist()):
             iv = solve_interval(req, fits=fits.models(r),
                                 weights=dict(zip(fits.subsets, weights[r].tolist())))
@@ -262,6 +261,7 @@ def min_coverage_scan(
     differences between estimates are low-variance and duplicated points
     give identical results.
     """
+    spec.check_n(prob.n)
     grid = [np.asarray(v, dtype=float) for v in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -312,15 +312,16 @@ def w1_decay_scan(
     eps: float,
     reps: int,
     seed: int,
-    d_rule="bic",
 ) -> W1DecayTable:
     """Estimate how fast the single-constraint weight dies as n grows.
 
     ``gamma_hat^2`` is simulated as U / (Q/m) with U = (Z + gamma)^2,
     Z standard normal and Q chi-square with m degrees of freedom; the
-    same (Z, Q) draws serve every (n, gamma) cell.  For the BIC rule the
-    penalty is d = ln n at each n.
+    same (Z, Q) draws serve every (n, gamma) cell.  The weight is BIC's,
+    with penalty d = ln n at each n, as in Theorem 4.
     """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     ns = tuple(int(n) for n in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -340,10 +341,9 @@ def w1_decay_scan(
     q = rng.chisquare(m, reps)
     probs = np.empty((len(ns), len(gammas)))
     for i, n in enumerate(ns):
-        d = resolve_d(d_rule, n)
         for j, g in enumerate(gammas):
             gamma_hat_sq = (z + g) ** 2 / (q / m)
-            probs[i, j] = np.mean(w1(gamma_hat_sq, m, n, d) >= eps)
+            probs[i, j] = np.mean(w1(gamma_hat_sq, m, n, math.log(n)) >= eps)
     ses = np.sqrt(probs * (1.0 - probs) / reps)
     sup_idx = gammas.index(0.0) if 0.0 in gammas else None
     return W1DecayTable(

@@ -157,7 +157,7 @@ def theorem4_suite(reps: int, seed: int) -> list[CheckRow]:
     """Decay of P(w1 >= ``THEOREM4_EPS``), the single-constraint weight, as
     n grows with m = ``THEOREM4_M`` fixed."""
     table = w1_decay_scan(THEOREM4_M, [100, 10_000], gamma_grid=[0.0, 1.0, 2.0],
-                          eps=THEOREM4_EPS, reps=reps, seed=seed, d_rule="bic")
+                          eps=THEOREM4_EPS, reps=reps, seed=seed)
     i0 = table.sup_gamma_index
     p_small, p_large = table.probs[0, i0], table.probs[1, i0]
     gap_se = math.sqrt(table.ses[0, i0] ** 2 + table.ses[1, i0] ** 2)

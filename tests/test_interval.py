@@ -331,6 +331,11 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.0)
 
+    def test_spec_for_another_sample_size_rejected(self):
+        prob = random_problem(7, n=30, p=5, q=2)
+        with pytest.raises(ValueError, match="WeightSpec has n=300 but the problem has n=30"):
+            MataRequest(prob, WeightSpec.aic(300))
+
     def test_zero_residual_scale_rejected(self):
         prob = random_problem(403)
         fits = fit_family(prob)
@@ -348,15 +353,13 @@ class TestBatchEquivalence:
         # The audit's path (fit R responses at once, weight them in one
         # pass, inject each row into solve_interval) must agree with the
         # one-response path on every row.
-        from matabound.weights import normalized_weights
-
         prob, spec = req.prob, req.spec
         rng = np.random.default_rng(seed)
         Y = prob.y + np.std(prob.y) * rng.standard_normal((R, prob.n))
         batch = fit_family(prob, None, Y)
         assert len(batch) == R * len(batch.subsets)
         card = np.array([K.cardinality for K in batch.subsets[1:]])
-        W = normalized_weights(spec.log_kernel(batch.u[:, 1:] / batch.rss[:, :1], card))
+        W = spec.weights(batch.u[:, 1:] / batch.rss[:, :1], card)
         for r in range(R):
             one = MataRequest(prob.with_response(Y[r]), spec, alpha=req.alpha)
             fits = fit_family(one.prob)

@@ -1,6 +1,5 @@
 """Simulation layer: reproducibility, invariance, and analytic cross-checks."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -22,11 +21,10 @@ from matabound import (
     w1_decay_scan,
 )
 from matabound import suites
-from matabound.errors import EventMismatch, InvalidKernel
+from matabound.errors import EventMismatch
 from matabound.interval import _family_arrays, h
 from matabound.mcverify import _SimKernel
 from matabound.suites import two_model_problem, two_model_scenario
-from matabound.weights import normalized_weights
 
 from helpers import random_problem
 
@@ -119,23 +117,6 @@ class TestSimulateCoverage:
         with pytest.raises(EventMismatch, match="replicate"):
             simulate_coverage(sc)
 
-    @pytest.mark.parametrize("bad_value", [0.0, -1.0])
-    @pytest.mark.parametrize("audit_fraction", [0.0, 0.01])
-    def test_invalid_custom_kernel_value_raises(self, bad_value, audit_fraction):
-        # The registration probes sample a finite x grid, so a kernel can
-        # pass them and still return an invalid value elsewhere; such a
-        # spec is built here directly.
-        def kernel(x, k):
-            return bad_value if x > 0.5 else k / (1.0 + x) ** 4
-
-        sc = dataclasses.replace(
-            two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05, reps=10_000, seed=3,
-                               audit_fraction=audit_fraction),
-            spec=WeightSpec(n=7, kernel=kernel),
-        )
-        with pytest.raises(InvalidKernel):
-            simulate_coverage(sc)
-
     def test_reps_floor_enforced(self):
         prob = random_problem(505, with_y=False)
         with pytest.raises(ValueError, match="reps"):
@@ -169,7 +150,7 @@ def rounding_tolerance(prob, spec, beta, y):
     Y = y + np.concatenate([np.diag(step), -np.diag(step)])
     fits = fit_family(prob, None, Y)
     card = np.array([K.cardinality for K in fits.subsets[1:]])
-    w = normalized_weights(spec.log_kernel(fits.u[:, 1:] / fits.rss[:, :1], card))
+    w = spec.weights(fits.u[:, 1:] / fits.rss[:, :1], card)
     jac = (w[:prob.n] - w[prob.n:]) / (2.0 * step[:, None])
     shift = _gamma(prob.p) * (np.abs(prob.X) @ np.abs(beta))
     solve = _gamma(prob.n) * np.linalg.cond(prob.X) * np.linalg.norm(y)
@@ -334,12 +315,15 @@ class TestW1DecayScan:
                 combined = 3.0 * math.hypot(table.ses[i, j], table.ses[i, 0])
                 assert table.probs[i, j] <= table.probs[i, 0] + combined
 
-    def test_zero_penalty_half_threshold_is_exactly_zero(self):
-        # with d = 0 the weight w1 is strictly below 1/2 for any positive
-        # statistic, so the exceedance estimate is exactly 0
-        table = w1_decay_scan(5, [50, 100], [0.0], eps=0.5, reps=20_000,
-                              seed=9, d_rule=0.0)
+    def test_bic_weight_cap_makes_exceedance_exactly_zero(self):
+        # with d = ln n, w1 <= 1 / (1 + n^(-1/2)) <= 10/11 for n <= 100, so
+        # no replicate reaches eps = 0.95 and the estimate is exactly 0
+        table = w1_decay_scan(5, [50, 100], [0.0], eps=0.95, reps=20_000, seed=9)
         assert np.all(table.probs == 0.0)
+
+    def test_at_least_one_residual_df(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            w1_decay_scan(0, [100], [0.0], eps=0.1, reps=2_000, seed=1)
 
     def test_requires_increasing_n(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -389,6 +373,22 @@ class TestScenarioValidation:
         for ns, gammas in (([], [0.0]), ([100], [])):
             with pytest.raises(ValueError, match="nonempty"):
                 w1_decay_scan(5, ns, gammas, eps=0.1, reps=2_000, seed=1)
+
+    def test_spec_for_another_sample_size_rejected(self, monkeypatch):
+        import matabound.mcverify as mcv
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("drew noise for a mismatched spec")
+
+        monkeypatch.setattr(mcv, "_SimKernel", no_kernel)
+        prob = random_problem(511, with_y=False)
+        spec = WeightSpec.aic(prob.n + 1)
+        match = f"WeightSpec has n={prob.n + 1} but the problem has n={prob.n}"
+        with pytest.raises(ValueError, match=match):
+            SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000, seed=1,
+                        spec=spec)
+        with pytest.raises(ValueError, match=match):
+            min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=2_000, seed=1)
 
     def test_two_model_problem_checks(self):
         with pytest.raises(ValueError, match="n - m >= 2"):

@@ -17,8 +17,7 @@ from matabound import (
     model_weights,
     w1,
 )
-from matabound.errors import DegenerateFit, InvalidKernel
-from matabound.weights import normalized_weights, probe_kernel_conditions
+from matabound.errors import DegenerateFit
 
 from helpers import random_problem
 
@@ -40,9 +39,11 @@ class TestGic:
         )
 
     def test_custom_spec_and_negative_rss_rejected(self):
-        custom = WeightSpec(n=20, kernel=lambda x, k: 1.0 / (1.0 + x) ** 10)
-        with pytest.raises(ValueError, match="information-criterion"):
-            gic(1.0, 1, 5, custom)
+        # GIC is the only weight rule: a spec takes a penalty d, no kernel
+        with pytest.raises(TypeError):
+            WeightSpec(n=20, d=2.0, kernel=lambda x, k: 1.0 / (1.0 + x) ** 10)
+        with pytest.raises(TypeError):
+            WeightSpec(n=20)
         with pytest.raises(ValueError, match="nonnegative"):
             gic(-1.0, 1, 5, WeightSpec.aic(20))
 
@@ -147,11 +148,24 @@ class TestWeightProperties:
                                         max_size=rows * models))).reshape(rows, models)
         card = np.array(data.draw(st.lists(st.integers(1, 30), min_size=models,
                                            max_size=models)), dtype=int)
-        w = normalized_weights(WeightSpec.gic(n, d).log_kernel(x, card))
+        w = WeightSpec.gic(n, d).weights(x, card)
         assert w.shape == (rows, models + 1)
         assert np.all((w >= 0.0) & (w <= 1.0))
         for row in w:
             assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10**6), st.floats(0.0, 100.0),
+           st.lists(st.tuples(st.floats(0.0, 1e6), st.integers(1, 30)),
+                    min_size=1, max_size=4))
+    def test_weights_match_logsumexp_softmax(self, n, d, models):
+        # oracle: softmax of [0, log r_1, ...]; log r = d k / 2 reaches
+        # 1,500 at x = 0, past exp's overflow at 709
+        x, card = (np.array(col) for col in zip(*models))
+        log_r = [0.5 * d * k - 0.5 * n * math.log1p(xk) for xk, k in models]
+        scores = np.array([0.0, *log_r])
+        w = WeightSpec.gic(n, d).weights(x, card)
+        np.testing.assert_allclose(w, np.exp(scores - logsumexp(scores)), rtol=0.0, atol=1e-12)
 
 
 class TestW1:
@@ -195,58 +209,7 @@ class TestW1:
             w1(-0.5, m=5, n=20, d=2.0)
 
 
-class TestKernelProbes:
-    def test_gic_kernel_passes_both_probes(self):
-        n, d = 40, math.log(40)
-
-        def kernel(x, k):
-            return math.exp(d * k / 2.0) / (1.0 + x) ** (n / 2.0)
-
-        probe_kernel_conditions(kernel, k_max=6)
-
-    def test_increasing_in_x_rejected(self):
-        with pytest.raises(InvalidKernel, match="C1"):
-            probe_kernel_conditions(lambda x, k: 1.0 + x, k_max=3)
-
-    def test_slow_decay_rejected(self):
-        # positive otherwise-valid kernel that decays too slowly in x
-        with pytest.raises(InvalidKernel, match="C1"):
-            probe_kernel_conditions(lambda x, k: 1.0 / (1.0 + x) ** 0.25, k_max=2)
-
-    def test_decreasing_in_k_rejected(self):
-        with pytest.raises(InvalidKernel, match="C2"):
-            probe_kernel_conditions(lambda x, k: math.exp(-k) / (1.0 + x) ** 5, k_max=3)
-
-    def test_k_max_at_least_one(self):
-        with pytest.raises(ValueError, match="k_max"):
-            probe_kernel_conditions(lambda x, k: 1.0 / (1.0 + x) ** 10, 0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(InvalidKernel):
-            probe_kernel_conditions(lambda x, k: -1.0, k_max=2)
-
-    def test_custom_spec_runs_probe_at_registration(self):
-        with pytest.raises(InvalidKernel):
-            WeightSpec.custom(20, lambda x, k: 1.0 + x, k_max=3)
-        spec = WeightSpec.custom(20, lambda x, k: k / (1.0 + x) ** 10, k_max=3)
-        assert spec.kernel is not None
-
-    def test_custom_kernel_drives_weights(self):
-        prob = random_problem(139, n=25, p=4, q=2)
-        fits = fit_family(prob)
-        rss = fits[ModelSubset(0)].rss
-        spec = WeightSpec.custom(prob.n, lambda x, k: k / (1.0 + x) ** 10, k_max=2)
-        weights = model_weights(fits, rss, spec)
-        assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestSpecValidation:
-    def test_exactly_one_of_d_or_kernel(self):
-        with pytest.raises(ValueError):
-            WeightSpec(n=20)
-        with pytest.raises(ValueError):
-            WeightSpec(n=20, d=2.0, kernel=lambda x, k: 1.0 / (1 + x))
-
     def test_sample_size_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             WeightSpec.aic(1)

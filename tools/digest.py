@@ -9,7 +9,8 @@ entries are equal bit for bit:
   all-subsets datasets: 40 with p in 3..8, and 4 with p = 12, q = 2
   (1,024 models);
 * per dataset, a SHA-256 of the bytes of ``fit_family``'s per-model
-  ``df``, ``v``, ``rss`` and ``u``, models in mask order;
+  ``df``, ``v``, ``rss`` and ``u``, and one of the ``model_weights``
+  values, models in mask order;
 * ``p_hat``, ``audited`` and ``audit_max_residual`` of audited
   (1%, 1e5 replicates) ``simulate_coverage`` runs on two two-model
   designs and on an 8-model design whose two extra droppable columns are
@@ -30,8 +31,8 @@ import sys
 
 import numpy as np
 
-from matabound import MataRequest, RegressionProblem, SimScenario, WeightSpec
-from matabound import fit_family, simulate_coverage, solve_interval
+from matabound import MataRequest, ModelSubset, RegressionProblem, SimScenario, WeightSpec
+from matabound import fit_family, model_weights, simulate_coverage, solve_interval
 from matabound.suites import _correlated_design
 
 ALPHA = 0.05
@@ -65,6 +66,10 @@ def dataset(seed: int) -> tuple[RegressionProblem, WeightSpec]:
     return RegressionProblem(X, a, q=q, y=y), spec
 
 
+def sha256(values) -> str:
+    return hashlib.sha256(np.array(values).tobytes()).hexdigest()
+
+
 def interval_entries() -> dict[str, str]:
     out = {}
     for seed in range(44):
@@ -73,10 +78,11 @@ def interval_entries() -> dict[str, str]:
         values = (iv.lower, iv.upper, *iv.h_residuals)
         for name, v in zip(("lower", "upper", "h_residual_lo", "h_residual_hi"), values):
             out[f"interval/{seed}/{name}"] = float(v).hex()
-        fits = fit_family(prob).values()
+        fits = fit_family(prob)
         for name in ("df", "v", "rss", "u"):
-            values = np.array([getattr(f, name) for f in fits])
-            out[f"fits/{seed}/{name}"] = hashlib.sha256(values.tobytes()).hexdigest()
+            out[f"fits/{seed}/{name}"] = sha256([getattr(f, name) for f in fits.values()])
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
+        out[f"weights/{seed}"] = sha256([weights[K] for K in fits])
     return out
 
 
