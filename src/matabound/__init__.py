@@ -41,6 +41,7 @@ __all__ = [
     "RegressionProblem",
     "SimScenario",
     "TwoModelConfig",
+    "WeightSpec",
     "all_subsets",
     "bound_curve",
     "correlation_profile",

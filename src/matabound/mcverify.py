@@ -5,7 +5,28 @@ interval without solving the estimating equations: since ``h`` is
 decreasing in ``z``, the event "theta inside the interval" equals
 "alpha/2 <= h(theta) <= 1 - alpha/2", which costs one h evaluation per
 replicate.  The weights and ``h`` are the interval solver's own,
-evaluated for a block of replicates at once.  A deterministic audit
+evaluated for a block of replicates at once.
+
+Most replicates need only the side of the two cut points that ``h(theta)``
+lies on, not its value.  ``_TCdfTable`` holds, per distinct df, a cubic
+Hermite interpolant of the t cdf on nodes of step H = ``_TABLE_STEP`` over
+[-``_TABLE_RANGE``, ``_TABLE_RANGE``]: node values from ``stdtr``, slopes
+from the t density.  ``_h_event`` forms ``h``'s own standardized points
+and the weighted average of the interpolated cdfs at them.  A replicate
+whose average lies more than ``_TABLE_MARGIN`` = 1e-8 from both cut
+points is decided by it; the rest, and every replicate with a point
+outside the table, go through the exact ``h``.  The margin is sound.  The
+Hermite error is at most H^4/384 * sup|T^(4)| = H^4/384 * ``_T_PDF_D3_MAX``,
+about 2.3e-10: T^(4) is the density's third derivative, whose sup is
+largest at df 1.  But ``stdtr(1, z)`` is itself off the Cauchy cdf by up to
+2.4e-9 near z = 7e-9, and the table, built from exact nodes, does not copy
+that error, so the interpolation bound alone would not do.  A dense sweep
+put |table - stdtr| at 2.4e-9 for df 1 and at most 1.6e-10 for every other
+df (a test holds it to a quarter of the margin).  The weights sum to 1, so
+a decided replicate's average is within that of ``h`` and its verdict is
+the exact one: the event is bit-identical to the one read off ``h``.
+
+A deterministic audit
 subsample is fitted again as one response matrix by ``fit_family``, which
 shares only the family table (``linreg.family_table``) and
 ``linreg.forward`` with the kernel: its full-model fit (QR), each model's
@@ -31,9 +52,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtr
 
 from .errors import EventMismatch
-from .interval import MataRequest, h, solve_interval
+from .interval import MataRequest, _t_pdf, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
     RegressionProblem,
@@ -53,6 +75,14 @@ _DRAW_ROWS = 512
 # Bytes of the largest temporary of a _SimKernel evaluation block: a
 # (rows, models) array or a (k, G, rows) forward substitution.
 _BLOCK_BYTES = 1 << 22
+# The h-event's t-cdf table (see the module docstring): node step,
+# half-width, and the distance from a cut point within which the exact
+# ``h`` decides.  _T_PDF_D3_MAX bounds the third derivative of the t
+# density over all x and df >= 1; the sup, 1.48605, is taken at df 1.
+_TABLE_STEP = 1.0 / 64.0
+_TABLE_RANGE = 40.0
+_TABLE_MARGIN = 1e-8
+_T_PDF_D3_MAX = 1.487
 
 
 def _check_seed(seed: int) -> None:
@@ -109,6 +139,60 @@ class CoverageEstimate:
     audit_max_residual: float = 0.0
 
 
+class _TCdfTable:
+    """Cubic Hermite interpolants of the t cdfs of ``df`` (one entry per
+    model), one per distinct value, on the nodes j * ``_TABLE_STEP`` in
+    [-``_TABLE_RANGE``, ``_TABLE_RANGE``].  Node values are ``stdtr``'s and
+    slopes ``_t_pdf``'s; ``coef`` holds the Horner coefficients in the
+    interval's offset s in [0, 1], for every interval of every df, and
+    ``offset`` each model's first interval."""
+
+    def __init__(self, df):
+        nus, which = np.unique(df, return_inverse=True)
+        half = round(_TABLE_RANGE / _TABLE_STEP)
+        t = np.arange(-half, half + 1) * _TABLE_STEP
+        F = stdtr(nus[:, None], t)
+        d = _TABLE_STEP * _t_pdf(t, nus[:, None])
+        F0, F1, d0, d1 = F[:, :-1], F[:, 1:], d[:, :-1], d[:, 1:]
+        self.coef = np.stack([F0, d0, 3.0 * (F1 - F0) - 2.0 * d0 - d1,
+                              2.0 * (F0 - F1) + d0 + d1]).reshape(4, -1)
+        self.last = 2 * half - 1
+        self.offset = which * (2 * half)
+
+    def average(self, w, x):
+        """Weighted sum along the last axis of the interpolated cdfs at
+        ``x``, which it overwrites, and per row whether every |x| was
+        below ``_TABLE_RANGE`` (the sum is meaningless where not)."""
+        inside = np.abs(x) < _TABLE_RANGE
+        x += _TABLE_RANGE
+        x *= 1.0 / _TABLE_STEP
+        np.copyto(x, 0.0, where=~inside)
+        j = x.astype(np.intp)
+        # x just below the range can round onto the last node.
+        np.minimum(j, self.last, out=j)
+        x -= j
+        j += self.offset
+        acc = self.coef[3].take(j)
+        for c in self.coef[2::-1]:
+            acc *= x
+            acc += c.take(j)
+        acc *= w
+        return acc.sum(axis=-1), inside.all(axis=-1)
+
+
+def _h_event(w, theta, scale, df, z, table: _TCdfTable, alpha: float) -> np.ndarray:
+    """alpha/2 <= h(z) <= 1 - alpha/2 per row of (w, theta, scale), read off
+    ``table`` where it decides and off the exact ``h`` elsewhere."""
+    x = theta - z
+    x /= scale  # h's standardized points, bit for bit
+    h_z, inside = table.average(w, x)
+    lo, hi = alpha / 2.0, 1.0 - alpha / 2.0
+    exact = np.flatnonzero(~inside | (np.abs(h_z - lo) <= _TABLE_MARGIN)
+                           | (np.abs(h_z - hi) <= _TABLE_MARGIN))
+    h_z[exact] = h(w[exact], theta[exact], scale[exact], df, z)
+    return (lo <= h_z) & (h_z <= hi)
+
+
 class _SimKernel:
     """Vectorized per-replicate h(theta) over a design's all-subsets family.
 
@@ -118,7 +202,12 @@ class _SimKernel:
     numbers).  The restricted fits are formed here from those shifts, not
     through ``fit_family``; the two share only ``linreg.family_table`` and
     ``linreg.forward``.  Weights and ``h`` are the package's single
-    implementations, with replicates on the leading axis.
+    implementations, with replicates on the leading axis.  ``covered``
+    decides most replicates from ``table``, the t-cdf interpolants of the
+    family's k + 1 distinct df (built here, about 1 ms each), and calls
+    ``h`` only for those within ``_TABLE_MARGIN`` of a cut point or outside
+    the table (see the module docstring); its event is the one
+    ``h_at_truth`` gives, bit for bit.
 
     Replicates are evaluated in blocks of ``rows``, so memory is
     O(reps * p) plus one block's temporaries.  The evaluation uses only
@@ -136,6 +225,7 @@ class _SimKernel:
         self.family, card, self.v, self.blocks = family_table(prob)
         self.df = (prob.n - prob.p + card).astype(float)
         self.card = card[1:]
+        self.table = _TCdfTable(self.df)
         width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
         self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
@@ -186,8 +276,16 @@ class _SimKernel:
         return out
 
     def covered(self, beta_over_sigma: np.ndarray) -> np.ndarray:
-        h_theta = self.h_at_truth(beta_over_sigma)
-        return (self.alpha / 2.0 <= h_theta) & (h_theta <= 1.0 - self.alpha / 2.0)
+        """The h-event alpha/2 <= h(theta) <= 1 - alpha/2 per replicate."""
+        theta = float(self.prob.a @ np.asarray(beta_over_sigma, dtype=float))
+        out = np.empty(self.rss.shape[0], dtype=bool)
+        for start in range(0, out.size, self.rows):
+            rows = slice(start, start + self.rows)
+            # One call per block, so the block's arrays are freed before
+            # the next block is built.
+            out[rows] = _h_event(*self.family_arrays(beta_over_sigma, rows), self.df,
+                                 theta, self.table, self.alpha)
+        return out
 
     def responses(self, rows, beta_over_sigma: np.ndarray) -> np.ndarray:
         """Responses X b + noise of kept replicates ``rows``."""

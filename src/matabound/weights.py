@@ -95,14 +95,18 @@ def model_weights(
 ) -> dict[ModelSubset, float]:
     """Normalized data-based weights over a model family.
 
-    ``fits`` must contain the full model (empty subset).  The returned
-    weights sum to 1; summation is numpy pairwise over mask-ordered terms,
-    so the result is deterministic for a given family.
+    ``fits`` must contain the full model (empty subset), and ``rss_full``
+    must be its ``rss``.  The returned weights sum to 1; summation is numpy
+    pairwise over mask-ordered terms, so the result is deterministic for a
+    given family.
     """
     if ModelSubset(0) not in fits:
         raise ValueError("family must contain the full model (empty subset)")
     if rss_full <= 0.0:
         raise DegenerateFit("rss must be positive to form weight ratios")
+    if rss_full != fits[ModelSubset(0)].rss:
+        raise ValueError(f"rss_full={rss_full!r} is not the full model's rss "
+                         f"{fits[ModelSubset(0)].rss!r}")
     subsets = sorted(fits, key=lambda K: K.mask)
     restricted = subsets[1:]
     x = np.array([fits[K].u for K in restricted], dtype=float) / rss_full

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import stdtr
 
 from matabound import (
     MataInterval,
@@ -22,8 +24,16 @@ from matabound import (
 )
 from matabound import suites
 from matabound.errors import EventMismatch
-from matabound.interval import _family_arrays, h
-from matabound.mcverify import _SimKernel
+from matabound.interval import _family_arrays, _t_pdf, h
+from matabound.mcverify import (
+    _T_PDF_D3_MAX,
+    _TABLE_MARGIN,
+    _TABLE_RANGE,
+    _TABLE_STEP,
+    _h_event,
+    _SimKernel,
+    _TCdfTable,
+)
 from matabound.suites import two_model_problem, two_model_scenario
 
 from helpers import random_problem
@@ -258,6 +268,112 @@ class TestSimKernelBlocks:
         for rows in ([4], [5, 1_199], [1_200]):
             with pytest.raises(ValueError, match="not kept"):
                 kernel.responses(rows, beta)
+
+
+def t_pdf_d3(x, nu):
+    """Third derivative of the t density f: with r = f'/f = -(nu+1) x / (nu+x^2),
+    it is (r'' + 3 r r' + r^3) f."""
+    s = nu + x * x
+    r = -(nu + 1) * x / s
+    r1 = -(nu + 1) * (nu - x * x) / s**2
+    r2 = 2 * (nu + 1) * x * (3 * nu - x * x) / s**3
+    return (r2 + 3 * r * r1 + r**3) * _t_pdf(x, nu)
+
+
+TABLE_DFS = [float(nu) for nu in range(1, 201)] + [1e3, 1e6]
+
+
+def recording_h(monkeypatch, rows):
+    """Patch mcverify's exact h to append the theta of each call to ``rows``."""
+    import matabound.mcverify as mcv
+
+    def recorded(w, theta, *args):
+        rows.append(theta)
+        return h(w, theta, *args)
+
+    monkeypatch.setattr(mcv, "h", recorded)
+
+
+class TestTCdfTable:
+    def test_within_a_quarter_margin_of_stdtr(self):
+        # Midpoints and quarter points of every interval (where the Hermite
+        # error peaks), the ends just inside the range, and |x| in
+        # [1e-14, 1e-2], where stdtr(1, x) is itself off the Cauchy cdf.
+        nodes = np.arange(-_TABLE_RANGE, _TABLE_RANGE, _TABLE_STEP)
+        tiny = np.logspace(-14, -2, 400)
+        edge = np.nextafter(_TABLE_RANGE, 0.0)
+        x = np.concatenate([nodes + 0.25 * _TABLE_STEP, nodes + 0.5 * _TABLE_STEP,
+                            nodes + 0.75 * _TABLE_STEP, tiny, -tiny, [edge, -edge]])
+        assert np.all(np.abs(x) < _TABLE_RANGE)
+        worst = 0.0
+        for nu in TABLE_DFS:
+            table_cdf, inside = _TCdfTable([nu]).average(np.ones(1), x[:, None].copy())
+            assert inside.all()
+            worst = max(worst, float(np.max(np.abs(table_cdf - stdtr(nu, x)))))
+        assert worst <= _TABLE_MARGIN / 4.0, worst
+
+    def test_third_derivative_constant_bounds_the_t_density(self):
+        x = np.linspace(-5.0, 5.0, 20_001)
+        step = 1e-3
+        fd = (_t_pdf(x + 2 * step, 7.0) - 2 * _t_pdf(x + step, 7.0)
+              + 2 * _t_pdf(x - step, 7.0) - _t_pdf(x - 2 * step, 7.0)) / (2 * step**3)
+        np.testing.assert_allclose(t_pdf_d3(x, 7.0), fd, rtol=0.0, atol=1e-5)
+        # The third derivative is odd in x.
+        half_line = np.linspace(0.0, _TABLE_RANGE, 20_001)
+        sup = max(float(np.max(np.abs(t_pdf_d3(half_line, nu)))) for nu in TABLE_DFS)
+        assert sup <= _T_PDF_D3_MAX
+        assert _TABLE_STEP**4 / 384.0 * _T_PDF_D3_MAX < _TABLE_MARGIN / 4.0
+
+
+class TestHEvent:
+    def test_m1_design_matches_h_at_truth_through_the_range_fallback(self, monkeypatch):
+        # df 1 and 2: the full model's point is t_1 at the truth, so about
+        # 1.6% of replicates have |x| >= 40 and must take the exact h.
+        prob, v_p = two_model_problem(1, 3, 0.5)
+        beta = np.array([0.0, 0.5 * math.sqrt(v_p)])
+        kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 20_000, 41)
+        np.testing.assert_array_equal(kernel.df, [1.0, 2.0])
+        exact_rows = []
+        recording_h(monkeypatch, exact_rows)
+        covered = kernel.covered(beta)
+        monkeypatch.undo()
+        h_theta = kernel.h_at_truth(beta)
+        np.testing.assert_array_equal(covered, (0.025 <= h_theta) & (h_theta <= 0.975))
+        _, theta, scale = kernel.family_arrays(beta)
+        outside = np.any(np.abs((theta - prob.a @ beta) / scale) >= _TABLE_RANGE, axis=1)
+        assert outside.sum() > 100
+        np.testing.assert_array_equal(np.concatenate(exact_rows), theta[outside])
+
+    def test_rows_near_a_cut_point_take_the_exact_path(self, monkeypatch):
+        alpha, df, w = 0.1, np.array([3.0, 4.0]), np.array([0.3, 0.7])
+
+        def h_exact(x):
+            return float(w @ stdtr(df, x))
+
+        near, far = [], []
+        for cut in (alpha / 2.0, 1.0 - alpha / 2.0):
+            xi = brentq(lambda v: h_exact(np.full(2, v)) - cut, -10.0, 10.0)
+            # Both models' points shifted, or only the first's.
+            for shift in (0.0, 1e-9, -1e-8, 3e-8, -3e-8, 1e-6, -1e-6, 1e-3):
+                for x in ([xi + shift, xi + shift], [xi + shift / 0.3, xi]):
+                    gap = abs(h_exact(np.array(x)) - cut)
+                    if gap <= _TABLE_MARGIN / 2.0:
+                        near.append(x)
+                    elif gap >= 2.0 * _TABLE_MARGIN:
+                        far.append(x)
+        assert len(near) >= 6 and len(far) >= 6
+        edge = np.nextafter(_TABLE_RANGE, 0.0)
+        outside = [[_TABLE_RANGE, 0.0], [0.0, -_TABLE_RANGE], [-60.0, 60.0]]
+        far += [[edge, 0.0], [0.0, -edge]]
+        theta = np.array(near + outside + far)
+        scale = np.ones_like(theta)
+        weights = np.broadcast_to(w, theta.shape)
+        exact_rows = []
+        recording_h(monkeypatch, exact_rows)
+        got = _h_event(weights, theta, scale, df, 0.0, _TCdfTable(df), alpha)
+        np.testing.assert_array_equal(np.concatenate(exact_rows), theta[:-len(far)])
+        h_theta = h(weights, theta, scale, df, 0.0)
+        np.testing.assert_array_equal(got, (alpha / 2 <= h_theta) & (h_theta <= 1 - alpha / 2))
 
 
 class TestMinCoverageScan:

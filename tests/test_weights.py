@@ -129,6 +129,13 @@ class TestModelWeights:
         with pytest.raises(ValueError, match="negative restriction statistic"):
             model_weights(fits, fits[ModelSubset(0)].rss, spec)
 
+    def test_rss_full_must_be_the_full_models(self):
+        prob = random_problem(7, n=30, p=5, q=2)
+        fits = fit_family(prob)
+        rss = fits[ModelSubset(0)].rss
+        with pytest.raises(ValueError, match=f"rss_full={2 * rss!r} .* {rss!r}"):
+            model_weights(fits, 2 * rss, WeightSpec.aic(prob.n))
+
     def test_requires_full_model(self):
         prob = random_problem(131)
         K = ModelSubset.from_indices([3])

@@ -14,7 +14,10 @@ entries are equal bit for bit:
 * ``p_hat``, ``audited`` and ``audit_max_residual`` of audited
   (1%, 1e5 replicates) ``simulate_coverage`` runs on two two-model
   designs and on an 8-model design whose two extra droppable columns are
-  orthogonal to the target, with coefficients +-16 standard errors.
+  orthogonal to the target, with coefficients +-16 standard errors;
+* a SHA-256 of the bytes of ``_SimKernel(...).covered(beta)``, the
+  per-replicate h-event (1e5 replicates), on those three designs and on
+  an m = 1 two-model design (df 1 and 2).
 
 ``--compare`` reads an earlier run of this tool, prints how many entries
 differ (or are missing on one side) and the first 10 of their keys, and
@@ -33,6 +36,7 @@ import numpy as np
 
 from matabound import MataRequest, ModelSubset, RegressionProblem, SimScenario, WeightSpec
 from matabound import fit_family, model_weights, simulate_coverage, solve_interval
+from matabound.mcverify import _SimKernel
 from matabound.suites import _correlated_design
 
 ALPHA = 0.05
@@ -44,6 +48,9 @@ DESIGNS = (
     ("m44-n60-bic-rho0.96-g2", 44, 60, "bic", 0.96, 2.0, 0.0),
     ("8model-n20-aic-rho0.85-g1.5", 16, 20, "aic", 0.85, 1.5, 16.0),
 )
+# The h-event's designs: the full model's points of the m = 1 design are
+# t_1 at the truth and often fall outside the kernel's t-cdf table.
+KERNEL_DESIGNS = DESIGNS + (("m1-n3-aic-rho0.5-g0.5", 1, 3, "aic", 0.5, 0.5, 0.0),)
 
 
 def dataset(seed: int) -> tuple[RegressionProblem, WeightSpec]:
@@ -98,17 +105,29 @@ def design(m: int, n: int, rho: float, gamma: float, far: float):
     return _correlated_design(p, n, rho, q=1 if far else p - 1), beta
 
 
+def weight_spec(rule: str, n: int) -> WeightSpec:
+    return WeightSpec.gic(n, 2.0 if rule == "aic" else math.log(n))
+
+
 def coverage_entries() -> dict[str, str]:
     out = {}
     for i, (name, m, n, rule, rho, gamma, far) in enumerate(DESIGNS):
         prob, beta = design(m, n, rho, gamma, far)
-        d = 2.0 if rule == "aic" else math.log(n)
         est = simulate_coverage(SimScenario(prob=prob, beta_over_sigma=beta, reps=MC_REPS,
-                                            seed=1_000 + i, spec=WeightSpec.gic(n, d),
+                                            seed=1_000 + i, spec=weight_spec(rule, n),
                                             alpha=ALPHA))
         out[f"coverage/{name}/p_hat"] = est.p_hat.hex()
         out[f"coverage/{name}/audited"] = float(est.audited).hex()
         out[f"coverage/{name}/audit_max_residual"] = est.audit_max_residual.hex()
+    return out
+
+
+def kernel_entries() -> dict[str, str]:
+    out = {}
+    for i, (name, m, n, rule, rho, gamma, far) in enumerate(KERNEL_DESIGNS):
+        prob, beta = design(m, n, rho, gamma, far)
+        kernel = _SimKernel(prob, weight_spec(rule, n), ALPHA, MC_REPS, 1_000 + i)
+        out[f"covered/{name}"] = sha256(kernel.covered(beta))
     return out
 
 
@@ -122,7 +141,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON here (default: stdout)")
     ap.add_argument("--compare", help="earlier JSON of this tool to compare against")
     args = ap.parse_args(argv)
-    digest = {**interval_entries(), **coverage_entries()}
+    digest = {**interval_entries(), **coverage_entries(), **kernel_entries()}
     text = json.dumps(digest, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
