@@ -7,6 +7,11 @@ bound), ``curve`` (bound against |rho|_max for several sample sizes) and
 write one CSV row per ``BoundResult``; the coverage rule and the gamma
 search behind them take no options.
 
+Flags can come from a defaults file named as ``@FILE``: argparse reads it
+as one token per line (``--n=14``, ``--a=-1,0.5``) and splices the tokens
+in where ``@FILE`` stands, so flags after it win.  The file may start
+with the subcommand itself: ``matabound @run.args --rho-max 0.3``.
+
 Exit codes: 0 success, 2 validation/input error, 3 numerical failure
 (including a failed verify suite).  Summary lines print at 6 significant
 digits; CSV payloads are written at full precision so that re-reading
@@ -33,10 +38,6 @@ from .weights import WeightSpec
 CSV_COLUMNS = ("n", "m", "d", "alpha", "rho_max_abs", "gamma_star", "upper_bound")
 
 
-class CliError(Exception):
-    """Input/validation problem; maps to exit code 2."""
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -51,9 +52,9 @@ def read_csv_matrix(path: str, header: str = "auto") -> tuple[np.ndarray, list[s
         with open(path, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not raw:
-        raise CliError(f"{path}: empty file")
+        raise ValueError(f"{path}: empty file")
 
     def parse_row(cells, rownum):
         out = []
@@ -61,7 +62,7 @@ def read_csv_matrix(path: str, header: str = "auto") -> tuple[np.ndarray, list[s
             try:
                 out.append(float(cell))
             except ValueError:
-                raise CliError(
+                raise ValueError(
                     f"{path}: row {rownum}, column {j + 1}: not a number: {cell!r}"
                 ) from None
         return out
@@ -76,13 +77,13 @@ def read_csv_matrix(path: str, header: str = "auto") -> tuple[np.ndarray, list[s
         names = [c.strip() for c in raw[0]]
         raw = raw[1:]
         if not raw:
-            raise CliError(f"{path}: no data rows below the header")
+            raise ValueError(f"{path}: no data rows below the header")
     data = [parse_row(row, i + 1 + (names is not None)) for i, row in enumerate(raw)]
     width = len(data[0])
     for i, row in enumerate(data):
         if len(row) != width:
-            raise CliError(f"{path}: row {i + 1 + (names is not None)} has "
-                           f"{len(row)} cells, expected {width}")
+            raise ValueError(f"{path}: row {i + 1 + (names is not None)} has "
+                             f"{len(row)} cells, expected {width}")
     return np.asarray(data), names
 
 
@@ -90,24 +91,7 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
         return np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError as exc:
-        raise CliError(f"cannot parse {what} {text!r}: comma-separated numbers expected") from exc
-
-
-def _load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for ln, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}: line {ln}: expected key=value")
-                key, value = line.split("=", 1)
-                out[key.strip().replace("_", "-")] = value.strip()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    return out
+        raise ValueError(f"cannot parse {what} {text!r}: comma-separated numbers expected") from exc
 
 
 def _add_rule_flags(sp) -> None:
@@ -139,9 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="matabound",
         description="Model-averaged tail-area intervals and coverage bounds",
+        epilog="@FILE reads arguments from FILE, one per line (for example --n=14 or "
+               "--a=-1,0.5); flags after @FILE win, and FILE may start with the subcommand.",
+        fromfile_prefix_chars="@",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    ap.add_argument("--config", help="key=value file supplying default flag values")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("interval", help="tail-area interval from CSV data")
@@ -182,15 +168,15 @@ def _problem_from_args(args, with_response: bool) -> RegressionProblem:
     data, _ = read_csv_matrix(args.data, args.header)
     if with_response:
         if data.shape[1] < 2:
-            raise CliError("need at least one design column plus the response")
+            raise ValueError("need at least one design column plus the response")
         X, y = data[:, :-1], data[:, -1]
     else:
         X, y = data, None
     a = _parse_vector(args.a, "--a")
     try:
         return RegressionProblem(X, a, q=args.q, y=y)
-    except (ValueError, MatacoverError) as exc:
-        raise CliError(str(exc)) from exc
+    except MatacoverError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_interval(args) -> int:
@@ -236,9 +222,9 @@ def _emit_rows(results: list[BoundResult], out_path: str | None) -> None:
 
 def cmd_bound(args) -> int:
     if not 0.0 <= args.rho_max < 1.0:
-        raise CliError("--rho-max must lie in [0, 1)")
+        raise ValueError("--rho-max must lie in [0, 1)")
     if args.n <= args.p:
-        raise CliError("--n must exceed --p")
+        raise ValueError("--n must exceed --p")
     res = upper_bound(args.rho_max, args.n - args.p, args.n,
                       resolve_d(args.d_rule, args.n), args.alpha)
     if res.rho_max_abs != args.rho_max:
@@ -254,13 +240,15 @@ def _parse_rho_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError("--rho-grid range must be start:stop:step")
+            raise ValueError("--rho-grid range must be start:stop:step")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise CliError(f"cannot parse --rho-grid {text!r}") from None
-        if step <= 0:
-            raise CliError("--rho-grid step must be positive")
+            raise ValueError(f"cannot parse --rho-grid {text!r}") from None
+        if not (0.0 <= start < 1.0 and 0.0 <= stop < 1.0):
+            raise ValueError("--rho-grid start and stop must lie in [0, 1)")
+        if not 0.0 < step < math.inf:
+            raise ValueError("--rho-grid step must be finite and positive")
         count = math.floor((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 12) for i in range(count)]
     return [float(v) for v in _parse_vector(text, "--rho-grid")]
@@ -270,12 +258,12 @@ def cmd_curve(args) -> int:
     try:
         n_list = [int(v) for v in args.n.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"cannot parse --n {args.n!r}: comma-separated integers expected") from None
+        raise ValueError(f"cannot parse --n {args.n!r}: comma-separated integers expected") from None
     if any(n <= args.p for n in n_list):
-        raise CliError("every --n must exceed --p")
+        raise ValueError("every --n must exceed --p")
     rho_grid = _parse_rho_grid(args.rho_grid)
     if any(not 0.0 <= r < 1.0 for r in rho_grid):
-        raise CliError("--rho-grid values must lie in [0, 1)")
+        raise ValueError("--rho-grid values must lie in [0, 1)")
     result = bound_curve(rho_grid, [(n - args.p, n) for n in n_list], args.d_rule, args.alpha)
     _emit_rows(result.rows, args.out)
     worst = max(result.max_increase.values())
@@ -293,46 +281,10 @@ def cmd_verify(args) -> int:
     return 3 if failed else 0
 
 
-def _apply_config_defaults(argv: list[str]) -> list[str]:
-    """Inject values from --config as defaults (explicit flags win).
-
-    The file is named as ``--config PATH`` or ``--config=PATH``.
-    """
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 == len(argv):
-                raise CliError("--config needs a file path")
-            path, tail = argv[i + 1], argv[i + 2:]
-            break
-        if token.startswith("--config="):
-            path, tail = token[len("--config="):], argv[i + 1:]
-            break
-    else:
-        return argv
-    conf = _load_config(path)
-    head = argv[:i]
-    if not tail:
-        raise CliError("--config must precede a subcommand")
-    cmd, rest = tail[0], tail[1:]
-    # One --key=value token per entry, so a value such as "-1.0,0.5" is not
-    # taken for an option.
-    injected = []
-    for key, value in conf.items():
-        flag = f"--{key}"
-        if flag not in rest:
-            injected.append(f"{flag}={value}")
-    return head + [cmd] + injected + rest
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_defaults(argv)
         args = build_parser().parse_args(argv)
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MatacoverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -173,7 +173,7 @@ class ModelFit:
     s2: float
     u: float
     v: float
-    df: int = field(default=0)  # residual degrees of freedom n - p + |K|
+    df: int  # residual degrees of freedom n - p + |K|
 
 
 def all_subsets(p: int, q: int) -> list[ModelSubset]:

@@ -63,10 +63,10 @@ class TestBoundCommand:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "--rho-max", "0.5", "--n", "12", "--p", "4", flag, "5"])
         assert exc.value.code == 2
-        conf = tmp_path / "run.conf"
-        conf.write_text(f"{flag[2:]}=5\n")
+        defaults = tmp_path / "run.args"
+        defaults.write_text(f"{flag}=5\n")
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(conf), "bound", "--rho-max", "0.5", "--n", "12", "--p", "4"])
+            main(["bound", f"@{defaults}", "--rho-max", "0.5", "--n", "12", "--p", "4"])
         assert exc.value.code == 2
 
     def test_huge_finite_d_rule(self, capsys):
@@ -130,9 +130,15 @@ class TestCurveCommand:
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0:1:0"]) == 2
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", "0.5,1.2"]) == 2
 
-    @pytest.mark.parametrize("grid, message", [("0:1", "start:stop:step"),
-                                               ("0:x:0.1", "cannot parse --rho-grid"),
-                                               ("0.5,x", "cannot parse --rho-grid")])
+    @pytest.mark.parametrize("grid, message", [
+        ("0:1", "start:stop:step"),
+        ("0:x:0.1", "cannot parse --rho-grid"),
+        ("0.5,x", "cannot parse --rho-grid"),
+        ("0:inf:0.1", "--rho-grid start and stop must lie in [0, 1)"),
+        ("nan:0.5:0.1", "--rho-grid start and stop must lie in [0, 1)"),
+        ("0:nan:0.1", "--rho-grid start and stop must lie in [0, 1)"),
+        ("0:0.5:nan", "--rho-grid step must be finite and positive"),
+        ("0:0.5:inf", "--rho-grid step must be finite and positive")])
     def test_malformed_grid_rejected(self, capsys, grid, message):
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", grid]) == 2
         assert message in capsys.readouterr().err
@@ -304,11 +310,9 @@ class TestCsvReader:
         np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_forced_off(self, tmp_path):
-        from matabound.cli import CliError
-
         f = tmp_path / "h.csv"
         f.write_text("alpha,beta\n1,2\n")
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="not a number"):
             read_csv_matrix(str(f), header="no")
 
     def test_headerless_numeric(self, tmp_path):
@@ -319,20 +323,26 @@ class TestCsvReader:
         assert data.shape == (2, 2)
 
     def test_missing_file(self):
-        from matabound.cli import CliError
-
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="cannot read"):
             read_csv_matrix("/nonexistent/file.csv")
 
 
 class TestConfigFile:
+    """Defaults read from an ``@FILE`` of argparse tokens, one per line."""
+
+    def run_exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
     def test_config_supplies_defaults_flags_win(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("rho-max = 0.6\nn = 14\np = 4\n")
-        code = main(["--config", str(conf), "bound", "--rho-max", "0.3"])
-        assert code == 0
-        row = capsys.readouterr().out.strip().splitlines()[-1]
-        assert float(row.split(",")[4]) == 0.3  # explicit flag beat the config
+        defaults = tmp_path / "run.args"
+        defaults.write_text("--rho-max=0.6\n--n=14\n--p=4\n")
+        assert main(["bound", f"@{defaults}", "--rho-max", "0.3"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[:2] == ["14", "10"]
+        assert float(row[4]) == 0.3  # the later flag beat the file
+        assert float(row[-1]) == upper_bound(0.3, 10, 14, 2.0, 0.05).upper_bound
 
     def test_config_vector_with_leading_minus(self, tmp_path, capsys):
         from matabound import correlation_profile
@@ -342,36 +352,41 @@ class TestConfigFile:
         data = tmp_path / "Xy.csv"
         write_problem_csv(data, prob)
         a_text = ",".join(repr(float(v)) for v in prob.a)
-        conf = tmp_path / "run.conf"
-        conf.write_text(f"data = {data}\na = {a_text}\nq = 2\n")
-        assert main(["--config", str(conf), "rho-max", "--response"]) == 0
+        defaults = tmp_path / "run.args"
+        defaults.write_text(f"--data={data}\n--a={a_text}\n--q=2\n")
+        assert main(["rho-max", f"@{defaults}", "--response"]) == 0
         _, rho_max, argmax = correlation_profile(prob)
         assert f"rho_max_abs = {rho_max:.6g} at column {argmax}" in capsys.readouterr().out
-        assert main(["--config", str(conf), "interval"]) == 0
+        assert main(["interval", f"@{defaults}"]) == 0
 
-    def test_config_equals_form(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("rho-max = 0.6\nn = 14\np = 4\n")
-        code = main([f"--config={conf}", "bound"])
-        assert code == 0
-        row = capsys.readouterr().out.strip().splitlines()[-1]
-        assert row.split(",")[:2] == ["14", "10"]
-        assert float(row.split(",")[4]) == 0.6
+    def test_file_names_the_subcommand(self, tmp_path, capsys):
+        defaults = tmp_path / "run.args"
+        defaults.write_text("bound\n--rho-max=0.6\n--n=14\n--p=4\n")
+        assert main([f"@{defaults}", "--rho-max", "0.3"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[:2] == ["14", "10"]
+        assert float(row[4]) == 0.3
 
     def test_config_path_and_placement_checked(self, tmp_path, capsys):
-        assert main(["--config"]) == 2
-        assert "--config needs a file path" in capsys.readouterr().err
-        assert main(["--config", str(tmp_path / "missing.conf"), "bound"]) == 2
-        assert "cannot read config" in capsys.readouterr().err
-        conf = tmp_path / "run.conf"
-        conf.write_text("n = 14\n")
-        assert main(["bound", "--rho-max", "0.5", "--p", "4", "--config", str(conf)]) == 2
-        assert "--config must precede a subcommand" in capsys.readouterr().err
+        assert self.run_exit_code(["bound", f"@{tmp_path / 'missing.args'}"]) == 2
+        assert "missing.args" in capsys.readouterr().err
+        defaults = tmp_path / "run.args"
+        defaults.write_text("--n=14\n")
+        # flags only, named before the subcommand: not a subcommand's flags
+        assert self.run_exit_code([f"@{defaults}", "bound", "--rho-max", "0.5",
+                                   "--p", "4"]) == 2
+        # the removed option
+        for argv in (["--config", str(defaults), "bound"], [f"--config={defaults}", "bound"]):
+            assert self.run_exit_code(argv + ["--rho-max", "0.5", "--n", "14", "--p", "4"]) == 2
 
     def test_bad_config_line(self, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("rho-max 0.6\n")
-        assert main(["--config", str(conf), "bound"]) == 2
+        # the old key = value lines and # comments are no longer read
+        defaults = tmp_path / "run.args"
+        for line in ("n = 14", "# a comment"):
+            defaults.write_text(f"{line}\n")
+            assert self.run_exit_code(["bound", f"@{defaults}", "--rho-max", "0.5",
+                                       "--n", "14", "--p", "4"]) == 2
+            assert f"unrecognized arguments: {line}" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -413,3 +428,11 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         row = proc.stdout.strip().splitlines()[-1].split(",")
         assert float(row[-1]) == upper_bound(0.5, 8, 12, 2.0, 0.05).upper_bound
+
+    def test_bound_reads_defaults_file(self, tmp_path):
+        defaults = tmp_path / "run.args"
+        defaults.write_text("--rho-max=0.9\n--n=12\n--p=4\n--d-rule=bic\n")
+        proc = self.run("bound", f"@{defaults}", "--rho-max", "0.5")
+        assert proc.returncode == 0, proc.stderr
+        row = proc.stdout.strip().splitlines()[-1].split(",")
+        assert float(row[-1]) == upper_bound(0.5, 8, 12, math.log(12), 0.05).upper_bound

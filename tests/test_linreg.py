@@ -143,6 +143,12 @@ class TestFitRestricted:
         assert fit.df == 20 - 4 + 2
         assert fit.s2 == pytest.approx(fit.rss / fit.df)
 
+    def test_degrees_of_freedom_are_required(self):
+        # a default of 0 would make every t tail area of the fit NaN
+        fit = fit_restricted(random_problem(31, n=20, p=4, q=1), ModelSubset.from_indices([2]))
+        with pytest.raises(TypeError, match="df"):
+            type(fit)(fit.subset, fit.beta_hat, fit.rss, fit.s2, fit.u, fit.v)
+
     def test_protected_column_rejected(self):
         prob = random_problem(37, p=5, q=2)
         with pytest.raises(ValueError, match="protected"):

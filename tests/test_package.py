@@ -2,6 +2,10 @@
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import matabound
 
@@ -15,3 +19,14 @@ def test_every_public_import_is_exported():
     namespace = {}
     exec("from matabound import *", namespace)
     assert imported <= namespace.keys()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the slowest part of scipy to import and the package
+    # computes nothing with it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, matabound; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
