@@ -8,9 +8,10 @@ write one CSV row per ``BoundResult``; the coverage rule and the gamma
 search behind them take no options.
 
 Flags can come from a defaults file named as ``@FILE``: argparse reads it
-as one token per line (``--n=14``, ``--a=-1,0.5``) and splices the tokens
-in where ``@FILE`` stands, so flags after it win.  The file may start
-with the subcommand itself: ``matabound @run.args --rho-max 0.3``.
+as one token per line (``--n=14``, ``--a=-1,0.5``), skips blank lines and
+splices the tokens in where ``@FILE`` stands, so flags after it win.  The
+file may start with the subcommand itself: ``matabound @run.args
+--rho-max 0.3``.
 
 Exit codes: 0 success, 2 validation/input error, 3 numerical failure
 (including a failed verify suite).  Summary lines print at 6 significant
@@ -36,6 +37,8 @@ from .suites import SUITES
 from .weights import WeightSpec
 
 CSV_COLUMNS = ("n", "m", "d", "alpha", "rho_max_abs", "gamma_star", "upper_bound")
+# Most values a --rho-grid range may give: a curve costs one bound per cell.
+_RHO_GRID_MAX = 10_000
 
 
 def _fmt(x: float) -> str:
@@ -119,12 +122,19 @@ def _add_data_flags(sp) -> None:
                     help="whether the CSV has a header row (default: auto-detect)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        # a blank line in an @FILE holds no argument, not an empty one
+        return [arg_line] if arg_line.strip() else []
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="matabound",
         description="Model-averaged tail-area intervals and coverage bounds",
         epilog="@FILE reads arguments from FILE, one per line (for example --n=14 or "
-               "--a=-1,0.5); flags after @FILE win, and FILE may start with the subcommand.",
+               "--a=-1,0.5), and skips blank lines; flags after @FILE win, and FILE may "
+               "start with the subcommand.",
         fromfile_prefix_chars="@",
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -249,7 +259,10 @@ def _parse_rho_grid(text: str) -> list[float]:
             raise ValueError("--rho-grid start and stop must lie in [0, 1)")
         if not 0.0 < step < math.inf:
             raise ValueError("--rho-grid step must be finite and positive")
-        count = math.floor((stop - start) / step + 1e-9) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < _RHO_GRID_MAX:  # also an infinite span
+            raise ValueError(f"--rho-grid range gives more than {_RHO_GRID_MAX} values")
+        count = math.floor(span) + 1
         return [round(start + i * step, 12) for i in range(count)]
     return [float(v) for v in _parse_vector(text, "--rho-grid")]
 

@@ -72,7 +72,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, stdtr, stdtrit
 
 from .errors import DomainError, QuadratureError
@@ -99,6 +98,9 @@ _MAX_T_PANELS = 256
 # units, covers scipy's stdtrit, which returns 0 for u within ~1e-8 of 1/2
 # at some degrees of freedom (4 and 6): a quantile error up to 4e-8.
 _QUANTILE_PAD = 1e-7
+# scipy brentq's defaults, which ``_brent`` keeps.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAX_ITERATIONS = 100
 
 # QUADPACK qk15 on [-1, 1]: the 7-point Gauss nodes interlaced with the
 # Kronrod nodes below; the Kronrod weights make the rule exact to degree 14.
@@ -180,11 +182,15 @@ def f_m_pdf(y, m: int):
     ya = np.asarray(y, dtype=float)
     if np.any(ya <= 0.0):
         raise DomainError("f_m_pdf requires y > 0")
-    half = 0.5 * m
-    logf = (math.log(2.0) + half * math.log(half) - gammaln(half)
-            + (m - 1) * np.log(ya) - half * ya * ya)
-    out = np.exp(logf)
+    out = _f_m_pdf_positive(ya, m)
     return float(out) if out.ndim == 0 else out
+
+
+def _f_m_pdf_positive(y: np.ndarray, m: int) -> np.ndarray:
+    """``f_m_pdf`` on an array of positive ``y``, unchecked."""
+    half = 0.5 * m
+    return np.exp(math.log(2.0) + half * math.log(half) - gammaln(half)
+                  + (m - 1) * np.log(y) - half * y * y)
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,18 +341,79 @@ def _root_regime_changes(cfg: TwoModelConfig) -> list[float]:
     change without these cuts: at (m 44, n 1e6, rho .999999, BIC) and gamma
     0.10778 the coverage then reads 4.1e-6 below its converged value, 5.8
     times its estimate, against 3.7e-10 with them."""
-    def excess(t, e, u):
-        w = w1(t * t, cfg.m, cfg.n, cfg.d)
-        return e * w + (1.0 - w) * _t_cdf(abs(cfg.rho) * t, cfg.m) - u
+    def regime(t):
+        return w1(t * t, cfg.m, cfg.n, cfg.d), _t_cdf(abs(cfg.rho) * t, cfg.m)
 
+    def excess(w, cdf, e, u):
+        return e * w + (1.0 - w) * cdf - u
+
+    def scalar_excess(t, e, u):
+        return float(excess(*regime(t), e, u))
+
+    # One scan of the regime on the grid serves all six (u, e).
     t = np.geomspace(1e-8, _T_LADDER_END, 4001)
+    w, cdf = regime(t)
     roots = []
     for u in (0.5 * cfg.alpha, 1.0 - 0.5 * cfg.alpha):
         for e in (0.0, 0.5, 1.0):
-            sign = np.sign(excess(t, e, u))
+            sign = np.sign(excess(w, cdf, e, u))
             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-                roots.append(brentq(excess, t[i], t[i + 1], args=(e, u), xtol=1e-14))
+                roots.append(_brent(scalar_excess, float(t[i]), float(t[i + 1]), 1e-14, (e, u)))
     return roots
+
+
+def _brent(f, a: float, b: float, xtol: float, args: tuple = ()) -> float:
+    """Root of the scalar function ``f(x, *args)`` between ``a`` and ``b``,
+    where it changes sign.
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``) with
+    its defaults, a relative tolerance of 4 eps and at most 100
+    iterations, so it returns scipy's root bit for bit.  Each step
+    interpolates (secant) or extrapolates (inverse quadratic) from the
+    last iterates, and bisects the bracket ``[xcur, xblk]`` instead when
+    that step is not short enough.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise QuadratureError(f"no sign change to bracket a root in [{a!r}, {b!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur, *args)
+    raise QuadratureError(
+        f"root in [{a!r}, {b!r}] unconverged after {_BRENT_MAX_ITERATIONS} iterations")
 
 
 def _t_nodes(a, b, tail) -> tuple[np.ndarray, np.ndarray]:
@@ -519,7 +586,8 @@ class CoverageGrid:
         # are 0 and 1.
         y, half = _panel_nodes(start, start + width)
         e = t[row, None] * y - gamma
-        g = y * f_m_pdf(y, m) * np.exp(-0.5 * e ** 2) / math.sqrt(2.0 * math.pi)
+        # y > 0 on every node: the pieces lie in [y_lo, y_hi]
+        g = y * _f_m_pdf_positive(y, m) * np.exp(-0.5 * e ** 2) / math.sqrt(2.0 * math.pi)
         a_lo = (y[:n1] * slopes[0][row[:n1], None] + shift) / s
         a_hi = (y[n0:n2] * slopes[1][row[n0:n2], None] + shift) / s
         del y

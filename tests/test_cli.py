@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matabound.cli as cli
 import matabound.coverage as coverage
 from matabound import upper_bound
 from matabound.bound import bound_curve
@@ -142,6 +143,20 @@ class TestCurveCommand:
     def test_malformed_grid_rejected(self, capsys, grid, message):
         assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", grid]) == 2
         assert message in capsys.readouterr().err
+
+    def test_oversized_range_refused_before_building(self, capsys, monkeypatch):
+        # 1e-300 would give about 1e300 values and 1e-320 an infinite count;
+        # a refusal must come before the first value is built.
+        def no_values(*args):
+            raise AssertionError("a --rho-grid value was built")
+
+        monkeypatch.setattr(cli, "round", no_values, raising=False)
+        cap = 10_000
+        for grid in ("0:0.9:1e-300", "0:0.9:1e-320", f"0:0.5:{0.5 / cap}"):
+            assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", grid]) == 2
+            assert f"--rho-grid range gives more than {cap} values" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert len(_parse_rho_grid(f"0:0.5:{0.5 / (cap - 1)}")) == cap
 
     def test_n_must_exceed_p(self, capsys):
         assert main(["curve", "--p", "4", "--n", "12,4", "--rho-grid", "0.5"]) == 2
@@ -378,6 +393,14 @@ class TestConfigFile:
         # the removed option
         for argv in (["--config", str(defaults), "bound"], [f"--config={defaults}", "bound"]):
             assert self.run_exit_code(argv + ["--rho-max", "0.5", "--n", "14", "--p", "4"]) == 2
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        defaults = tmp_path / "run.args"
+        defaults.write_text("\n--n=14\n\n   \n--p=4\n\n")
+        assert main(["bound", f"@{defaults}", "--rho-max", "0.3"]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        assert row[:2] == ["14", "10"]
+        assert float(row[-1]) == upper_bound(0.3, 10, 14, 2.0, 0.05).upper_bound
 
     def test_bad_config_line(self, tmp_path, capsys):
         # the old key = value lines and # comments are no longer read

@@ -380,6 +380,35 @@ class TestCoverageDerivatives:
             assert grid.coverage_with_error(gamma) == CoverageGrid(cfg).coverage_with_error(gamma)
 
 
+class TestBrent:
+    @pytest.mark.parametrize("m", (1, 5, 44, 200))
+    def test_matches_scipy_brentq_on_every_regime_bracket(self, monkeypatch, m):
+        brent, brackets = coverage._brent, []
+
+        def recording(f, a, b, xtol, args):
+            brackets.append((f, a, b, xtol, args))
+            return brent(f, a, b, xtol, args)
+
+        monkeypatch.setattr(coverage, "_brent", recording)
+        for rho in (0.3, 0.99, 0.999999, -0.5):
+            for n in (m + 2, 10**6):
+                for rule in ("aic", "bic"):
+                    for alpha in (0.01, 0.05):
+                        cfg = TwoModelConfig(m, n, rho, resolve_d(rule, n), alpha)
+                        coverage._root_regime_changes(cfg)
+        assert len(brackets) >= 50
+        for f, a, b, xtol, args in brackets:
+            assert brent(f, a, b, xtol, args) == brentq(f, a, b, xtol=xtol, args=args)
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(QuadratureError, match=r"no sign change .* \[1\.0, 2\.0\]"):
+            coverage._brent(lambda x: x * x + 1.0, 1.0, 2.0, 1e-14)
+
+    def test_root_at_a_bracket_end_is_returned(self):
+        assert coverage._brent(lambda x: x - 1.0, 1.0, 2.0, 1e-14) == 1.0
+        assert coverage._brent(lambda x: x - 2.0, 1.0, 2.0, 1e-14) == 2.0
+
+
 class TestCoverageSweep:
     def test_sweep_returns_within_tolerance(self):
         # m x rho x n x AIC/BIC: every rho <= 0.99 config returns; at
@@ -416,6 +445,11 @@ class TestNumericalFailures:
         with pytest.raises(QuadratureError,
                            match=r"delta_u residual .* exceeds tolerance -1\.0e\+00"):
             delta_u(0.5, 1.0, 0.025, make_cfg())
+
+    def test_regime_root_unconverged(self, monkeypatch):
+        monkeypatch.setattr(coverage, "_BRENT_MAX_ITERATIONS", 1)
+        with pytest.raises(QuadratureError, match=r"root in \[.*\] unconverged after 1 iterations"):
+            CoverageGrid(make_cfg())
 
     def test_quantiles_out_of_order(self, monkeypatch):
         solve = coverage.delta_u

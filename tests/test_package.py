@@ -21,11 +21,13 @@ def test_every_public_import_is_exported():
     assert imported <= namespace.keys()
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is the slowest part of scipy to import and the package
-    # computes nothing with it
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # the package computes nothing with scipy.stats, the slowest part of
+    # scipy to import, and its one root finder is coverage._brent, not
+    # scipy.optimize's brentq
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, matabound; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = ("import sys, matabound; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.optimize'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

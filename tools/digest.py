@@ -17,7 +17,12 @@ entries are equal bit for bit:
   orthogonal to the target, with coefficients +-16 standard errors;
 * a SHA-256 of the bytes of ``_SimKernel(...).covered(beta)``, the
   per-replicate h-event (1e5 replicates), on those three designs and on
-  an m = 1 two-model design (df 1 and 2).
+  an m = 1 two-model design (df 1 and 2);
+* a SHA-256 of the bytes of ``CoverageGrid(cfg).panels``, the base t
+  panels' ends ``a``, ``b`` and ``tail`` flags, for each of the 64
+  configs of ``tools/sweep64.py``, keyed by its sweep key.  The panels
+  carry the regime cuts, so a cut that moves by one ulp shows even where
+  no bound changes.
 
 ``--compare`` reads an earlier run of this tool, prints how many entries
 differ (or are missing on one side) and the first 10 of their keys, and
@@ -36,8 +41,12 @@ import numpy as np
 
 from matabound import MataRequest, ModelSubset, RegressionProblem, SimScenario, WeightSpec
 from matabound import fit_family, model_weights, simulate_coverage, solve_interval
+from matabound.bound import resolve_d
+from matabound.coverage import CoverageGrid, TwoModelConfig
 from matabound.mcverify import _SimKernel
 from matabound.suites import _correlated_design
+
+import sweep64
 
 ALPHA = 0.05
 MC_REPS = 100_000
@@ -131,6 +140,16 @@ def kernel_entries() -> dict[str, str]:
     return out
 
 
+def panel_entries() -> dict[str, str]:
+    out = {}
+    for c in sweep64.configs():
+        cfg = TwoModelConfig(c["m"], c["n"], c["rho"], resolve_d(c["rule"], c["n"]), sweep64.ALPHA)
+        a, b, tail = CoverageGrid(cfg).panels
+        out[f"panels/{sweep64.key(c)}"] = hashlib.sha256(
+            a.tobytes() + b.tobytes() + tail.tobytes()).hexdigest()
+    return out
+
+
 def compare(new: dict[str, str], old: dict[str, str]) -> list[str]:
     """Sorted keys of the entries that differ or are on one side only."""
     return sorted(k for k in new.keys() | old.keys() if new.get(k) != old.get(k))
@@ -141,7 +160,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON here (default: stdout)")
     ap.add_argument("--compare", help="earlier JSON of this tool to compare against")
     args = ap.parse_args(argv)
-    digest = {**interval_entries(), **coverage_entries(), **kernel_entries()}
+    digest = {**interval_entries(), **coverage_entries(), **kernel_entries(),
+              **panel_entries()}
     text = json.dumps(digest, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
