@@ -21,8 +21,9 @@ for u = alpha/2 and 1 - alpha/2.  The left side is continuous and
 strictly increasing in ``d`` from 0 to 1, so the root is unique; it is
 bracketed exactly by the two pure-model closed forms (the w1 = 1 and
 w1 = 0 solutions).  The equation depends on (x, y) only through
-t = x/y, with ``d_u(x, y) = y D_u(x/y)``; ``D_u`` is located by a
-safeguarded Newton iteration, vectorized over the quadrature nodes.
+t = x/y, with ``d_u(x, y) = y D_u(x/y)``; ``D_u`` is located by
+``_newton_roots``, a safeguarded Newton iteration vectorized over the
+quadrature nodes, which also solves the regime cuts of the t panels.
 
 With ``x = t y`` the coverage is
 
@@ -75,7 +76,7 @@ import numpy as np
 from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, stdtr, stdtrit
 
 from .errors import DomainError, QuadratureError
-from .interval import _MAX_ITERATIONS, _STEP_RTOL, _t_pdf
+from .interval import _MAX_ITERATIONS, _STEP_RTOL, _check_alpha, _t_pdf
 from .linreg import RegressionProblem, correlation_profile
 from .weights import w1
 
@@ -98,9 +99,6 @@ _MAX_T_PANELS = 256
 # units, covers scipy's stdtrit, which returns 0 for u within ~1e-8 of 1/2
 # at some degrees of freedom (4 and 6): a quantile error up to 4e-8.
 _QUANTILE_PAD = 1e-7
-# scipy brentq's defaults, which ``_brent`` keeps.
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
-_BRENT_MAX_ITERATIONS = 100
 
 # QUADPACK qk15 on [-1, 1]: the 7-point Gauss nodes interlaced with the
 # Kronrod nodes below; the Kronrod weights make the rule exact to degree 14.
@@ -140,8 +138,7 @@ class TwoModelConfig:
             raise ValueError("|rho| must be strictly below 1")
         if not 0.0 <= self.d < math.inf:
             raise ValueError("penalty constant d must be finite and nonnegative")
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 0.5]")
+        _check_alpha(self.alpha)
         if abs(self.rho) > _RHO_CLAMP:
             object.__setattr__(self, "rho", math.copysign(_RHO_CLAMP, self.rho))
 
@@ -257,8 +254,8 @@ def delta_u(x, y, u, cfg: TwoModelConfig):
 def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig):
     """Root ``D`` of ``g`` (see ``delta_u``) for ``u <= 1/2``, one entry per t.
 
-    ``q_sub`` and ``q_full`` are the t_{m+1} and t_m quantiles of ``u``.
-    Its loop is the array form of ``interval._newton_step``.
+    ``q_sub`` and ``q_full`` are the t_{m+1} and t_m quantiles of ``u``;
+    the pure-model roots they give bracket ``_newton_roots``.
     """
     m, rho = cfg.m, cfg.rho
     s = math.sqrt(1.0 - rho * rho)
@@ -266,46 +263,58 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig):
     a = np.sqrt((m + 1.0) / (t * t + m)) / s   # c(t) / s
     b = rho * t
 
-    def g(D, w, a, b, u):
-        return w * stdtr(m + 1, a * (D - b)) + (1.0 - w) * _t_cdf(D, m) - u
+    # Named for _newton_roots' unconverged message.
+    def delta_u(D, w, a, b, u):
+        g = w * stdtr(m + 1, a * (D - b)) + (1.0 - w) * _t_cdf(D, m) - u
+        return g, w * a * _t_pdf(a * (D - b), m + 1) + (1.0 - w) * _t_pdf(D, m)
 
     # Roots with all weight on the submodel (q_sub) or the full model (q_full).
     lo = np.minimum(b + (q_sub - _QUANTILE_PAD) / a, q_full - _QUANTILE_PAD)
     hi = np.maximum(b + (q_sub + _QUANTILE_PAD) / a, q_full + _QUANTILE_PAD)
-    D = w * (b + q_sub / a) + (1.0 - w) * q_full
+    D = _newton_roots(delta_u, w * (b + q_sub / a) + (1.0 - w) * q_full, lo, hi, w, a, b, u)
 
-    # Compressed state of the points still iterating; ``idx`` maps it back.
-    idx = np.arange(D.size)
-    Dk, wk, ak, bk, uk = D, w, a, b, u
-    for _ in range(_MAX_ITERATIONS):
-        gk = g(Dk, wk, ak, bk, uk)
-        lo = np.where(gk < 0.0, Dk, lo)
-        hi = np.where(gk > 0.0, Dk, hi)
-        slope = wk * ak * _t_pdf(ak * (Dk - bk), m + 1) + (1.0 - wk) * _t_pdf(Dk, m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = Dk - gk / slope
-        small = _STEP_RTOL * np.maximum(1.0, np.abs(Dk))
-        # A converged step may round onto the bracket end it started from.
-        newton = ((nxt > lo) & (nxt < hi)) | (np.abs(nxt - Dk) <= small)
-        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        done = np.abs(nxt - Dk) <= small
-        Dk = nxt
-        D[idx] = Dk
-        keep = ~done
-        if not keep.any():
-            break
-        idx, Dk, lo, hi, wk, ak, bk, uk = (
-            v[keep] for v in (idx, Dk, lo, hi, wk, ak, bk, uk))
-    else:
-        raise QuadratureError(
-            f"delta_u: {idx.size} points unconverged after {_MAX_ITERATIONS} iterations"
-        )
-
-    worst = float(np.max(np.abs(g(D, w, a, b, u))))
+    worst = float(np.max(np.abs(delta_u(D, w, a, b, u)[0])))
     tol = _RULE.delta_tol
     if worst > tol:
         raise QuadratureError(f"delta_u residual {worst:.3e} exceeds tolerance {tol:.1e}")
     return D
+
+
+def _newton_roots(f, x, lo, hi, *params):
+    """Roots of ``f``, one per entry of the start ``x``, each inside its
+    bracket [lo, hi]: the array form of ``interval._newton_step``.
+
+    ``f(x, *params)`` returns ``(g, slope)``, with ``g`` increasing through
+    each bracket and ``params`` arrays aligned with ``x``.  Each entry stops
+    on its own once its step is at most ``_STEP_RTOL`` max(1, |x|); the loop
+    carries only the entries still iterating.  Entries still iterating after
+    ``_MAX_ITERATIONS`` steps raise ``QuadratureError``, named by
+    ``f.__name__``.
+    """
+    x = x.copy()
+    # Compressed state of the entries still iterating; ``idx`` maps it back.
+    idx = np.arange(x.size)
+    xk = x
+    for _ in range(_MAX_ITERATIONS):
+        gk, slope = f(xk, *params)
+        lo = np.where(gk < 0.0, xk, lo)
+        hi = np.where(gk > 0.0, xk, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(slope > 0.0, xk - gk / slope, math.nan)
+        small = _STEP_RTOL * np.maximum(1.0, np.abs(xk))
+        # A converged step may round onto the bracket end it started from.
+        newton = ((nxt > lo) & (nxt < hi)) | (np.abs(nxt - xk) <= small)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        done = np.abs(nxt - xk) <= small
+        xk = nxt
+        x[idx] = xk
+        keep = ~done
+        if not keep.any():
+            return x
+        idx, xk, lo, hi = idx[keep], xk[keep], lo[keep], hi[keep]
+        params = tuple(v[keep] for v in params)
+    raise QuadratureError(
+        f"{f.__name__}: {idx.size} points unconverged after {_MAX_ITERATIONS} iterations")
 
 
 def _t_panels(cfg: TwoModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -340,80 +349,37 @@ def _root_regime_changes(cfg: TwoModelConfig) -> list[float]:
     over a width in t proportional to s.  The error estimate misses that
     change without these cuts: at (m 44, n 1e6, rho .999999, BIC) and gamma
     0.10778 the coverage then reads 4.1e-6 below its converged value, 5.8
-    times its estimate, against 3.7e-10 with them."""
+    times its estimate, against 3.7e-10 with them.
+
+    A scan of t on 4,001 points brackets every sign change of the excess
+    ``e w1 + (1 - w1) T_m - u``; each bracket's excess is flipped to rise
+    through it, and ``_newton_roots`` solves all of them at once, with the
+    slope ``(e - T_m) w1' + (1 - w1) |rho| f_{t_m}(|rho| t)`` and
+    ``w1' = -w1 (1 - w1) n t / (m + t^2)``.  Over m 1-200, rho .3 to
+    .999999 and -.5, n m + 2 and 1e6, AIC and BIC and alpha .01 and .05 the
+    cuts lie within 2.2e-14 (relative) of the exact sign change.
+    """
+    m, n, r = cfg.m, cfg.n, abs(cfg.rho)
+
     def regime(t):
-        return w1(t * t, cfg.m, cfg.n, cfg.d), _t_cdf(abs(cfg.rho) * t, cfg.m)
+        return w1(t * t, m, n, cfg.d), _t_cdf(r * t, m)
 
-    def excess(w, cdf, e, u):
-        return e * w + (1.0 - w) * cdf - u
+    def regime_cut(t, e, u, flip):
+        w, cdf = regime(t)
+        dw = -w * (1.0 - w) * n * t / (m + t * t)
+        slope = (e - cdf) * dw + (1.0 - w) * r * _t_pdf(r * t, m)
+        return flip * (e * w + (1.0 - w) * cdf - u), flip * slope
 
-    def scalar_excess(t, e, u):
-        return float(excess(*regime(t), e, u))
-
-    # One scan of the regime on the grid serves all six (u, e).
+    # One scan of the regime serves all six (u, e), one row each.
     t = np.geomspace(1e-8, _T_LADDER_END, 4001)
     w, cdf = regime(t)
-    roots = []
-    for u in (0.5 * cfg.alpha, 1.0 - 0.5 * cfg.alpha):
-        for e in (0.0, 0.5, 1.0):
-            sign = np.sign(excess(w, cdf, e, u))
-            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-                roots.append(_brent(scalar_excess, float(t[i]), float(t[i + 1]), 1e-14, (e, u)))
-    return roots
-
-
-def _brent(f, a: float, b: float, xtol: float, args: tuple = ()) -> float:
-    """Root of the scalar function ``f(x, *args)`` between ``a`` and ``b``,
-    where it changes sign.
-
-    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``) with
-    its defaults, a relative tolerance of 4 eps and at most 100
-    iterations, so it returns scipy's root bit for bit.  Each step
-    interpolates (secant) or extrapolates (inverse quadratic) from the
-    last iterates, and bisects the bracket ``[xcur, xblk]`` instead when
-    that step is not short enough.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise QuadratureError(f"no sign change to bracket a root in [{a!r}, {b!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITERATIONS):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur, *args)
-    raise QuadratureError(
-        f"root in [{a!r}, {b!r}] unconverged after {_BRENT_MAX_ITERATIONS} iterations")
+    u = np.repeat([0.5 * cfg.alpha, 1.0 - 0.5 * cfg.alpha], 3)[:, None]
+    e = np.tile([0.0, 0.5, 1.0], 2)[:, None]
+    sign = np.sign(e * w + (1.0 - w) * cdf - u)
+    j, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    a, b = t[i], t[i + 1]
+    return _newton_roots(regime_cut, 0.5 * (a + b), a, b, e[j, 0], u[j, 0],
+                         sign[j, i + 1]).tolist()
 
 
 def _t_nodes(a, b, tail) -> tuple[np.ndarray, np.ndarray]:

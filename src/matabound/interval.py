@@ -12,10 +12,12 @@ both roots exist and are unique.  Being a convex combination of the
 models' tail areas, ``h`` crosses each target between the smallest and
 largest of the models' own roots (the ends of their t intervals), so
 those roots give an exact bracket and no search is needed.
-``solve_interval`` refines both endpoints in it by ``_newton_step``, the
-safeguarded Newton step of ``bound``'s polish and ``coverage.delta_u``,
-evaluating ``h`` at both tails' points in one call.  The same ``h`` serves
-the Monte Carlo oracle, with replicates on a leading axis.
+``solve_interval`` refines both endpoints in it by ``_newton_step``, a
+safeguarded Newton step, evaluating ``h`` at both tails' points in one
+call.  The same step serves ``bound``'s polish, and its array form
+``coverage._newton_roots`` solves ``delta_u`` and the regime cuts.  The
+same ``h`` serves the Monte Carlo oracle, with replicates on a leading
+axis.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ _MAX_ITERATIONS = 100
 _RESIDUAL_TOL = 1e-9
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse an ``alpha`` outside (0, 0.5], or one so small that the upper
+    target ``1 - alpha/2`` rounds to 1 (alpha at most 2**-53)."""
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError("alpha must lie in (0, 0.5]")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha/2 rounds to 1")
+
+
 @dataclass(frozen=True)
 class MataRequest:
     """Inputs for one interval computation over the all-subsets family.
@@ -57,8 +68,7 @@ class MataRequest:
 
     def __post_init__(self):
         self.spec.check_n(self.prob.n)
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 0.5]")
+        _check_alpha(self.alpha)
 
     def resolved_family(self) -> list[ModelSubset]:
         return all_subsets(self.prob.p, self.prob.q)

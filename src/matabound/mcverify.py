@@ -49,13 +49,14 @@ bit-reproducible for a given seed whatever the block size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
 
 from .errors import EventMismatch
-from .interval import MataRequest, _t_pdf, h, solve_interval
+from .interval import MataRequest, _check_alpha, _t_pdf, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
     RegressionProblem,
@@ -83,6 +84,15 @@ _TABLE_STEP = 1.0 / 64.0
 _TABLE_RANGE = 40.0
 _TABLE_MARGIN = 1e-8
 _T_PDF_D3_MAX = 1.487
+
+
+def _check_reps(reps: int, least: int, name: str) -> None:
+    """Refuse a replicate count that is not an integer (numpy's included)
+    or is below ``least``; ``name`` names it in the message."""
+    if not isinstance(reps, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {reps!r}")
+    if reps < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def _check_seed(seed: int) -> None:
@@ -115,11 +125,9 @@ class SimScenario:
             raise ValueError(f"beta_over_sigma must have length p={self.prob.p}")
         if not np.isfinite(beta).all():
             raise ValueError("beta_over_sigma must be finite")
-        if self.reps < _MIN_REPS:
-            raise ValueError(f"reps must be at least {_MIN_REPS}")
+        _check_reps(self.reps, _MIN_REPS, "reps")
         _check_seed(self.seed)
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError("alpha must lie in (0, 0.5]")
+        _check_alpha(self.alpha)
         if not 0.0 <= self.audit_fraction <= 1.0:
             raise ValueError("audit_fraction must lie in [0, 1]")
         beta.setflags(write=False)
@@ -308,7 +316,9 @@ def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
     """
     audited = np.arange(0)
     if sc.audit_fraction:
-        audited = np.arange(0, sc.reps, max(1, int(round(1.0 / sc.audit_fraction))))
+        # A stride capped at reps: a fraction below 1/reps audits replicate 0.
+        stride = max(1, int(round(min(sc.reps, 1.0 / sc.audit_fraction))))
+        audited = np.arange(0, sc.reps, stride)
     kernel = _SimKernel(sc.prob, sc.spec, sc.alpha, sc.reps, sc.seed, keep=audited)
     covered = kernel.covered(sc.beta_over_sigma)
     p_hat = float(np.mean(covered))
@@ -368,9 +378,9 @@ def min_coverage_scan(
         raise ValueError(f"grid vectors must have length p - q = {free}")
     if not all(np.isfinite(v).all() for v in grid):
         raise ValueError("grid vectors must be finite")
-    if reps < _MIN_SCAN_REPS:
-        raise ValueError(f"scan reps must be at least {_MIN_SCAN_REPS}")
+    _check_reps(reps, _MIN_SCAN_REPS, "scan reps")
     _check_seed(seed)
+    _check_alpha(alpha)
 
     kernel = _SimKernel(prob, spec, alpha, reps, seed)
     best_p, best_v = math.inf, None
@@ -430,8 +440,7 @@ def w1_decay_scan(
         raise ValueError("gamma_grid must be finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if reps < _MIN_SCAN_REPS:
-        raise ValueError(f"reps must be at least {_MIN_SCAN_REPS}")
+    _check_reps(reps, _MIN_SCAN_REPS, "reps")
     _check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -97,6 +97,13 @@ class TestBoundCommand:
                      "--d-rule", "nope"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_alpha_whose_upper_target_rounds_to_one_exits_2(self, capsys):
+        for alpha in ("1e-17", "1e-300"):
+            assert main(["bound", "--rho-max", "0.5", "--n", "4", "--p", "2",
+                         "--alpha", alpha]) == 2
+            assert capsys.readouterr().err == (
+                f"error: alpha {float(alpha)!r} is too small: 1 - alpha/2 rounds to 1\n")
+
 
 class TestCurveCommand:
     def test_round_trip_is_bit_identical(self, tmp_path, capsys):

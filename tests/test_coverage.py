@@ -269,14 +269,16 @@ PERFBENCH_CELLS = [
 
 
 # (value, error estimate) at gamma = 0, 1, 2 on each perfbench cell, from
-# the rule that evaluated both normal cdfs at every y node.
+# the rule that evaluated both normal cdfs at every y node: a fresh
+# CoverageGrid's coverage_with_error with coverage._PHI_SATURATED set to
+# math.inf, so that no cdf counts as saturated.
 PINNED = [
-    [(0.9504340491279583, 8.157667029875905e-09), (0.9384069852326764, 2.0794500912644524e-08),
-     (0.9406825628481574, 1.8712440407108443e-09)],
-    [(0.954046112513294, 8.10100319096879e-11), (0.9416191007578382, 9.091371638920543e-11),
-     (0.9353271872372279, 1.8559336423897354e-10)],
-    [(0.9803648314548812, 2.3502972531430064e-07), (0.8357691320647912, 7.473965324574582e-08),
-     (0.8492362315337709, 8.479319503552815e-07)],
+    [(0.9504340491279583, 8.157667029553897e-09), (0.9384069852326764, 2.0794500913455694e-08),
+     (0.9406825628481574, 1.8714891693187183e-09)],
+    [(0.9540461125132941, 8.101003143087857e-11), (0.9416191007578381, 9.091371372168782e-11),
+     (0.9353271872372279, 1.8559335779474998e-10)],
+    [(0.9803648314548812, 2.350297253296975e-07), (0.8357691320647911, 7.473965323521359e-08),
+     (0.8492362315337709, 8.479319503306664e-07)],
 ]
 
 
@@ -380,33 +382,40 @@ class TestCoverageDerivatives:
             assert grid.coverage_with_error(gamma) == CoverageGrid(cfg).coverage_with_error(gamma)
 
 
-class TestBrent:
+class TestRegimeCuts:
+    # Sign changes of the regime excess on the scan, per m, over the grid
+    # below: 412 in all.
+    BRACKETS = {1: 76, 5: 112, 44: 112, 200: 112}
+
     @pytest.mark.parametrize("m", (1, 5, 44, 200))
-    def test_matches_scipy_brentq_on_every_regime_bracket(self, monkeypatch, m):
-        brent, brackets = coverage._brent, []
-
-        def recording(f, a, b, xtol, args):
-            brackets.append((f, a, b, xtol, args))
-            return brent(f, a, b, xtol, args)
-
-        monkeypatch.setattr(coverage, "_brent", recording)
+    def test_within_1e_13_of_brentq_on_every_bracket(self, m):
+        # Each cut is checked against scipy's brentq, run to its own
+        # 4 eps rtol (xtol 1e-300), on the scan bracket it lies in.
+        t = np.geomspace(1e-8, coverage._T_LADDER_END, 4001)
+        brackets = 0
         for rho in (0.3, 0.99, 0.999999, -0.5):
             for n in (m + 2, 10**6):
                 for rule in ("aic", "bic"):
                     for alpha in (0.01, 0.05):
                         cfg = TwoModelConfig(m, n, rho, resolve_d(rule, n), alpha)
-                        coverage._root_regime_changes(cfg)
-        assert len(brackets) >= 50
-        for f, a, b, xtol, args in brackets:
-            assert brent(f, a, b, xtol, args) == brentq(f, a, b, xtol=xtol, args=args)
+                        cuts = np.sort(coverage._root_regime_changes(cfg))
 
-    def test_bracket_without_sign_change_raises(self):
-        with pytest.raises(QuadratureError, match=r"no sign change .* \[1\.0, 2\.0\]"):
-            coverage._brent(lambda x: x * x + 1.0, 1.0, 2.0, 1e-14)
+                        def excess(x, e, u):
+                            w = w1(x * x, m, n, cfg.d)
+                            return e * w + (1.0 - w) * coverage._t_cdf(abs(rho) * x, m) - u
 
-    def test_root_at_a_bracket_end_is_returned(self):
-        assert coverage._brent(lambda x: x - 1.0, 1.0, 2.0, 1e-14) == 1.0
-        assert coverage._brent(lambda x: x - 2.0, 1.0, 2.0, 1e-14) == 2.0
+                        refs = []
+                        for u in (alpha / 2.0, 1.0 - alpha / 2.0):
+                            for e in (0.0, 0.5, 1.0):
+                                sign = np.sign(excess(t, e, u))
+                                for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+                                    refs.append(brentq(lambda x: float(excess(x, e, u)),
+                                                       t[i], t[i + 1], xtol=1e-300))
+                        refs = np.sort(refs)
+                        assert cuts.size == refs.size
+                        assert np.all(np.abs(cuts - refs) <= 1e-13 * refs)
+                        brackets += refs.size
+        assert brackets == self.BRACKETS[m]
 
 
 class TestCoverageSweep:
@@ -447,8 +456,10 @@ class TestNumericalFailures:
             delta_u(0.5, 1.0, 0.025, make_cfg())
 
     def test_regime_root_unconverged(self, monkeypatch):
-        monkeypatch.setattr(coverage, "_BRENT_MAX_ITERATIONS", 1)
-        with pytest.raises(QuadratureError, match=r"root in \[.*\] unconverged after 1 iterations"):
+        # _t_panels solves the regime cuts before _roots solves delta_u.
+        monkeypatch.setattr(coverage, "_MAX_ITERATIONS", 1)
+        with pytest.raises(QuadratureError,
+                           match=r"regime_cut: \d+ points unconverged after 1 iterations"):
             CoverageGrid(make_cfg())
 
     def test_quantiles_out_of_order(self, monkeypatch):
@@ -498,7 +509,8 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 WeightSpec.gic(7, d)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.6, float("nan")])
+    # At and below 2**-53, 1 - alpha/2 rounds to 1.
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, float("nan"), 1e-17, 2.0**-53])
     def test_alpha_range(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             TwoModelConfig(m=5, n=7, rho=0.5, d=2.0, alpha=alpha)

@@ -331,6 +331,14 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.0)
 
+    def test_alpha_whose_upper_target_rounds_to_one(self):
+        prob = random_problem(401)
+        for alpha in (1e-17, 1e-300):
+            with pytest.raises(ValueError, match="1 - alpha/2 rounds to 1"):
+                MataRequest(prob, WeightSpec.aic(prob.n), alpha=alpha)
+        iv = solve_interval(MataRequest(prob, WeightSpec.aic(prob.n), alpha=1e-15))
+        assert iv.lower < iv.upper
+
     def test_spec_for_another_sample_size_rejected(self):
         prob = random_problem(7, n=30, p=5, q=2)
         with pytest.raises(ValueError, match="WeightSpec has n=300 but the problem has n=30"):

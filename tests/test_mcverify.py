@@ -34,7 +34,7 @@ from matabound.mcverify import (
     _SimKernel,
     _TCdfTable,
 )
-from matabound.suites import two_model_problem, two_model_scenario
+from matabound.suites import _correlated_design, two_model_problem, two_model_scenario
 
 from helpers import random_problem
 
@@ -92,6 +92,13 @@ class TestSimulateCoverage:
             assert 0.0 <= est.audit_max_residual <= 1e-12
         else:
             assert est.audited == 0 and est.audit_max_residual == 0.0
+
+    def test_audit_fraction_below_one_over_reps_audits_replicate_0(self):
+        # 1e-320 and 5e-324 are subnormal: 1 / fraction overflows to inf.
+        for fraction in (1e-300, 1e-320, 5e-324):
+            sc = two_model_scenario(5, 7, 0.7, 1.0, 2.0, 0.05, reps=10_000, seed=21,
+                                    audit_fraction=fraction)
+            assert simulate_coverage(sc).audited == 1
 
     def test_bit_reproducible(self):
         sc = two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05,
@@ -397,6 +404,14 @@ class TestMinCoverageScan:
         with pytest.raises(ValueError, match="length"):
             min_coverage_scan(prob, spec, 0.05, [np.zeros(7)], reps=2_000, seed=1)
 
+    @pytest.mark.parametrize("alpha, message", [(1.5, "lie in"), (0.0, "lie in"), (-0.1, "lie in"),
+                                                (math.nan, "lie in"), (1e-17, "rounds to 1")])
+    def test_alpha_checked(self, alpha, message):
+        prob = _correlated_design(4, 20, 0.85, q=1)
+        with pytest.raises(ValueError, match=message):
+            min_coverage_scan(prob, WeightSpec.aic(prob.n), alpha, [np.zeros(3)],
+                              reps=1_000, seed=1)
+
     def test_free_coefficient_cap(self):
         prob = random_problem(509, n=40, p=23, q=2, with_y=False)
         with pytest.raises(ValueError, match="p - q"):
@@ -453,7 +468,7 @@ class TestScenarioValidation:
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p + 1),
                         reps=10_000, seed=1, spec=WeightSpec.aic(prob.n))
 
-    @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("alpha", 0.6),
+    @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("alpha", 0.6), ("alpha", 1e-17),
                                               ("audit_fraction", -0.1),
                                               ("audit_fraction", 1.5)])
     def test_alpha_and_audit_fraction_ranges(self, field, value):
@@ -475,6 +490,21 @@ class TestScenarioValidation:
             min_coverage_scan(prob, spec, 0.05, [np.zeros(3), beta[2:]], reps=2_000, seed=1)
         with pytest.raises(ValueError, match="gamma_grid must be finite"):
             w1_decay_scan(5, [100], [0.0, bad], eps=0.1, reps=2_000, seed=1)
+
+    def test_non_integral_reps_refused(self):
+        prob = random_problem(511, with_y=False)
+        spec = WeightSpec.aic(prob.n)
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000.5, seed=1,
+                        spec=spec)
+        with pytest.raises(ValueError, match="scan reps must be an integer"):
+            min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=2_000.5, seed=1)
+        with pytest.raises(ValueError, match="reps must be an integer"):
+            w1_decay_scan(5, [100], [0.0], eps=0.1, reps=2_000.5, seed=1)
+        # numpy integers pass
+        SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=np.int64(10_000), seed=1,
+                    spec=spec)
+        assert w1_decay_scan(5, [100], [0.0], eps=0.1, reps=np.int64(2_000), seed=1).reps == 2_000
 
     def test_scan_reps_eps_and_grids_checked(self):
         prob = random_problem(511, with_y=False)

@@ -25,8 +25,9 @@ entries are equal bit for bit:
   no bound changes.
 
 ``--compare`` reads an earlier run of this tool, prints how many entries
-differ (or are missing on one side) and the first 10 of their keys, and
-exits 1 if any do.
+differ (or are missing on one side), how many of them fall under each key
+prefix (``interval``, ``fits``, ``weights``, ``coverage``, ``covered`` and
+``panels``) and the first 10 of their keys, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -173,6 +175,9 @@ def main(argv=None) -> int:
             old = json.load(fh)
         differing = compare(digest, old)
         print(f"entries {len(digest)}: {len(differing)} differ", file=sys.stderr)
+        counts = Counter(k.split("/")[0] for k in differing)
+        prefixes = dict.fromkeys(k.split("/")[0] for k in (*digest, *old))
+        print("  by prefix: " + ", ".join(f"{p} {counts[p]}" for p in prefixes), file=sys.stderr)
         for k in differing[:10]:
             print(f"  {k}: {old.get(k)} -> {digest.get(k)}", file=sys.stderr)
         return 1 if differing else 0
