@@ -26,7 +26,7 @@ from .mcverify import (
     simulate_coverage,
     w1_decay_scan,
 )
-from .weights import WeightSpec, gic, model_weights, w1
+from .weights import WeightSpec, model_weights, w1
 
 __all__ = [
     "BoundResult",
@@ -49,7 +49,6 @@ __all__ = [
     "delta_u",
     "f_m_pdf",
     "fit_family",
-    "gic",
     "min_coverage_scan",
     "model_weights",
     "simulate_coverage",

@@ -34,6 +34,7 @@ import numpy as np
 from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
 from .errors import QuadratureError
 from .interval import _MAX_ITERATIONS, _newton_step
+from .weights import _check_integer
 
 _GRID_STEP = 1.0
 _RULE = QuadratureConfig()
@@ -169,7 +170,7 @@ def bound_curve(
     separate ``upper_bound`` calls bit for bit.
     """
     rho_grid = [float(r) for r in rho_grid]
-    m_n_pairs = [(int(m), int(n)) for m, n in m_n_pairs]
+    m_n_pairs = [(_check_integer(m, "m"), _check_integer(n, "n")) for m, n in m_n_pairs]
     if not rho_grid or not m_n_pairs:
         raise ValueError("rho_grid and m_n_pairs must be nonempty")
     if len(set(m_n_pairs)) < len(m_n_pairs):

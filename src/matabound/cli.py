@@ -45,8 +45,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def read_csv_matrix(path: str, header: str = "auto") -> tuple[np.ndarray, list[str] | None]:
-    """Read a numeric CSV; returns (matrix, column names or None).
+def read_csv_matrix(path: str, header: str = "auto") -> np.ndarray:
+    """Read a numeric CSV into a matrix, skipping any header row.
 
     ``header`` is 'auto' (non-numeric first row means header), 'yes' or
     'no'.  Malformed cells are reported with 1-based row/column.
@@ -70,24 +70,23 @@ def read_csv_matrix(path: str, header: str = "auto") -> tuple[np.ndarray, list[s
                 ) from None
         return out
 
-    names: list[str] | None = None
     first_numeric = True
     try:
         [float(c) for c in raw[0]]
     except ValueError:
         first_numeric = False
-    if header == "yes" or (header == "auto" and not first_numeric):
-        names = [c.strip() for c in raw[0]]
+    skip = header == "yes" or (header == "auto" and not first_numeric)
+    if skip:
         raw = raw[1:]
         if not raw:
             raise ValueError(f"{path}: no data rows below the header")
-    data = [parse_row(row, i + 1 + (names is not None)) for i, row in enumerate(raw)]
+    data = [parse_row(row, i + 1 + skip) for i, row in enumerate(raw)]
     width = len(data[0])
     for i, row in enumerate(data):
         if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1 + (names is not None)} has "
+            raise ValueError(f"{path}: row {i + 1 + skip} has "
                              f"{len(row)} cells, expected {width}")
-    return np.asarray(data), names
+    return np.asarray(data)
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _problem_from_args(args, with_response: bool) -> RegressionProblem:
-    data, _ = read_csv_matrix(args.data, args.header)
+    data = read_csv_matrix(args.data, args.header)
     if with_response:
         if data.shape[1] < 2:
             raise ValueError("need at least one design column plus the response")

@@ -77,8 +77,7 @@ from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, stdtr, stdtr
 
 from .errors import DomainError, QuadratureError
 from .interval import _MAX_ITERATIONS, _STEP_RTOL, _check_alpha, _t_pdf
-from .linreg import RegressionProblem, correlation_profile
-from .weights import w1
+from .weights import _check_integer, w1
 
 _RHO_CLAMP = 1.0 - 1e-9
 # Bound on the error estimate of every coverage value.
@@ -130,6 +129,8 @@ class TwoModelConfig:
     alpha: float
 
     def __post_init__(self):
+        _check_integer(self.m, "m")
+        _check_integer(self.n, "n")
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if self.n <= self.m:
@@ -141,14 +142,6 @@ class TwoModelConfig:
         _check_alpha(self.alpha)
         if abs(self.rho) > _RHO_CLAMP:
             object.__setattr__(self, "rho", math.copysign(_RHO_CLAMP, self.rho))
-
-    @classmethod
-    def from_problem(
-        cls, prob: RegressionProblem, d: float, alpha: float
-    ) -> "TwoModelConfig":
-        """Config for the two-model family built on the max-|correlation| column."""
-        _, rho_max_abs, _ = correlation_profile(prob)
-        return cls(m=prob.n - prob.p, n=prob.n, rho=rho_max_abs, d=d, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -96,9 +96,17 @@ def h(w, theta, scale, df, z):
 
 
 def _family_arrays(fits: dict[ModelSubset, ModelFit], weights, a: np.ndarray):
-    """(w, theta, scale, df) of a fitted family, models in mask order."""
+    """(w, theta, scale, df) of a fitted family, models in mask order.
+
+    ``weights`` must hold one weight per fitted model and no other.
+    """
     models = sorted(fits.values(), key=lambda f: f.subset.mask)
-    w = np.array([weights[f.subset] for f in models])
+    try:
+        w = np.array([weights[f.subset] for f in models])
+    except KeyError as exc:
+        raise ValueError(f"no weight for the fitted model {exc.args[0]}") from None
+    if len(weights) != len(models):
+        raise ValueError(f"weights for models not in fits: {sorted(set(weights) - set(fits))}")
     theta = np.array([f.beta_hat for f in models]) @ a
     scale2 = np.array([f.s2 * f.v for f in models])
     if np.any(scale2 <= 0.0):
@@ -191,7 +199,9 @@ def solve_interval(
     if fits is None:
         fits = fit_family(req.prob, req.resolved_family())
     if weights is None:
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, req.spec)
+        # model_weights refuses a family without the full model
+        full = fits.get(ModelSubset(0))
+        weights = model_weights(fits, math.nan if full is None else full.rss, req.spec)
     arrays = _family_arrays(fits, weights, req.prob.a)
     (lower, upper), residuals = _solve_tails(
         *arrays, (1.0 - req.alpha / 2.0, req.alpha / 2.0))

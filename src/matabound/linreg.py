@@ -16,7 +16,6 @@ aimed at.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,14 @@ class RegressionProblem:
             raise ValueError("interest vector a is zero")
         if np.any(a[self.q:] != 0.0):
             raise ValueError("a[q:] must be exactly zero")
-        y = None if self.y is None else _frozen_response(self.y, n)
+        y = self.y
+        if y is not None:
+            y = np.array(y, dtype=float)
+            if y.shape != (n,):
+                raise ValueError(f"y must have length n={n}, got shape {y.shape}")
+            if not np.isfinite(y).all():
+                raise ValueError("y contains NaN or infinite entries")
+            y.setflags(write=False)
         stats = DesignStats(X, a)
         X.setflags(write=False)
         a.setflags(write=False)
@@ -103,25 +109,6 @@ class RegressionProblem:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def with_response(self, y) -> "RegressionProblem":
-        """Return a copy of this problem with response ``y`` attached.
-
-        The copy shares this problem's design arrays and ``stats``.
-        """
-        out = copy.copy(self)
-        object.__setattr__(out, "y", _frozen_response(y, self.n))
-        return out
-
-
-def _frozen_response(y, n: int) -> np.ndarray:
-    y = np.array(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"y must have length n={n}, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("y contains NaN or infinite entries")
-    y.setflags(write=False)
-    return y
 
 
 @dataclass(frozen=True, order=True)

@@ -49,7 +49,6 @@ bit-reproducible for a given seed whatever the block size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +63,7 @@ from .linreg import (
     fit_family,
     forward,
 )
-from .weights import WeightSpec, w1
+from .weights import WeightSpec, _check_integer, w1
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
@@ -87,11 +86,9 @@ _T_PDF_D3_MAX = 1.487
 
 
 def _check_reps(reps: int, least: int, name: str) -> None:
-    """Refuse a replicate count that is not an integer (numpy's included)
-    or is below ``least``; ``name`` names it in the message."""
-    if not isinstance(reps, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {reps!r}")
-    if reps < least:
+    """Refuse a replicate count that is not an integer (numpy's pass) or
+    is below ``least``; ``name`` names it in the message."""
+    if _check_integer(reps, name) < least:
         raise ValueError(f"{name} must be at least {least}")
 
 
@@ -428,9 +425,9 @@ def w1_decay_scan(
     same (Z, Q) draws serve every (n, gamma) cell.  The weight is BIC's,
     with penalty d = ln n at each n, as in Theorem 4.
     """
-    if m < 1:
+    if _check_integer(m, "m") < 1:
         raise ValueError("m must be at least 1")
-    ns = tuple(int(n) for n in n_list)
+    ns = tuple(_check_integer(n, "n") for n in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
     gammas = tuple(float(g) for g in gamma_grid)

@@ -17,6 +17,7 @@ from the ``u_K / rss`` ratios in log space, never from raw
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +27,24 @@ from .errors import DegenerateFit
 from .linreg import ModelFit, ModelSubset
 
 
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int; a value that is not an integer (numpy's pass)
+    raises ``ValueError`` naming it as ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """GIC weights for a sample of size ``n`` with penalty constant ``d``;
-    :meth:`aic` and :meth:`bic` name the two usual penalties."""
+    ``bound.resolve_d`` names the usual penalties."""
 
     n: int
     d: float
 
     def __post_init__(self):
+        _check_integer(self.n, "sample size n")
         if self.n < 2:
             raise ValueError("sample size n must be at least 2")
         if not 0.0 <= self.d < math.inf:
@@ -43,14 +53,6 @@ class WeightSpec:
     @classmethod
     def gic(cls, n: int, d: float) -> "WeightSpec":
         return cls(n=n, d=float(d))
-
-    @classmethod
-    def aic(cls, n: int) -> "WeightSpec":
-        return cls(n=n, d=2.0)
-
-    @classmethod
-    def bic(cls, n: int) -> "WeightSpec":
-        return cls(n=n, d=math.log(n))
 
     def check_n(self, n: int) -> None:
         """Refuse a problem whose sample size is not this spec's ``n``."""
@@ -77,15 +79,6 @@ class WeightSpec:
         full = np.exp(-shift)
         denom = full + terms.sum(axis=-1, keepdims=True)
         return np.concatenate([full / denom, terms / denom], axis=-1)
-
-
-def gic(rss_k: float, card_k: int, p: int, spec: WeightSpec) -> float:
-    """Generalized information criterion ``n ln(rss_K) + d (p - |K|)``."""
-    if rss_k < 0:
-        raise ValueError("rss must be nonnegative")
-    if rss_k == 0.0:
-        raise DegenerateFit("perfect fit: GIC diverges to -inf")
-    return spec.n * math.log(rss_k) + spec.d * (p - card_k)
 
 
 def model_weights(

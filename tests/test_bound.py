@@ -314,6 +314,20 @@ class TestBoundCurve:
         with pytest.raises(ValueError, match="repeated"):
             bound_curve([0.0, 0.9], [(8, 12), (8, 12)], "aic", 0.05)
 
+    def test_non_integral_sizes_refused(self, monkeypatch):
+        def fake_bound(rho, m, n, d, alpha):
+            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
+            return BoundResult(0.95, 0.0, rho, cfg, 0.0)
+
+        monkeypatch.setattr(bound, "upper_bound", fake_bound)
+        with pytest.raises(ValueError, match="^m must be an integer, not 8.5"):
+            bound_curve([0.5], [(8.5, 12)], "aic", 0.05)
+        with pytest.raises(ValueError, match="^n must be an integer, not 12.5"):
+            bound_curve([0.5], [(8, 12.5)], "aic", 0.05)
+        # numpy integers pass
+        rows = bound_curve([0.5], [(np.int64(8), np.int64(12))], "aic", 0.05).rows
+        assert (rows[0].cfg.m, rows[0].cfg.n) == (8, 12)
+
     def test_validates_empty_grids(self):
         with pytest.raises(ValueError):
             bound_curve([], [(8, 12)], "aic", 0.05)

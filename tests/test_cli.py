@@ -12,7 +12,7 @@ import pytest
 import matabound.cli as cli
 import matabound.coverage as coverage
 from matabound import upper_bound
-from matabound.bound import bound_curve
+from matabound.bound import bound_curve, resolve_d
 from matabound.cli import _parse_rho_grid, main, read_csv_matrix
 
 from helpers import random_problem
@@ -190,7 +190,8 @@ class TestIntervalCommand:
                      "--alpha", "0.1", "--d-rule", "bic"])
         assert code == 0
         out = capsys.readouterr().out
-        iv = solve_interval(MataRequest(prob, WeightSpec.bic(prob.n), alpha=0.1))
+        spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
+        iv = solve_interval(MataRequest(prob, spec, alpha=0.1))
         lower = float(out.split("interval lower = ")[1].splitlines()[0])
         upper = float(out.split("interval upper = ")[1].splitlines()[0])
         assert lower == pytest.approx(iv.lower, rel=1e-5)
@@ -327,8 +328,7 @@ class TestCsvReader:
     def test_header_autodetect(self, tmp_path):
         f = tmp_path / "h.csv"
         f.write_text("alpha,beta\n1,2\n3,4\n")
-        data, names = read_csv_matrix(str(f))
-        assert names == ["alpha", "beta"]
+        data = read_csv_matrix(str(f))
         np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_forced_off(self, tmp_path):
@@ -340,9 +340,8 @@ class TestCsvReader:
     def test_headerless_numeric(self, tmp_path):
         f = tmp_path / "n.csv"
         f.write_text("1,2\n3,4\n")
-        data, names = read_csv_matrix(str(f))
-        assert names is None
-        assert data.shape == (2, 2)
+        data = read_csv_matrix(str(f))
+        np.testing.assert_array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_missing_file(self):
         with pytest.raises(ValueError, match="cannot read"):

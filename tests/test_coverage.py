@@ -521,15 +521,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TwoModelConfig(m=0, n=5, rho=0.5, d=2.0, alpha=0.05)
 
-    def test_from_problem_uses_design_quantities(self):
-        from helpers import gram_problem
-
-        gram = np.eye(3)
-        gram[0, 2] = gram[2, 0] = -0.45
-        prob = gram_problem(gram, n=12, q=2)
-        cfg = TwoModelConfig.from_problem(prob, d=2.0, alpha=0.05)
-        assert cfg.m == 9 and cfg.n == 12
-        assert cfg.rho == pytest.approx(0.45, abs=1e-12)
+    @pytest.mark.parametrize("m,n,name", [(5.5, 7, "m"), (5, 7.5, "n"), (5.0, 7, "m")])
+    def test_m_and_n_must_be_integers(self, m, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TwoModelConfig(m=m, n=n, rho=0.5, d=2.0, alpha=0.05)
+        assert TwoModelConfig(m=np.int64(5), n=np.int64(7), rho=0.5, d=2.0, alpha=0.05).m == 5
 
     def test_quadrature_config_is_fixed(self):
         with pytest.raises(TypeError):

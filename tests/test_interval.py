@@ -20,6 +20,7 @@ from matabound import (
     solve_interval,
     w1,
 )
+from matabound.bound import resolve_d
 from matabound.errors import BracketFailure, DegenerateFit
 from matabound.interval import _family_arrays, _newton_step, h
 
@@ -46,7 +47,7 @@ class TestSingleModel:
     def test_equals_classical_t_interval(self):
         for seed in range(20):
             prob = random_problem(seed, n=22, p=4, q=2)
-            spec = WeightSpec.aic(prob.n)
+            spec = WeightSpec(prob.n, 2.0)
             fits = fit_family(prob, [ModelSubset(0)])
             weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
             iv = solve_interval(MataRequest(prob, spec, alpha=0.05), fits=fits, weights=weights)
@@ -66,7 +67,7 @@ class TestSingleModel:
     def test_h_limits(self):
         prob = random_problem(203)
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         assert h_of(-1e9, prob, fits, weights) == pytest.approx(1.0, abs=1e-12)
         assert h_of(1e9, prob, fits, weights) == pytest.approx(0.0, abs=1e-12)
 
@@ -108,7 +109,7 @@ class TestSolveInterval:
         sub = ModelSubset.from_indices([3])
         fam = (ModelSubset(0), sub, ModelSubset.from_indices([3, 4]))
         fits = fit_family(prob, list(fam))
-        req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.1)
+        req = MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=0.1)
         weights = {K: (1.0 if K == sub else 0.0) for K in fam}
         iv = solve_interval(req, fits=fits, weights=weights)
         fit = fits[sub]
@@ -121,7 +122,8 @@ class TestSolveInterval:
     def test_ordering_and_residuals(self):
         for seed in (301, 302, 303):
             prob = random_problem(seed, n=30, p=6, q=2)
-            iv = solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
+            spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
+            iv = solve_interval(MataRequest(prob, spec))
             assert iv.lower <= iv.upper
             assert max(iv.h_residuals) < 1e-9
             assert math.fsum(iv.weights_used.values()) == pytest.approx(1.0, abs=1e-12)
@@ -143,7 +145,8 @@ class TestSolveInterval:
         for seed in (301, 302, 303):
             seen.clear()
             prob = random_problem(seed, n=30, p=6, q=2)
-            solve_interval(MataRequest(prob, WeightSpec.bic(prob.n)))
+            spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
+            solve_interval(MataRequest(prob, spec))
             assert seen and len(seen) == len(set(seen))
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
@@ -158,7 +161,7 @@ class TestSolveInterval:
         weights = dict.fromkeys(fits, 0.0)
         weights[ModelSubset(0)], weights[ModelSubset.from_indices([4])], weights[K] = (
             0.6, 0.4 - 1e-9, 1e-9)
-        req = MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.05)
+        req = MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=0.05)
         iv = solve_interval(req, fits=fits, weights=weights)
         assert max(iv.h_residuals) <= 1e-12
         assert abs(h_of(iv.lower, prob, fits, weights) - 0.975) <= 1e-12
@@ -167,21 +170,39 @@ class TestSolveInterval:
     def test_weights_short_of_one_raise_bracket_failure(self):
         prob = random_problem(319, n=24, p=5, q=2)
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         half = {K: 0.5 * wgt for K, wgt in weights.items()}
         with pytest.raises(BracketFailure, match="residuals"):
-            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)), fits=fits, weights=half)
+            solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)), fits=fits, weights=half)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, None])
     def test_invalid_weights_rejected(self, bad):
         prob = random_problem(321, n=24, p=5, q=2)
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         weights[ModelSubset.from_indices([3])] = bad
         if bad is None:  # all zero
             weights = dict.fromkeys(fits, 0.0)
         with pytest.raises(ValueError, match="weights"):
-            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)), fits=fits, weights=weights)
+            solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)), fits=fits, weights=weights)
+
+    def test_weights_must_match_the_fitted_models(self):
+        prob = random_problem(321, n=24, p=5, q=2)
+        fits = fit_family(prob)
+        req = MataRequest(prob, WeightSpec(prob.n, 2.0))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, req.spec)
+        short = {K: w for K, w in weights.items() if K != ModelSubset.from_indices([2])}
+        with pytest.raises(ValueError, match=r"no weight for the fitted model ModelSubset\(\{2\}\)"):
+            solve_interval(req, fits=fits, weights=short)
+        extra = {**weights, ModelSubset.from_indices([0]): 0.0}
+        with pytest.raises(ValueError, match=r"models not in fits: \[ModelSubset\(\{0\}\)\]"):
+            solve_interval(req, fits=fits, weights=extra)
+
+    def test_family_without_the_full_model_rejected(self):
+        prob = random_problem(321, n=24, p=5, q=2)
+        fits = fit_family(prob, [ModelSubset.from_indices([3])])
+        with pytest.raises(ValueError, match=r"family must contain the full model"):
+            solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)), fits=fits)
 
     def test_iteration_cap_raises_bracket_failure(self, monkeypatch):
         from matabound import interval
@@ -189,7 +210,7 @@ class TestSolveInterval:
         monkeypatch.setattr(interval, "_MAX_ITERATIONS", 1)
         prob = random_problem(323, n=24, p=5, q=2)
         with pytest.raises(BracketFailure, match="not resolved"):
-            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
+            solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)))
 
     def test_crossed_endpoints_raise_bracket_failure(self, monkeypatch):
         from matabound import interval
@@ -203,14 +224,14 @@ class TestSolveInterval:
         monkeypatch.setattr(interval, "_solve_tails", swapped)
         prob = random_problem(325, n=24, p=5, q=2)
         with pytest.raises(BracketFailure, match="endpoints crossed"):
-            solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
+            solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)))
 
     def test_scale_equivariance(self):
         prob = random_problem(307, n=26, p=5, q=2)
-        iv = solve_interval(MataRequest(prob, WeightSpec.aic(prob.n)))
+        iv = solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0)))
         s = 3.75
-        prob_s = prob.with_response(s * prob.y)
-        iv_s = solve_interval(MataRequest(prob_s, WeightSpec.aic(prob.n)))
+        prob_s = RegressionProblem(prob.X, prob.a, q=prob.q, y=s * prob.y)
+        iv_s = solve_interval(MataRequest(prob_s, WeightSpec(prob.n, 2.0)))
         assert iv_s.lower == pytest.approx(s * iv.lower, rel=1e-9)
         assert iv_s.upper == pytest.approx(s * iv.upper, rel=1e-9)
         # weights are scale invariant
@@ -220,7 +241,7 @@ class TestSolveInterval:
     def test_tighter_target_moves_root_left(self):
         prob = random_problem(311, n=28, p=5, q=2)
         fits = fit_family(prob)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
         req = MataRequest(prob, spec)
         iv90 = solve_interval(MataRequest(prob, spec, alpha=0.10), fits=fits, weights=weights)
@@ -235,12 +256,12 @@ class TestSolveInterval:
         base = random_problem(313, n=16, p=4, q=2, with_y=False)
         beta = np.array([0.5, -0.25, 0.6, 0.0])
         theta = float(base.a @ beta)
-        spec = WeightSpec.aic(base.n)
+        spec = WeightSpec(base.n, 2.0)
         alpha = 0.2
         mism = 0
         for _ in range(200):
             y = base.X @ beta + rng.standard_normal(base.n)
-            prob = base.with_response(y)
+            prob = RegressionProblem(base.X, base.a, q=base.q, y=y)
             fits = fit_family(prob)
             weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
             req = MataRequest(prob, spec, alpha=alpha)
@@ -327,27 +348,27 @@ class TestRequestValidation:
     def test_alpha_range(self):
         prob = random_problem(401)
         with pytest.raises(ValueError):
-            MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.7)
+            MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=0.7)
         with pytest.raises(ValueError):
-            MataRequest(prob, WeightSpec.aic(prob.n), alpha=0.0)
+            MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=0.0)
 
     def test_alpha_whose_upper_target_rounds_to_one(self):
         prob = random_problem(401)
         for alpha in (1e-17, 1e-300):
             with pytest.raises(ValueError, match="1 - alpha/2 rounds to 1"):
-                MataRequest(prob, WeightSpec.aic(prob.n), alpha=alpha)
-        iv = solve_interval(MataRequest(prob, WeightSpec.aic(prob.n), alpha=1e-15))
+                MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=alpha)
+        iv = solve_interval(MataRequest(prob, WeightSpec(prob.n, 2.0), alpha=1e-15))
         assert iv.lower < iv.upper
 
     def test_spec_for_another_sample_size_rejected(self):
         prob = random_problem(7, n=30, p=5, q=2)
         with pytest.raises(ValueError, match="WeightSpec has n=300 but the problem has n=30"):
-            MataRequest(prob, WeightSpec.aic(300))
+            MataRequest(prob, WeightSpec(300, 2.0))
 
     def test_zero_residual_scale_rejected(self):
         prob = random_problem(403)
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         K = ModelSubset.from_indices([3])
         fits[K] = replace(fits[K], s2=0.0)
         with pytest.raises(DegenerateFit, match="zero residual scale"):
@@ -369,7 +390,8 @@ class TestBatchEquivalence:
         card = np.array([K.cardinality for K in batch.subsets[1:]])
         W = spec.weights(batch.u[:, 1:] / batch.rss[:, :1], card)
         for r in range(R):
-            one = MataRequest(prob.with_response(Y[r]), spec, alpha=req.alpha)
+            one = MataRequest(RegressionProblem(prob.X, prob.a, q=prob.q, y=Y[r]), spec,
+                              alpha=req.alpha)
             fits = fit_family(one.prob)
             assert list(fits) == list(batch.subsets)
             for j, (K, fit) in enumerate(fits.items()):
@@ -411,7 +433,7 @@ class TestWideDesigns:
     @pytest.mark.parametrize("p, q", [(64, 62), (70, 67)])
     def test_endpoints_solve_the_reduced_design_refits(self, p, q):
         prob = random_problem(411 + p, n=p + 20, p=p, q=q)
-        spec = WeightSpec.bic(prob.n)
+        spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
         iv = solve_interval(MataRequest(prob, spec, alpha=0.05))
         assert [K.mask for K in iv.weights_used] == [t << q for t in range(1 << (p - q))]
         # independent oracle: refit every model on its kept columns and

@@ -364,8 +364,6 @@ class TestProblemValidation:
             RegressionProblem(prob.X, a, q=prob.q, y=prob.y)
         with pytest.raises(ValueError, match="y contains"):
             RegressionProblem(prob.X, prob.a, q=prob.q, y=y)
-        with pytest.raises(ValueError, match="y contains"):
-            prob.with_response(y)
 
 
 class TestFamilyWithoutFullModel:

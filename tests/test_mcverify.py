@@ -12,6 +12,7 @@ from scipy.special import stdtr
 from matabound import (
     MataInterval,
     ModelSubset,
+    RegressionProblem,
     SimScenario,
     TwoModelConfig,
     WeightSpec,
@@ -23,6 +24,7 @@ from matabound import (
     w1_decay_scan,
 )
 from matabound import suites
+from matabound.bound import resolve_d
 from matabound.errors import EventMismatch
 from matabound.interval import _family_arrays, _t_pdf, h
 from matabound.mcverify import (
@@ -51,7 +53,7 @@ class TestSimulateCoverage:
             beta_over_sigma=np.array([1.0, -1e4 * se[1], 1e4 * se[2]]),
             reps=20_000,
             seed=42,
-            spec=WeightSpec.aic(prob.n),
+            spec=WeightSpec(prob.n, 2.0),
             alpha=0.05,
         )
         est = simulate_coverage(sc)
@@ -66,8 +68,9 @@ class TestSimulateCoverage:
         prob = random_problem(503, n=90, p=70, q=67, with_y=False)
         beta = np.zeros(prob.p)
         beta[prob.q:] = 1e4 * np.sqrt(np.diag(prob.stats.xtx_inv))[prob.q:] * [1, -1, 1]
+        spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
         est = simulate_coverage(SimScenario(prob=prob, beta_over_sigma=beta, reps=10_000,
-                                            seed=43, spec=WeightSpec.bic(prob.n)))
+                                            seed=43, spec=spec))
         assert abs(est.p_hat - 0.95) < 3.0 * est.se
         assert est.audited == 100
         assert est.audit_max_residual < 1e-9
@@ -111,7 +114,7 @@ class TestSimulateCoverage:
     def test_joint_beta_sigma_scaling_is_pathwise_identical(self):
         prob = random_problem(503, n=14, p=4, q=2, with_y=False)
         beta = np.array([0.4, -1.0, 0.9, 0.3])
-        kwargs = dict(reps=10_000, seed=11, spec=WeightSpec.aic(prob.n),
+        kwargs = dict(reps=10_000, seed=11, spec=WeightSpec(prob.n, 2.0),
                       alpha=0.1, audit_fraction=0.0)
         sc1 = SimScenario(prob=prob, beta_over_sigma=beta / 1.0, **kwargs)
         sc2 = SimScenario(prob=prob, beta_over_sigma=(2.0 * beta) / 2.0, **kwargs)
@@ -138,7 +141,7 @@ class TestSimulateCoverage:
         prob = random_problem(505, with_y=False)
         with pytest.raises(ValueError, match="reps"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=100,
-                        seed=1, spec=WeightSpec.aic(prob.n))
+                        seed=1, spec=WeightSpec(prob.n, 2.0))
 
 
 # Unit roundoff of binary64, and gamma_k = k u / (1 - k u) (Higham,
@@ -197,7 +200,7 @@ class TestSimKernelProperties:
         theta = float(prob.a @ beta)
         for i in range(8):
             y = kernel.responses([i], beta)[0]
-            fits = fit_family(prob.with_response(y))
+            fits = fit_family(RegressionProblem(prob.X, prob.a, q=prob.q, y=y))
             ref = model_weights(fits, fits[ModelSubset(0)].rss, spec)
             diff = np.abs(w[i] - [ref[K] for K in sorted(ref)])
             assert np.all(diff <= rounding_tolerance(prob, spec, beta, y)), diff
@@ -214,7 +217,7 @@ class TestSimKernelBlocks:
         prob = random_problem(517, n=20, p=4, q=1, with_y=False)
         beta = np.array([0.3, -1.0, 2.5, -0.4])
         sc = SimScenario(prob=prob, beta_over_sigma=beta, reps=13_001, seed=23,
-                         spec=WeightSpec.aic(prob.n))
+                         spec=WeightSpec(prob.n, 2.0))
 
         def outputs():
             kernel = _SimKernel(prob, sc.spec, sc.alpha, sc.reps, sc.seed)
@@ -238,7 +241,7 @@ class TestSimKernelBlocks:
         # handle with other kernels than the full draws of 1,536.
         prob = random_problem(519, n=12, p=4, q=1, with_y=False)
         beta = np.array([1.0, 0.5, -2.0, 0.2])
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         short, long = (_SimKernel(prob, spec, 0.05, reps, 29) for reps in (1_025, 1_536))
         np.testing.assert_array_equal(short.bn, long.bn[:1_025])
         np.testing.assert_array_equal(short.rss, long.rss[:1_025])
@@ -251,7 +254,7 @@ class TestSimKernelBlocks:
         beta = np.array([0.5, -0.3, 1.0, 0.0, 2.0, -1.0, 0.3, 0.0])
         peaks = []
         for reps in (10_000, 40_000):
-            kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, reps, 3)
+            kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, reps, 3)
             assert len(kernel.family) == 64 and kernel.rows < reps
             tracemalloc.start()
             try:
@@ -264,11 +267,11 @@ class TestSimKernelBlocks:
 
     def test_responses_only_for_kept_replicates(self):
         prob = random_problem(521, n=10, p=3, q=1, with_y=False)
-        kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 1_200, 31,
                             keep=[1_100, 5, 600])
         beta = np.array([1.0, -1.0, 0.5])
         np.testing.assert_array_equal(kernel.kept, [5, 600, 1_100])
-        full = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 1_200, 31,
+        full = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 1_200, 31,
                           keep=range(1_200))
         np.testing.assert_array_equal(kernel.responses([600, 5], beta),
                                       full.responses([600, 5], beta))
@@ -338,7 +341,7 @@ class TestHEvent:
         # 1.6% of replicates have |x| >= 40 and must take the exact h.
         prob, v_p = two_model_problem(1, 3, 0.5)
         beta = np.array([0.0, 0.5 * math.sqrt(v_p)])
-        kernel = _SimKernel(prob, WeightSpec.aic(prob.n), 0.05, 20_000, 41)
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 20_000, 41)
         np.testing.assert_array_equal(kernel.df, [1.0, 2.0])
         exact_rows = []
         recording_h(monkeypatch, exact_rows)
@@ -386,7 +389,7 @@ class TestHEvent:
 class TestMinCoverageScan:
     def test_zero_vector_sanity_and_determinism(self):
         prob = two_model_problem(8, 11, 0.6)[0]
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         grid = [np.zeros(1), np.zeros(1), np.array([2.0])]
         est, argmin = min_coverage_scan(prob, spec, 0.05, grid,
                                         reps=5_000, seed=17)
@@ -398,7 +401,7 @@ class TestMinCoverageScan:
 
     def test_grid_validation(self):
         prob = random_problem(507, with_y=False)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         with pytest.raises(ValueError, match="nonempty"):
             min_coverage_scan(prob, spec, 0.05, [], reps=2_000, seed=1)
         with pytest.raises(ValueError, match="length"):
@@ -409,18 +412,18 @@ class TestMinCoverageScan:
     def test_alpha_checked(self, alpha, message):
         prob = _correlated_design(4, 20, 0.85, q=1)
         with pytest.raises(ValueError, match=message):
-            min_coverage_scan(prob, WeightSpec.aic(prob.n), alpha, [np.zeros(3)],
+            min_coverage_scan(prob, WeightSpec(prob.n, 2.0), alpha, [np.zeros(3)],
                               reps=1_000, seed=1)
 
     def test_free_coefficient_cap(self):
         prob = random_problem(509, n=40, p=23, q=2, with_y=False)
         with pytest.raises(ValueError, match="p - q"):
-            min_coverage_scan(prob, WeightSpec.aic(prob.n), 0.05,
+            min_coverage_scan(prob, WeightSpec(prob.n, 2.0), 0.05,
                               [np.zeros(21)], reps=2_000, seed=1)
 
     def test_estimate_is_the_minimizer_coverage(self):
         prob = random_problem(515, n=16, p=5, q=2, with_y=False)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         grid = [np.zeros(3), np.array([1.5, 0.0, -2.0]), np.array([0.0, 3.0, 0.5])]
         est, argmin = min_coverage_scan(prob, spec, 0.05, grid, reps=2_000, seed=19)
         kernel = _SimKernel(prob, spec, 0.05, 2_000, 19)
@@ -460,13 +463,22 @@ class TestW1DecayScan:
         with pytest.raises(ValueError, match="increasing"):
             w1_decay_scan(5, [100, 100], [0.0], eps=0.1, reps=2_000, seed=1)
 
+    def test_non_integral_sizes_refused(self):
+        with pytest.raises(ValueError, match="m must be an integer, not 5.5"):
+            w1_decay_scan(5.5, [100], [0.0], eps=0.1, reps=2_000, seed=1)
+        with pytest.raises(ValueError, match="n must be an integer, not 100.7"):
+            w1_decay_scan(5, [100.7], [0.0], eps=0.1, reps=2_000, seed=1)
+        # numpy integers pass
+        table = w1_decay_scan(np.int64(5), [np.int64(100)], [0.0], eps=0.1, reps=2_000, seed=1)
+        assert table.ns == (100,)
+
 
 class TestScenarioValidation:
     def test_beta_length_checked(self):
         prob = random_problem(511, with_y=False)
         with pytest.raises(ValueError, match="length"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p + 1),
-                        reps=10_000, seed=1, spec=WeightSpec.aic(prob.n))
+                        reps=10_000, seed=1, spec=WeightSpec(prob.n, 2.0))
 
     @pytest.mark.parametrize("field, value", [("alpha", 0.0), ("alpha", 0.6), ("alpha", 1e-17),
                                               ("audit_fraction", -0.1),
@@ -475,12 +487,12 @@ class TestScenarioValidation:
         prob = random_problem(511, with_y=False)
         with pytest.raises(ValueError, match=field):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000, seed=1,
-                        spec=WeightSpec.aic(prob.n), **{field: value})
+                        spec=WeightSpec(prob.n, 2.0), **{field: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_inputs_rejected_by_name(self, bad):
         prob = random_problem(511, with_y=False)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         beta = np.zeros(prob.p)
         beta[3] = bad
         with pytest.raises(ValueError, match="beta_over_sigma must be finite"):
@@ -493,7 +505,7 @@ class TestScenarioValidation:
 
     def test_non_integral_reps_refused(self):
         prob = random_problem(511, with_y=False)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         with pytest.raises(ValueError, match="reps must be an integer"):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000.5, seed=1,
                         spec=spec)
@@ -508,7 +520,7 @@ class TestScenarioValidation:
 
     def test_scan_reps_eps_and_grids_checked(self):
         prob = random_problem(511, with_y=False)
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         with pytest.raises(ValueError, match="scan reps"):
             min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=999, seed=1)
         with pytest.raises(ValueError, match="reps"):
@@ -528,7 +540,7 @@ class TestScenarioValidation:
 
         monkeypatch.setattr(mcv, "_SimKernel", no_kernel)
         prob = random_problem(511, with_y=False)
-        spec = WeightSpec.aic(prob.n + 1)
+        spec = WeightSpec(prob.n + 1, 2.0)
         match = f"WeightSpec has n={prob.n + 1} but the problem has n={prob.n}"
         with pytest.raises(ValueError, match=match):
             SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=10_000, seed=1,

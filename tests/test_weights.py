@@ -13,56 +13,45 @@ from matabound import (
     ModelSubset,
     WeightSpec,
     fit_family,
-    gic,
     model_weights,
     w1,
 )
+from matabound.bound import resolve_d
 from matabound.errors import DegenerateFit
 
 from helpers import random_problem
 
 
+def gic(rss_k, card_k, p, spec):
+    """Oracle: the criterion ``n ln(rss_K) + d (p - |K|)`` of a model."""
+    return spec.n * math.log(rss_k) + spec.d * (p - card_k)
+
+
 class TestGic:
-    def test_unit_rss_leaves_only_penalty(self):
-        spec = WeightSpec.gic(n=30, d=3.0)
-        assert gic(1.0, 2, p=7, spec=spec) == pytest.approx(3.0 * 5)
-
-    def test_zero_penalty_orders_like_rss(self):
-        spec = WeightSpec.gic(n=30, d=0.0)
-        vals = [gic(r, 1, p=5, spec=spec) for r in (0.5, 1.0, 2.0, 9.0)]
-        assert vals == sorted(vals)
-
-    def test_direct_substitution(self):
-        spec = WeightSpec.bic(60)
-        assert gic(math.e, 0, p=16, spec=spec) == pytest.approx(
-            60.0 + math.log(60) * 16, rel=1e-14
-        )
-
     def test_custom_spec_and_negative_rss_rejected(self):
         # GIC is the only weight rule: a spec takes a penalty d, no kernel
         with pytest.raises(TypeError):
             WeightSpec(n=20, d=2.0, kernel=lambda x, k: 1.0 / (1.0 + x) ** 10)
         with pytest.raises(TypeError):
             WeightSpec(n=20)
-        with pytest.raises(ValueError, match="nonnegative"):
-            gic(-1.0, 1, 5, WeightSpec.aic(20))
-
-    def test_perfect_fit_rejected(self):
-        with pytest.raises(DegenerateFit):
-            gic(0.0, 1, p=4, spec=WeightSpec.aic(20))
+        prob = random_problem(41)
+        fits = fit_family(prob, [ModelSubset(0)])
+        with pytest.raises(DegenerateFit, match="rss must be positive"):
+            model_weights(fits, -1.0, WeightSpec(prob.n, 2.0))
 
 
 class TestModelWeights:
     def test_single_model_family(self):
         prob = random_problem(101)
         fits = fit_family(prob, [ModelSubset(0)])
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         assert weights == {ModelSubset(0): 1.0}
 
     def test_normalization_and_range(self):
         prob = random_problem(103, n=30, p=6, q=2)
         fits = fit_family(prob)
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.bic(prob.n))
+        spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, spec)
         total = math.fsum(weights.values())
         assert total == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 < w < 1.0 for w in weights.values())
@@ -73,7 +62,7 @@ class TestModelWeights:
         K = ModelSubset.from_indices([3])
         fits = fit_family(prob, [ModelSubset(0), K])
         rss = fits[ModelSubset(0)].rss
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         weights = model_weights(fits, rss, spec)
         lhs = weights[K] / weights[ModelSubset(0)]
         rhs = math.exp(-(gic(fits[K].rss, 1, prob.p, spec)
@@ -85,7 +74,7 @@ class TestModelWeights:
         prob = random_problem(109, n=35, p=7, q=1)
         fits = fit_family(prob)
         rss = fits[ModelSubset(0)].rss
-        spec = WeightSpec.bic(prob.n)
+        spec = WeightSpec.gic(prob.n, resolve_d("bic", prob.n))
         weights = model_weights(fits, rss, spec)
         subsets = sorted(fits)
         scores = np.array([-gic(fits[K].rss, K.cardinality, prob.p, spec) / 2.0
@@ -100,7 +89,7 @@ class TestModelWeights:
         prob = random_problem(113, n=25, p=4, q=2)
         K = ModelSubset.from_indices([3])
         fits = dict(fit_family(prob, [ModelSubset(0), K]))
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         rss = fits[ModelSubset(0)].rss
         last = math.inf
         for u in (1.0, 10.0, 1e3, 1e6):
@@ -114,14 +103,14 @@ class TestModelWeights:
         prob = random_problem(127, n=40, p=13, q=1)
         fits = fit_family(prob)
         assert len(fits) == 4096
-        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec.aic(prob.n))
+        weights = model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
         assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_nonpositive_rss_and_negative_u_rejected(self):
         prob = random_problem(41)
         K = ModelSubset.from_indices([3])
         fits = fit_family(prob, [ModelSubset(0), K])
-        spec = WeightSpec.aic(prob.n)
+        spec = WeightSpec(prob.n, 2.0)
         for rss in (0.0, -1.0):
             with pytest.raises(DegenerateFit, match="rss must be positive"):
                 model_weights(fits, rss, spec)
@@ -134,7 +123,7 @@ class TestModelWeights:
         fits = fit_family(prob)
         rss = fits[ModelSubset(0)].rss
         with pytest.raises(ValueError, match=f"rss_full={2 * rss!r} .* {rss!r}"):
-            model_weights(fits, 2 * rss, WeightSpec.aic(prob.n))
+            model_weights(fits, 2 * rss, WeightSpec(prob.n, 2.0))
 
     def test_requires_full_model(self):
         prob = random_problem(131)
@@ -142,7 +131,7 @@ class TestModelWeights:
         fits = fit_family(prob, [ModelSubset(0), K])
         del fits[ModelSubset(0)]
         with pytest.raises(ValueError, match="full model"):
-            model_weights(fits, 1.0, WeightSpec.aic(prob.n))
+            model_weights(fits, 1.0, WeightSpec(prob.n, 2.0))
 
 
 class TestWeightProperties:
@@ -219,12 +208,17 @@ class TestW1:
 class TestSpecValidation:
     def test_sample_size_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
-            WeightSpec.aic(1)
+            WeightSpec(1, 2.0)
+
+    def test_sample_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="sample size n must be an integer, not 30.5"):
+            WeightSpec(n=30.5, d=2.0)
+        assert WeightSpec(np.int64(30), 2.0).n == 30
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             WeightSpec.gic(20, -1.0)
 
     def test_bic_uses_log_n(self):
-        assert WeightSpec.bic(60).d == pytest.approx(math.log(60))
-        assert WeightSpec.aic(60).d == 2.0
+        assert WeightSpec.gic(60, resolve_d("bic", 60)).d == pytest.approx(math.log(60))
+        assert WeightSpec.gic(60, resolve_d("aic", 60)).d == 2.0

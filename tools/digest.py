@@ -80,8 +80,7 @@ def dataset(seed: int) -> tuple[RegressionProblem, WeightSpec]:
     a[:q] = rng.standard_normal(q)
     beta = rng.standard_normal(p) * rng.uniform(0.0, 2.0, p)
     y = X @ beta + rng.standard_normal(n)
-    spec = WeightSpec.aic(n) if seed % 2 else WeightSpec.bic(n)
-    return RegressionProblem(X, a, q=q, y=y), spec
+    return RegressionProblem(X, a, q=q, y=y), weight_spec("aic" if seed % 2 else "bic", n)
 
 
 def sha256(values) -> str:
@@ -117,7 +116,7 @@ def design(m: int, n: int, rho: float, gamma: float, far: float):
 
 
 def weight_spec(rule: str, n: int) -> WeightSpec:
-    return WeightSpec.gic(n, 2.0 if rule == "aic" else math.log(n))
+    return WeightSpec.gic(n, resolve_d(rule, n))
 
 
 def coverage_entries() -> dict[str, str]:
