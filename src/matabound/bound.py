@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import CoverageGrid, QuadratureConfig, TwoModelConfig
-from .errors import QuadratureError
+from .errors import QuadratureError, _check_integer
 from .interval import _MAX_ITERATIONS, _newton_step
-from .weights import _check_integer
 
 _GRID_STEP = 1.0
 _RULE = QuadratureConfig()

@@ -75,9 +75,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, stdtr, stdtrit
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _check_integer
 from .interval import _MAX_ITERATIONS, _STEP_RTOL, _check_alpha, _t_pdf
-from .weights import _check_integer, w1
+from .weights import w1
 
 _RHO_CLAMP = 1.0 - 1e-9
 # Bound on the error estimate of every coverage value.

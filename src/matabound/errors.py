@@ -1,4 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the integer check shared across the package."""
+
+import numbers
+
+
+def _check_integer(value, name: str) -> int:
+    """``value`` as an int; a value that is not an integer (numpy's pass)
+    raises ``ValueError`` naming it as ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 class MatacoverError(Exception):

@@ -25,6 +25,7 @@ from .errors import (
     MissingResponse,
     RankDeficient,
     SingularRestriction,
+    _check_integer,
 )
 
 # Cap on the droppable-coefficient count: the family has 2^(p-q) members.
@@ -77,7 +78,7 @@ class RegressionProblem:
             raise ValueError(f"need n > p, got n={n}, p={p}")
         if a.shape != (p,):
             raise ValueError(f"a must have length p={p}, got shape {a.shape}")
-        if not (1 <= self.q < p):
+        if not 1 <= _check_integer(self.q, "q") < p:
             raise ValueError(f"need 1 <= q < p, got q={self.q}, p={p}")
         for name, arr in (("X", X), ("a", a)):
             if not np.isfinite(arr).all():
@@ -167,9 +168,10 @@ def all_subsets(p: int, q: int) -> list[ModelSubset]:
     """Enumerate every subset of the droppable columns ``q .. p-1``.
 
     Ordered by mask value; first element is the full model.  Refuses
-    ``p - q > MAX_FREE_COEFFICIENTS`` before building anything.
+    ``p - q > MAX_FREE_COEFFICIENTS`` before building anything, and sizes
+    that are not integers.
     """
-    free = p - q
+    free = _check_integer(p, "p") - _check_integer(q, "q")
     if free > MAX_FREE_COEFFICIENTS:
         raise ValueError(
             f"p - q = {free} exceeds the enumeration cap of "
@@ -179,7 +181,7 @@ def all_subsets(p: int, q: int) -> list[ModelSubset]:
 
 
 class DesignStats:
-    """Shared per-design quantities: QR factor, (X'X)^-1 and contractions.
+    """Shared per-design quantities: QR factor, R^-T, (X'X)^-1 and contractions.
 
     Everything here depends on (X, a) only, so one instance serves every
     candidate model and every response vector.  A numerically rank
@@ -197,7 +199,8 @@ class DesignStats:
         self.Q = Q
         self.R = R
         # (X'X)^-1 = G' G with G = R^-T, formed through triangular solves.
-        G = scipy.linalg.solve_triangular(R.T, np.eye(X.shape[1]), lower=True)
+        # So z @ G has covariance (X'X)^-1 for rows z ~ N(0, I_p).
+        self.rt_inv = G = scipy.linalg.solve_triangular(R.T, np.eye(X.shape[1]), lower=True)
         self.xtx_inv = G.T @ G
         self.xtx_inv_a = self.xtx_inv @ a
         self.v_theta = float(a @ self.xtx_inv_a)

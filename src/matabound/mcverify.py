@@ -36,14 +36,30 @@ disagreement raises ``EventMismatch`` and means a bug, not bad luck.
 
 Coverage depends on the parameters only through the scaled droppable
 coefficients ``beta[q:] / sigma``, so scenarios store that vector and
-simulate at sigma = 1.  The noise is drawn from one counter-based Philox
-generator keyed by the scenario seed, in blocks taken in order from that
-one stream.  The normal sampler sometimes takes more than one random word
-per draw, so a replicate's place in the stream depends on every draw
-before it, and replicates cannot be drawn out of order.  Blocks filled in
-order give the same stream as one large draw, and no replicate's
-arithmetic depends on the block it falls in, so an estimate is
-bit-reproducible for a given seed whatever the block size.
+simulate at sigma = 1.  A replicate enters the h-event only through its
+sufficient statistics, so the kernel draws those and never the noise: p + 1
+variates in place of n.  With X = QR, the noise-only least-squares
+coefficients are ``bn = R^-1 z`` for z ~ N(0, I_p), and the residual sum
+of squares is an independent ``rss`` ~ chi-square(n - p).  An audited
+replicate's noise is rebuilt as ``Q z + r``: r is a standard normal
+n-vector with its projection on the columns of Q removed, scaled to
+``|r|^2 = rss``.  The direction of that projection is uniform on the
+residual space's sphere and independent of its length, so ``Q z + r`` is
+exactly N(0, I_n) noise, and its least-squares fit returns ``bn`` and
+``rss`` to rounding.
+
+Each drawn quantity has its own counter-based Philox stream keyed by the
+scenario seed, 2^192 counter steps from the others: z and rss are drawn
+in replicate order, and replicate i's r at its own position, i * 2^64
+steps into the third stream.  The normal and chi-square samplers sometimes
+take more than one random word per draw, so a replicate's place in the
+z and rss streams depends on every draw before it, and those are drawn in
+blocks taken in order.  Blocks filled in order give the same stream as one
+large draw, and no replicate's arithmetic depends on the block it falls
+in, so an estimate is bit-reproducible for a given seed whatever the
+block size, and replicate i's draws, rebuilt response included, depend
+only on the seed and i: not on ``reps``, nor on which replicates are
+audited.
 """
 
 from __future__ import annotations
@@ -54,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtr
 
-from .errors import EventMismatch
+from .errors import EventMismatch, _check_integer
 from .interval import MataRequest, _check_alpha, _t_pdf, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
@@ -63,15 +79,18 @@ from .linreg import (
     fit_family,
     forward,
 )
-from .weights import WeightSpec, _check_integer, w1
+from .weights import WeightSpec, w1
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
-# Replicates per noise draw.  Each draw is reduced to (bn, rss) by BLAS
-# calls of this one shape, the last draw zero-padded: BLAS picks its
+# Replicates per block of the z draw.  Each block is mapped to bn by one
+# BLAS call of this one shape, the last block zero-padded: BLAS picks its
 # kernels, and so its rounding, by the shape of a call (OpenBLAS switches
 # to other dgemm kernels for small products and single rows).
 _DRAW_ROWS = 512
+# Philox counters at which the kernel's three streams start (see the module
+# docstring): z, rss, and the audited replicates' residual directions.
+_Z_STREAM, _RSS_STREAM, _DIRECTION_STREAM = (j << 192 for j in range(3))
 # Bytes of the largest temporary of a _SimKernel evaluation block: a
 # (rows, models) array or a (k, G, rows) forward substitution.
 _BLOCK_BYTES = 1 << 22
@@ -93,8 +112,9 @@ def _check_reps(reps: int, least: int, name: str) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    """Refuse a seed outside [0, 2**64), the seeds every simulation takes."""
-    if not 0 <= seed < 2**64:
+    """Refuse a seed that is not an integer (numpy's pass) or lies outside
+    [0, 2**64), the seeds every simulation takes."""
+    if not 0 <= _check_integer(seed, "seed") < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
 
 
@@ -201,12 +221,13 @@ def _h_event(w, theta, scale, df, z, table: _TCdfTable, alpha: float) -> np.ndar
 class _SimKernel:
     """Vectorized per-replicate h(theta) over a design's all-subsets family.
 
-    The noise-only least-squares coefficients and residual sum of squares
-    are precomputed once; changing the coefficient vector is a shift, so
-    scanning a parameter grid reuses the same draws (common random
-    numbers).  The restricted fits are formed here from those shifts, not
-    through ``fit_family``; the two share only ``linreg.family_table`` and
-    ``linreg.forward``.  Weights and ``h`` are the package's single
+    Each replicate's noise-only least-squares coefficients ``bn`` and
+    residual sum of squares ``rss`` are drawn once, as its sufficient
+    statistics (see the module docstring); changing the coefficient vector
+    is a shift, so scanning a parameter grid reuses the same draws (common
+    random numbers).  The restricted fits are formed here from those
+    shifts, not through ``fit_family``; the two share only
+    ``linreg.family_table`` and ``linreg.forward``.  Weights and ``h`` are the package's single
     implementations, with replicates on the leading axis.  ``covered``
     decides most replicates from ``table``, the t-cdf interpolants of the
     family's k + 1 distinct df (built here, about 1 ms each), and calls
@@ -218,8 +239,8 @@ class _SimKernel:
     O(reps * p) plus one block's temporaries.  The evaluation uses only
     elementwise steps and reductions within a replicate, never a BLAS or
     LAPACK call across replicates, so a replicate's result does not depend
-    on the block it falls in.  Only the noise of the replicates in
-    ``keep`` is stored, for ``responses``.
+    on the block it falls in.  Only the z of the replicates in ``keep`` is
+    stored; ``responses`` rebuilds their noise from it.
     """
 
     def __init__(self, prob: RegressionProblem, spec: WeightSpec,
@@ -234,23 +255,21 @@ class _SimKernel:
         width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
         self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        coef = prob.X @ prob.stats.xtx_inv
+        self.seed = seed
+        z_rng, rss_rng = (np.random.Generator(np.random.Philox(key=seed, counter=c))
+                          for c in (_Z_STREAM, _RSS_STREAM))
+        self.rss = rss_rng.chisquare(prob.n - prob.p, reps)
         self.bn = np.empty((reps, prob.p))
-        self.rss = np.empty(reps)
         self.kept = np.unique(np.asarray(keep, dtype=np.intp))
-        self.kept_noise = np.empty((self.kept.size, prob.n))
-        noise = np.zeros((_DRAW_ROWS, prob.n))
+        self.kept_z = np.empty((self.kept.size, prob.p))
+        z = np.zeros((_DRAW_ROWS, prob.p))
         for start in range(0, reps, _DRAW_ROWS):
             m = min(_DRAW_ROWS, reps - start)
-            rng.standard_normal(out=noise[:m])
-            noise[m:] = 0.0
-            bn = noise @ coef
-            resid = noise - bn @ prob.X.T
-            self.bn[start:start + m] = bn[:m]
-            self.rss[start:start + m] = np.einsum("ij,ij->i", resid, resid)[:m]
+            z_rng.standard_normal(out=z[:m])
+            z[m:] = 0.0
+            self.bn[start:start + m] = (z @ prob.stats.rt_inv)[:m]
             lo, hi = np.searchsorted(self.kept, (start, start + m))
-            self.kept_noise[lo:hi] = noise[self.kept[lo:hi] - start]
+            self.kept_z[lo:hi] = z[self.kept[lo:hi] - start]
 
     def family_arrays(self, beta_over_sigma: np.ndarray, rows: slice = slice(None)):
         """(w, theta, scale) per replicate in ``rows`` and model, models in
@@ -293,12 +312,45 @@ class _SimKernel:
         return out
 
     def responses(self, rows, beta_over_sigma: np.ndarray) -> np.ndarray:
-        """Responses X b + noise of kept replicates ``rows``."""
+        """Responses X b + Q z + r of kept replicates ``rows``, with r drawn
+        at each replicate's own place in the direction stream (see the
+        module docstring)."""
         rows = np.asarray(rows, dtype=np.intp)
         pos = np.searchsorted(self.kept, rows)
         if np.any(pos >= self.kept.size) or np.any(self.kept[pos] != rows):
             raise ValueError("responses asked for a replicate whose noise was not kept")
-        return np.asarray(beta_over_sigma, dtype=float) @ self.prob.X.T + self.kept_noise[pos]
+        Q = self.prob.stats.Q
+        bitgen = np.random.Philox(key=self.seed, counter=_DIRECTION_STREAM)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state
+        g = np.empty((rows.size, self.prob.n))
+        for out, i in zip(g, rows.tolist()):
+            state["state"]["counter"][1] = i  # counter _DIRECTION_STREAM + i * 2^64
+            bitgen.state = state
+            rng.standard_normal(out=out)
+        # Replicates on the last axis from here on.
+        r = g.T.copy()
+        r -= _sum_of_terms(Q.T, _sum_of_terms(Q, r))
+        norm2 = r[0] * r[0]
+        for rk in r[1:]:
+            norm2 += rk * rk
+        r *= np.sqrt(self.rss[rows] / norm2)
+        r += _sum_of_terms(Q.T, self.kept_z[pos].T)
+        r += (self.prob.X @ np.asarray(beta_over_sigma, dtype=float))[:, None]
+        return r.T
+
+
+def _sum_of_terms(B: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``B' A`` (m, R) for B (k, m) and A (k, R), as the terms
+    ``B[j, :, None] * A[j]`` added in order of j.  A BLAS call's kernels,
+    and so its rounding, depend on its shape; here each column of the
+    result depends on that column of A alone."""
+    out = B[0][:, None] * A[0]
+    term = np.empty_like(out)
+    for b, a in zip(B[1:], A[1:]):
+        np.multiply(b[:, None], a, out=term)
+        out += term
+    return out
 
 
 def _estimate(p_hat: float, reps: int, seed: int, **audit) -> CoverageEstimate:

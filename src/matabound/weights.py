@@ -17,22 +17,13 @@ from the ``u_K / rss`` ratios in log space, never from raw
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, _check_integer
 from .linreg import ModelFit, ModelSubset
-
-
-def _check_integer(value, name: str) -> int:
-    """``value`` as an int; a value that is not an integer (numpy's pass)
-    raises ``ValueError`` naming it as ``name``."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

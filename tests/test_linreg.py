@@ -312,6 +312,14 @@ class TestSubsets:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("p, q, message", [(4.5, 1, "p must be an integer, not 4.5"),
+                                               (4, 1.0, "q must be an integer, not 1.0")])
+    def test_non_integral_sizes_refused(self, p, q, message):
+        with pytest.raises(ValueError, match=message):
+            all_subsets(p, q)
+        # numpy integers pass
+        assert len(all_subsets(np.int64(4), np.int64(2))) == 4
+
     def test_from_indices_roundtrip(self):
         K = ModelSubset.from_indices([5, 2, 9])
         assert K.indices == (2, 5, 9)
@@ -347,6 +355,14 @@ class TestProblemValidation:
             RegressionProblem(X, np.zeros(3), q=1)
         with pytest.raises(ValueError, match="y must have length n=5"):
             RegressionProblem(X, a, q=1, y=np.zeros(4))
+
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    def test_non_integral_q_refused(self, q):
+        X, a = np.eye(5)[:, :3], np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"q must be an integer, not {q}"):
+            RegressionProblem(X, a, q=q)
+        # numpy integers pass
+        assert RegressionProblem(X, a, q=np.int64(2)).q == 2
 
     def test_arrays_are_frozen(self):
         prob = random_problem(71)

@@ -280,6 +280,40 @@ class TestSimKernelBlocks:
                 kernel.responses(rows, beta)
 
 
+class TestSimKernelDraws:
+    def test_audited_responses_reproduce_the_kernel_statistics(self):
+        # The rebuilt responses' own fits must return the kernel's bn and
+        # rss: their residual must be orthogonal to X, with squared length rss.
+        prob = random_problem(523, n=14, p=4, q=1, with_y=False)
+        beta = np.array([0.5, -1.0, 0.8, 0.2])
+        rows = np.arange(3, 2_000, 97)
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 2_000, 37, keep=rows)
+        Y = kernel.responses(rows, beta)
+        # A row does not depend on the others asked for with it.
+        np.testing.assert_array_equal(kernel.responses(rows[3:4], beta), Y[3:4])
+        fits = fit_family(prob, None, Y)
+        bn = kernel.bn[rows]
+        scale = np.linalg.norm(bn, axis=1, keepdims=True)
+        assert np.all(np.abs(fits.beta[:, 0] - beta - bn) <= 1e-12 * scale)
+        np.testing.assert_allclose(fits.rss[:, 0], kernel.rss[rows], rtol=1e-12, atol=0.0)
+
+    def test_draws_have_the_sufficient_statistics_law(self):
+        # bn ~ N(0, (X'X)^-1) and rss ~ chi-square(n - p): the sample
+        # covariance (about the known mean 0), and the mean and variance of
+        # rss / (n - p), each within 5 standard errors.
+        prob = _correlated_design(3, 8, 0.9, q=1)
+        reps, df = 100_000, prob.n - prob.p
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, reps, 43)
+        cov = prob.stats.xtx_inv
+        se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / reps)
+        assert np.all(np.abs(kernel.bn.T @ kernel.bn / reps - cov) <= 5.0 * se)
+        x = kernel.rss / df
+        assert abs(x.mean() - 1.0) <= 5.0 * math.sqrt(2.0 / df / reps)
+        # Var of a sample variance: (mu_4 - sigma^4) / reps, with central
+        # moments of chi-square(df) / df.
+        assert abs(x.var() - 2.0 / df) <= 5.0 * math.sqrt((8.0 / df**2 + 48.0 / df**3) / reps)
+
+
 def t_pdf_d3(x, nu):
     """Third derivative of the t density f: with r = f'/f = -(nu+1) x / (nu+x^2),
     it is (r'' + 3 r r' + r^3) f."""
@@ -517,6 +551,23 @@ class TestScenarioValidation:
         SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=np.int64(10_000), seed=1,
                     spec=spec)
         assert w1_decay_scan(5, [100], [0.0], eps=0.1, reps=np.int64(2_000), seed=1).reps == 2_000
+
+    @pytest.mark.parametrize("entry", ["SimScenario", "min_coverage_scan", "w1_decay_scan"])
+    def test_non_integral_seed_refused(self, entry):
+        # A fractional seed used to run another seed's stream.
+        prob = random_problem(511, with_y=False)
+        spec = WeightSpec(prob.n, 2.0)
+        run = {
+            "SimScenario": lambda seed: SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p),
+                                                    reps=10_000, seed=seed, spec=spec),
+            "min_coverage_scan": lambda seed: min_coverage_scan(prob, spec, 0.05, [np.zeros(3)],
+                                                                reps=1_000, seed=seed),
+            "w1_decay_scan": lambda seed: w1_decay_scan(5, [100], [0.0], eps=0.1, reps=1_000,
+                                                        seed=seed),
+        }[entry]
+        with pytest.raises(ValueError, match="seed must be an integer, not 1.5"):
+            run(1.5)
+        run(np.uint64(1))  # numpy integers pass
 
     def test_scan_reps_eps_and_grids_checked(self):
         prob = random_problem(511, with_y=False)
