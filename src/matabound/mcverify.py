@@ -232,8 +232,8 @@ class _SimKernel:
     decides most replicates from ``table``, the t-cdf interpolants of the
     family's k + 1 distinct df (built here, about 1 ms each), and calls
     ``h`` only for those within ``_TABLE_MARGIN`` of a cut point or outside
-    the table (see the module docstring); its event is the one
-    ``h_at_truth`` gives, bit for bit.
+    the table (see the module docstring); its event is the one that
+    ``h(*family_arrays(beta), df, theta)`` gives, bit for bit.
 
     Replicates are evaluated in blocks of ``rows``, so memory is
     O(reps * p) plus one block's temporaries.  The evaluation uses only
@@ -289,15 +289,6 @@ class _SimKernel:
         w = self.spec.weights(u[:, 1:] / rss[:, None], self.card)
         scale = np.sqrt((rss[:, None] + u) / self.df * self.v)
         return w, theta, scale
-
-    def h_at_truth(self, beta_over_sigma: np.ndarray) -> np.ndarray:
-        """h(theta) per replicate for data y = X b + noise, b = beta/sigma."""
-        theta = float(self.prob.a @ np.asarray(beta_over_sigma, dtype=float))
-        out = np.empty(self.rss.shape[0])
-        for start in range(0, out.size, self.rows):
-            rows = slice(start, start + self.rows)
-            out[rows] = h(*self.family_arrays(beta_over_sigma, rows), self.df, theta)
-        return out
 
     def covered(self, beta_over_sigma: np.ndarray) -> np.ndarray:
         """The h-event alpha/2 <= h(theta) <= 1 - alpha/2 per replicate."""

@@ -12,6 +12,8 @@ the number of zeroed coefficients ``k = |K|``, with the kernel
 ``WeightSpec.weights`` is the one implementation of this rule.  It works
 from the ``u_K / rss`` ratios in log space, never from raw
 ``exp(-GIC/2)``, to dodge overflow when ``n ln(rss_K)`` is large.
+``model_weights`` calls it on a fitted family and ``w1`` on the
+two-model family of the coverage integral.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateFit, _check_integer
 from .linreg import ModelFit, ModelSubset
@@ -105,12 +106,12 @@ def w1(z: float | np.ndarray, m: int, n: int, d: float) -> float | np.ndarray:
 
         w1(z) = 1 / (1 + (1 + z/m)^(n/2) * exp(-d/2))
 
-    evaluated as a logistic of ``d/2 - (n/2) log1p(z/m)``, which stays
-    finite for arbitrarily large ``z`` and ``n``.  ``z`` is the squared
-    scaled coefficient estimate; vectorized over ``z``.
+    the submodel slot of ``WeightSpec(n, d).weights(z / m, 1)``, so it
+    refuses the sample sizes and penalties that ``WeightSpec`` refuses.
+    ``z`` is the squared scaled coefficient estimate; vectorized over ``z``.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("z must be nonnegative")
-    out = expit(0.5 * d - 0.5 * n * np.log1p(z / m))
+    out = WeightSpec(n, d).weights((z / m)[..., None], 1)[..., 1]
     return float(out) if out.ndim == 0 else out

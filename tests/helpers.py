@@ -1,6 +1,7 @@
 """Shared fixtures-in-spirit: problem generators used across test modules."""
 
 import numpy as np
+from scipy.special import expit
 
 from matabound import RegressionProblem
 
@@ -26,3 +27,9 @@ def gram_problem(gram, n, q, a=None, y=None):
         a = np.zeros(p)
         a[0] = 1.0
     return RegressionProblem(X, a, q=q, y=y)
+
+
+def w1_closed_form(z, m, n, d):
+    """The paper's two-model submodel weight, expit(d/2 - (n/2) log1p(z/m)),
+    written apart from ``WeightSpec.weights`` so that tests can check it."""
+    return expit(0.5 * d - 0.5 * n * np.log1p(np.asarray(z, dtype=float) / m))

@@ -28,7 +28,8 @@ import matabound.coverage as coverage
 from matabound.bound import resolve_d
 from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes
 from matabound.errors import DomainError, QuadratureError
-from matabound.weights import w1
+
+from helpers import w1_closed_form
 
 
 def make_cfg(m=8, n=12, rho=0.6, d=2.0, alpha=0.05):
@@ -149,7 +150,7 @@ def direct_lhs(delta, x, y, cfg):
     """
     m, rho = cfg.m, cfg.rho
     s = math.sqrt(1.0 - rho * rho)
-    w = w1(x * x / (y * y), m, cfg.n, cfg.d)
+    w = w1_closed_form(x * x / (y * y), m, cfg.n, cfg.d)
     c = math.sqrt((m + 1.0) / (x * x + m * y * y))
     full = sps.cauchy.cdf(delta / y) if m == 1 else stdtr(m, delta / y)
     return w * stdtr(m + 1, c * (delta - rho * x) / s) + (1.0 - w) * full
@@ -331,7 +332,7 @@ def exact_coverage_at_zero(cfg):
     return 2.0 * total
 
 
-# (m, rho, n, d rule) configs of the 64-config sweep (tools/sweep64.py).
+# (m, rho, n, d rule) configs of the 64-config sweep (tools/digest.py).
 EXACT_C0_CONFIGS = [(1, 0.3, 3, "aic"), (1, 0.9, 10**6, "bic"), (1, 0.999999, 10**6, "aic"),
                     (1, 0.999999, 10**6, "bic"), (5, 0.3, 10**6, "aic"), (5, 0.9, 7, "aic"),
                     (5, 0.99, 10**6, "bic"), (44, 0.3, 46, "bic"), (44, 0.9, 46, "aic"),
@@ -401,7 +402,7 @@ class TestRegimeCuts:
                         cuts = np.sort(coverage._root_regime_changes(cfg))
 
                         def excess(x, e, u):
-                            w = w1(x * x, m, n, cfg.d)
+                            w = w1_closed_form(x * x, m, n, cfg.d)
                             return e * w + (1.0 - w) * coverage._t_cdf(abs(rho) * x, m) - u
 
                         refs = []

@@ -18,13 +18,12 @@ from matabound import (
     fit_family,
     model_weights,
     solve_interval,
-    w1,
 )
 from matabound.bound import resolve_d
 from matabound.errors import BracketFailure, DegenerateFit
 from matabound.interval import _family_arrays, _newton_step, h
 
-from helpers import random_problem
+from helpers import random_problem, w1_closed_form
 
 
 def h_of(z, prob, fits, weights):
@@ -92,7 +91,7 @@ class TestTwoModelDisplayForm:
         beta_hat = fits[ModelSubset(0)].beta_hat
         theta_hat = float(prob.a @ beta_hat)
         gamma_hat = beta_hat[3] / (sigma_hat * math.sqrt(v_p))
-        wsub = w1(gamma_hat**2, m, prob.n, 2.0)
+        wsub = w1_closed_form(gamma_hat**2, m, prob.n, 2.0)
 
         for z in np.linspace(theta_hat - 3.0, theta_hat + 3.0, 11):
             arg1 = (math.sqrt((m + 1) / (m + gamma_hat**2))

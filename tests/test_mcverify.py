@@ -195,9 +195,9 @@ class TestSimKernelProperties:
         beta = np.array(beta[:p])
         spec = WeightSpec.gic(prob.n, d)
         kernel = _SimKernel(prob, spec, 0.05, reps=8, seed=seed, keep=range(8))
-        w, _, _ = kernel.family_arrays(beta)
-        h_theta = kernel.h_at_truth(beta)
+        w, theta_k, scale = kernel.family_arrays(beta)
         theta = float(prob.a @ beta)
+        h_theta = h(w, theta_k, scale, kernel.df, theta)
         for i in range(8):
             y = kernel.responses([i], beta)[0]
             fits = fit_family(RegressionProblem(prob.X, prob.a, q=prob.q, y=y))
@@ -222,7 +222,8 @@ class TestSimKernelBlocks:
         def outputs():
             kernel = _SimKernel(prob, sc.spec, sc.alpha, sc.reps, sc.seed)
             est = simulate_coverage(sc)
-            return kernel, (kernel.bn, kernel.rss, kernel.h_at_truth(beta),
+            h_theta = h(*kernel.family_arrays(beta), kernel.df, float(prob.a @ beta))
+            return kernel, (kernel.bn, kernel.rss, h_theta,
                             kernel.covered(beta), est.p_hat, est.audited,
                             est.audit_max_residual)
 
@@ -245,7 +246,9 @@ class TestSimKernelBlocks:
         short, long = (_SimKernel(prob, spec, 0.05, reps, 29) for reps in (1_025, 1_536))
         np.testing.assert_array_equal(short.bn, long.bn[:1_025])
         np.testing.assert_array_equal(short.rss, long.rss[:1_025])
-        np.testing.assert_array_equal(short.h_at_truth(beta), long.h_at_truth(beta)[:1_025])
+        short_h, long_h = (h(*k.family_arrays(beta), k.df, float(prob.a @ beta))
+                           for k in (short, long))
+        np.testing.assert_array_equal(short_h, long_h[:1_025])
 
     def test_covered_memory_does_not_grow_with_reps(self):
         import tracemalloc
@@ -381,9 +384,9 @@ class TestHEvent:
         recording_h(monkeypatch, exact_rows)
         covered = kernel.covered(beta)
         monkeypatch.undo()
-        h_theta = kernel.h_at_truth(beta)
+        w, theta, scale = kernel.family_arrays(beta)
+        h_theta = h(w, theta, scale, kernel.df, float(prob.a @ beta))
         np.testing.assert_array_equal(covered, (0.025 <= h_theta) & (h_theta <= 0.975))
-        _, theta, scale = kernel.family_arrays(beta)
         outside = np.any(np.abs((theta - prob.a @ beta) / scale) >= _TABLE_RANGE, axis=1)
         assert outside.sum() > 100
         np.testing.assert_array_equal(np.concatenate(exact_rows), theta[outside])

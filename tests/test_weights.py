@@ -19,7 +19,7 @@ from matabound import (
 from matabound.bound import resolve_d
 from matabound.errors import DegenerateFit
 
-from helpers import random_problem
+from helpers import random_problem, w1_closed_form
 
 
 def gic(rss_k, card_k, p, spec):
@@ -198,11 +198,29 @@ class TestW1:
         z = beta_hat[4] ** 2 / (sigma2_hat * v_p)
         for d in (2.0, math.log(prob.n)):
             weights = model_weights(fits, rss, WeightSpec.gic(prob.n, d))
-            assert weights[K] == pytest.approx(w1(z, m, prob.n, d), rel=1e-12)
+            assert weights[K] == pytest.approx(w1_closed_form(z, m, prob.n, d), rel=1e-12)
+
+    def test_matches_closed_form(self):
+        # expit(L) is 1 / (1 + exp(-L)), which is 0 once exp(-L) overflows
+        # (L < -709.78, where (1 + z/m)^(n/2) overflows), while w1 stays
+        # subnormal down to L = -745: hence the absolute floor at the
+        # smallest normal double.
+        z = np.geomspace(1e-16, 1e8, 1_000)
+        for n in (2, 3, 7, 30, 1_000, 10**4, 10**6):
+            for m in (1, 5, 44, 200):
+                for d in (0.0, 2.0, math.log(n), 1e3):
+                    if m < n:
+                        np.testing.assert_allclose(w1(z, m, n, d), w1_closed_form(z, m, n, d),
+                                                   rtol=1e-15, atol=np.finfo(float).tiny)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             w1(-0.5, m=5, n=20, d=2.0)
+
+    @pytest.mark.parametrize("n, d", [(20.5, 2.0), (20, -1.0), (20, math.nan)])
+    def test_refuses_what_weight_spec_refuses(self, n, d):
+        with pytest.raises(ValueError):
+            w1(1.0, m=5, n=n, d=d)
 
 
 class TestSpecValidation:

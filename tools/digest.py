@@ -1,4 +1,4 @@
-"""Bit-level digest of interval endpoints and audited Monte Carlo estimates.
+"""Bit-level digest of interval endpoints, Monte Carlo estimates and bounds.
 
     PYTHONPATH=src python3 tools/digest.py [--out FILE] [--compare OLD.json]
 
@@ -11,23 +11,30 @@ entries are equal bit for bit:
 * per dataset, a SHA-256 of the bytes of ``fit_family``'s per-model
   ``df``, ``v``, ``rss`` and ``u``, and one of the ``model_weights``
   values, models in mask order;
-* ``p_hat``, ``audited`` and ``audit_max_residual`` of audited
-  (1%, 1e5 replicates) ``simulate_coverage`` runs on two two-model
+* under ``mc/``, ``p_hat``, ``audited`` and ``audit_max_residual`` of
+  audited (1%, 1e5 replicates) ``simulate_coverage`` runs on two two-model
   designs and on an 8-model design whose two extra droppable columns are
   orthogonal to the target, with coefficients +-16 standard errors;
 * a SHA-256 of the bytes of ``_SimKernel(...).covered(beta)``, the
   per-replicate h-event (1e5 replicates), on those three designs and on
   an m = 1 two-model design (df 1 and 2);
-* a SHA-256 of the bytes of ``CoverageGrid(cfg).panels``, the base t
-  panels' ends ``a``, ``b`` and ``tail`` flags, for each of the 64
-  configs of ``tools/sweep64.py``, keyed by its sweep key.  The panels
-  carry the regime cuts, so a cut that moves by one ulp shows even where
-  no bound changes.
+* for each config of the 64-config bound sweep (m in {1, 5, 44, 200}, rho
+  in {.3, .9, .99, .999999}, n in {m + 2, 1e6}, AIC and BIC, alpha 0.05),
+  keyed by its sweep key:
+  - a SHA-256 of the bytes of ``CoverageGrid(cfg).panels``, the base t
+    panels' ends ``a``, ``b`` and ``tail`` flags.  The panels carry the
+    regime cuts, so a cut that moves by one ulp shows even where no bound
+    changes;
+  - under ``bound/``, ``upper_bound``'s bound, gamma*, error estimate and
+    the integrals it took (calls of ``CoverageGrid._integrate``).
 
-``--compare`` reads an earlier run of this tool, prints how many entries
-differ (or are missing on one side), how many of them fall under each key
-prefix (``interval``, ``fits``, ``weights``, ``coverage``, ``covered`` and
-``panels``) and the first 10 of their keys, and exits 1 if any do.
+It prints the seconds the 64 bounds took.  ``--compare`` reads an earlier
+run of this tool, prints how many entries differ (or are missing on one
+side), how many of them fall under each key prefix (``interval``,
+``fits``, ``weights``, ``mc``, ``covered``, ``panels`` and ``bound``),
+the largest bound and gamma* moves and the count of bit-identical bounds
+over the configs both runs hold, and the first 10 differing keys, and
+exits 1 if any entry differs.
 """
 
 from __future__ import annotations
@@ -37,18 +44,17 @@ import hashlib
 import json
 import math
 import sys
+import time
 from collections import Counter
 
 import numpy as np
 
 from matabound import MataRequest, ModelSubset, RegressionProblem, SimScenario, WeightSpec
 from matabound import fit_family, model_weights, simulate_coverage, solve_interval
-from matabound.bound import resolve_d
+from matabound.bound import resolve_d, upper_bound
 from matabound.coverage import CoverageGrid, TwoModelConfig
 from matabound.mcverify import _SimKernel
 from matabound.suites import _correlated_design
-
-import sweep64
 
 ALPHA = 0.05
 MC_REPS = 100_000
@@ -62,6 +68,9 @@ DESIGNS = (
 # The h-event's designs: the full model's points of the m = 1 design are
 # t_1 at the truth and often fall outside the kernel's t-cdf table.
 KERNEL_DESIGNS = DESIGNS + (("m1-n3-aic-rho0.5-g0.5", 1, 3, "aic", 0.5, 0.5, 0.0),)
+# The bound sweep's (m, n, rho, d rule) configs.
+SWEEP = tuple((m, n, rho, rule) for m in (1, 5, 44, 200) for rho in (0.3, 0.9, 0.99, 0.999999)
+              for n in (m + 2, 1_000_000) for rule in ("aic", "bic"))
 
 
 def dataset(seed: int) -> tuple[RegressionProblem, WeightSpec]:
@@ -119,16 +128,16 @@ def weight_spec(rule: str, n: int) -> WeightSpec:
     return WeightSpec.gic(n, resolve_d(rule, n))
 
 
-def coverage_entries() -> dict[str, str]:
+def mc_entries() -> dict[str, str]:
     out = {}
     for i, (name, m, n, rule, rho, gamma, far) in enumerate(DESIGNS):
         prob, beta = design(m, n, rho, gamma, far)
         est = simulate_coverage(SimScenario(prob=prob, beta_over_sigma=beta, reps=MC_REPS,
                                             seed=1_000 + i, spec=weight_spec(rule, n),
                                             alpha=ALPHA))
-        out[f"coverage/{name}/p_hat"] = est.p_hat.hex()
-        out[f"coverage/{name}/audited"] = float(est.audited).hex()
-        out[f"coverage/{name}/audit_max_residual"] = est.audit_max_residual.hex()
+        out[f"mc/{name}/p_hat"] = est.p_hat.hex()
+        out[f"mc/{name}/audited"] = float(est.audited).hex()
+        out[f"mc/{name}/audit_max_residual"] = est.audit_max_residual.hex()
     return out
 
 
@@ -141,19 +150,52 @@ def kernel_entries() -> dict[str, str]:
     return out
 
 
-def panel_entries() -> dict[str, str]:
-    out = {}
-    for c in sweep64.configs():
-        cfg = TwoModelConfig(c["m"], c["n"], c["rho"], resolve_d(c["rule"], c["n"]), sweep64.ALPHA)
-        a, b, tail = CoverageGrid(cfg).panels
-        out[f"panels/{sweep64.key(c)}"] = hashlib.sha256(
-            a.tobytes() + b.tobytes() + tail.tobytes()).hexdigest()
-    return out
+def sweep_entries() -> tuple[dict[str, str], float]:
+    """The panel and bound entries of the sweep, and the seconds its
+    ``upper_bound`` calls took."""
+    out, seconds, count = {}, 0.0, [0]
+    integrate = CoverageGrid._integrate
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return integrate(self, *args, **kwargs)
+
+    CoverageGrid._integrate = counting
+    try:
+        for m, n, rho, rule in SWEEP:
+            key, d = f"m{m}-n{n}-rho{rho}-{rule}", resolve_d(rule, n)
+            a, b, tail = CoverageGrid(TwoModelConfig(m, n, rho, d, ALPHA)).panels
+            out[f"panels/{key}"] = hashlib.sha256(a.tobytes() + b.tobytes()
+                                                  + tail.tobytes()).hexdigest()
+            count[0], t0 = 0, time.perf_counter()
+            res = upper_bound(rho, m, n, d, ALPHA)
+            seconds += time.perf_counter() - t0
+            values = (res.upper_bound, res.gamma_star, res.error_estimate, count[0])
+            for name, v in zip(("bound", "gamma_star", "error_estimate", "integrals"), values):
+                out[f"bound/{key}/{name}"] = float(v).hex()
+    finally:
+        CoverageGrid._integrate = integrate
+    return out, seconds
 
 
-def compare(new: dict[str, str], old: dict[str, str]) -> list[str]:
-    """Sorted keys of the entries that differ or are on one side only."""
-    return sorted(k for k in new.keys() | old.keys() if new.get(k) != old.get(k))
+def compare(new: dict[str, str], old: dict[str, str]) -> tuple[list[str], int]:
+    """The report of ``--compare`` as lines, and the exit code: 1 if an
+    entry differs or is on one side only, else 0."""
+    differing = sorted(k for k in new.keys() | old.keys() if new.get(k) != old.get(k))
+    counts = Counter(k.split("/")[0] for k in differing)
+    prefixes = dict.fromkeys(k.split("/")[0] for k in (*new, *old))
+    lines = [f"entries {len(new)}: {len(differing)} differ",
+             "  by prefix: " + ", ".join(f"{p} {counts[p]}" for p in prefixes)]
+    bounds, gammas = ([(float.fromhex(new[k]), float.fromhex(old[k])) for k in new
+                       if k.startswith("bound/") and k.endswith(f"/{name}") and k in old]
+                      for name in ("bound", "gamma_star"))
+    if bounds:
+        lines.append(f"  bounds {len(bounds)}: max |bound diff| "
+                     f"{max(abs(a - b) for a, b in bounds):.3g}, max |gamma* diff| "
+                     f"{max(abs(a - b) for a, b in gammas):.3g}, "
+                     f"bit-identical {sum(a == b for a, b in bounds)}")
+    lines += [f"  {k}: {old.get(k)} -> {new.get(k)}" for k in differing[:10]]
+    return lines, int(bool(differing))
 
 
 def main(argv=None) -> int:
@@ -161,26 +203,21 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="write the JSON here (default: stdout)")
     ap.add_argument("--compare", help="earlier JSON of this tool to compare against")
     args = ap.parse_args(argv)
-    digest = {**interval_entries(), **coverage_entries(), **kernel_entries(),
-              **panel_entries()}
+    sweep, seconds = sweep_entries()
+    digest = {**interval_entries(), **mc_entries(), **kernel_entries(), **sweep}
     text = json.dumps(digest, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.compare:
-        with open(args.compare) as fh:
-            old = json.load(fh)
-        differing = compare(digest, old)
-        print(f"entries {len(digest)}: {len(differing)} differ", file=sys.stderr)
-        counts = Counter(k.split("/")[0] for k in differing)
-        prefixes = dict.fromkeys(k.split("/")[0] for k in (*digest, *old))
-        print("  by prefix: " + ", ".join(f"{p} {counts[p]}" for p in prefixes), file=sys.stderr)
-        for k in differing[:10]:
-            print(f"  {k}: {old.get(k)} -> {digest.get(k)}", file=sys.stderr)
-        return 1 if differing else 0
-    return 0
+    print(f"bound sweep: {len(SWEEP)} configs in {seconds:.2f} s", file=sys.stderr)
+    if not args.compare:
+        return 0
+    with open(args.compare) as fh:
+        lines, code = compare(digest, json.load(fh))
+    print("\n".join(lines), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":
