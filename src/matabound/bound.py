@@ -134,7 +134,7 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
     within ``gamma_refine_tol``.
     """
     tol = _RULE.gamma_refine_tol
-    bracket = [float(gammas[max(i - 1, 0)]), float(gammas[i + 1])]
+    state = [float(gammas[max(i - 1, 0)]), float(gammas[i + 1]), math.inf]
     if i == 0:
         # C is even, so C'(0) = 0 and the vertex is 0, already integrated.
         # Start one tolerance off it, where C'' is C''(0) to O(tol^2): a true
@@ -148,7 +148,7 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
         value, d1, d2 = grid.coverage_derivatives(x)
         if value <= best[1]:
             best = x, value
-        x = _newton_step(x, d1, d2, bracket, tol)
+        x = _newton_step(x, d1, d2, state, tol)
         if x is None:
             return best
     raise QuadratureError(f"gamma polish unconverged after {_MAX_ITERATIONS} steps")

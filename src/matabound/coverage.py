@@ -275,7 +275,8 @@ def _solve_reduced(t, u, q_sub, q_full, cfg: TwoModelConfig):
 
 def _newton_roots(f, x, lo, hi, *params):
     """Roots of ``f``, one per entry of the start ``x``, each inside its
-    bracket [lo, hi]: the array form of ``interval._newton_step``.
+    bracket [lo, hi]: the array form of ``interval._newton_step``, with its
+    rule on the length of a Newton step.
 
     ``f(x, *params)`` returns ``(g, slope)``, with ``g`` increasing through
     each bracket and ``params`` arrays aligned with ``x``.  Each entry stops
@@ -288,6 +289,7 @@ def _newton_roots(f, x, lo, hi, *params):
     # Compressed state of the entries still iterating; ``idx`` maps it back.
     idx = np.arange(x.size)
     xk = x
+    prev = np.full(x.size, math.inf)
     for _ in range(_MAX_ITERATIONS):
         gk, slope = f(xk, *params)
         lo = np.where(gk < 0.0, xk, lo)
@@ -295,16 +297,18 @@ def _newton_roots(f, x, lo, hi, *params):
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = np.where(slope > 0.0, xk - gk / slope, math.nan)
         small = _STEP_RTOL * np.maximum(1.0, np.abs(xk))
+        step = np.abs(nxt - xk)
         # A converged step may round onto the bracket end it started from.
-        newton = ((nxt > lo) & (nxt < hi)) | (np.abs(nxt - xk) <= small)
+        newton = (step <= small) | ((nxt > lo) & (nxt < hi) & (step <= 0.5 * prev))
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-        done = np.abs(nxt - xk) <= small
+        prev = np.abs(nxt - xk)
+        done = prev <= small
         xk = nxt
         x[idx] = xk
         keep = ~done
         if not keep.any():
             return x
-        idx, xk, lo, hi = idx[keep], xk[keep], lo[keep], hi[keep]
+        idx, xk, lo, hi, prev = idx[keep], xk[keep], lo[keep], hi[keep], prev[keep]
         params = tuple(v[keep] for v in params)
     raise QuadratureError(
         f"{f.__name__}: {idx.size} points unconverged after {_MAX_ITERATIONS} iterations")

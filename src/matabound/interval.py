@@ -123,21 +123,27 @@ def _t_pdf(z, nu):
     return np.exp(log_const - 0.5 * (nu + 1) * np.log1p(z * z / nu))
 
 
-def _newton_step(x, g, slope, bracket, small):
+def _newton_step(x, g, slope, state, small):
     """Next iterate of a safeguarded Newton iteration on ``g``, increasing in
-    ``x``, or None once the step is within ``small``.  The [lo, hi] list
-    ``bracket`` is tightened in place by the sign of ``g``; the step
-    ``x - g / slope`` is taken if ``slope > 0`` and it lands inside the
-    bracket or within ``small``, and the bracket midpoint otherwise."""
+    ``x``, or None once the step is within ``small``.  ``state`` is the list
+    [lo, hi, prev]: the bracket, tightened in place by the sign of ``g``,
+    and the previous step's length (``inf`` at first).  The step ``x - g /
+    slope`` is taken if it is within ``small``, or if ``slope > 0`` and it
+    lands inside the bracket at most half as long as the previous step
+    (``rtsafe``'s rule, *Numerical Recipes* 9.4, which stops steps cycling
+    between the bracket ends); the bracket midpoint is taken otherwise."""
     if g < 0.0:
-        bracket[0] = x
+        state[0] = x
     elif g > 0.0:
-        bracket[1] = x
+        state[1] = x
     nxt = x - g / slope if slope > 0.0 else math.nan
+    step = abs(nxt - x)
     # A converged step may round onto the bracket end it started from.
-    if not (bracket[0] < nxt < bracket[1] or abs(nxt - x) <= small):
-        nxt = 0.5 * (bracket[0] + bracket[1])
-    return None if abs(nxt - x) <= small else nxt
+    if not (step <= small or (state[0] < nxt < state[1] and step <= 0.5 * state[2])):
+        nxt = 0.5 * (state[0] + state[1])
+        step = abs(nxt - x)
+    state[2] = step
+    return None if step <= small else nxt
 
 
 def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
@@ -157,7 +163,7 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
     live = w > 0.0
     q = stdtrit(df, targets[0]) * scale
     own = (theta - q, theta + q)
-    brackets = [[float(r[live].min()), float(r[live].max())] for r in own]
+    states = [[float(r[live].min()), float(r[live].max()), math.inf] for r in own]
     total, scale_max = float(w.sum()), float(scale.max())
     zs = [float(w @ r) / total for r in own]
     # -h' = sum_K w_K f_K((theta_K - z) / scale_K) / scale_K; each density's
@@ -173,7 +179,7 @@ def _solve_tails(w, theta, scale, df, targets: tuple[float, float]):
         for j, hj, sj in zip(tails, tail_areas, slope):
             gj, zj = targets[j] - hj, zs[j]
             roots[j], residuals[j] = zj, abs(gj)
-            zs[j] = _newton_step(zj, gj, sj, brackets[j], _STEP_RTOL * max(abs(zj), scale_max))
+            zs[j] = _newton_step(zj, gj, sj, states[j], _STEP_RTOL * max(abs(zj), scale_max))
         tails = [j for j in tails if zs[j] is not None]
         if not tails:
             break

@@ -43,6 +43,17 @@ class TestBoundCommand:
         assert float(vals[-2]) == direct.gamma_star
         assert capsys.readouterr().out.startswith("upper bound")
 
+    def test_cell_where_delta_u_newton_cycled_returns(self, capsys, tmp_path):
+        # Newton steps between the ends of delta_u's bracket at four t
+        # nodes ran to the iteration cap here, and the command exited 3.
+        out = tmp_path / "row.csv"
+        code = main(["bound", "--rho-max", "0.9999", "--n", "4", "--p", "2",
+                     "--alpha", "0.01", "--d-rule", "bic", "--out", str(out)])
+        assert code == 0
+        direct = upper_bound(0.9999, 2, 4, math.log(4), 0.01)
+        assert float(out.read_text().split(",")[-1]) == direct.upper_bound
+        assert direct.error_estimate <= coverage._TOL
+
     def test_fixed_d_rule(self, capsys):
         code = main(["bound", "--rho-max", "0.5", "--n", "12", "--p", "4",
                      "--d-rule", "fixed:3.0"])

@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
-from scipy.special import stdtr
+from scipy.special import stdtr, stdtrit
 
 from matabound import (
     MataRequest,
@@ -21,7 +21,9 @@ from matabound import (
 )
 from matabound.bound import resolve_d
 from matabound.errors import BracketFailure, DegenerateFit
-from matabound.interval import _family_arrays, _newton_step, h
+from matabound.coverage import _newton_roots
+from matabound.interval import _family_arrays, _newton_step, _solve_tails, _t_pdf, h
+from matabound.suites import two_model_problem
 
 from helpers import random_problem, w1_closed_form
 
@@ -311,36 +313,98 @@ class TestNewtonStep:
     """The safeguarded step shared by the endpoint solve and the gamma polish."""
 
     def test_bracket_tightens_by_the_sign(self):
-        below, above, root = [0.0, 2.0], [0.0, 2.0], [0.0, 2.0]
+        below, above, root = ([0.0, 2.0, math.inf] for _ in range(3))
         assert _newton_step(0.5, -0.5, 1.0, below, 1e-13) == 1.0
-        assert below == [0.5, 2.0]
+        assert below == [0.5, 2.0, 0.5]
         assert _newton_step(1.5, 0.5, 1.0, above, 1e-13) == 1.0
-        assert above == [0.0, 1.5]
+        assert above == [0.0, 1.5, 0.5]
         assert _newton_step(1.0, 0.0, 1.0, root, 1e-13) is None
-        assert root == [0.0, 2.0]
+        assert root == [0.0, 2.0, 0.0]
 
     def test_midpoint_when_the_step_leaves_the_bracket(self):
-        bracket = [0.0, 2.0]
+        state = [0.0, 2.0, math.inf]
         # the step from 1.5 lands at 5.5, outside [1.5, 2]
-        assert _newton_step(1.5, -4.0, 1.0, bracket, 1e-13) == 1.75
-        assert bracket == [1.5, 2.0]
+        assert _newton_step(1.5, -4.0, 1.0, state, 1e-13) == 1.75
+        assert state == [1.5, 2.0, 0.25]
+
+    def test_midpoint_when_the_step_is_over_half_the_previous_one(self):
+        # The steps 0.5 and then 0.3 both stay in the bracket; the second
+        # is more than half the first, so the midpoint of [0.5, 1] is taken.
+        state = [0.0, 2.0, math.inf]
+        assert _newton_step(0.5, -0.5, 1.0, state, 1e-13) == 1.0
+        assert _newton_step(1.0, 0.3, 1.0, state, 1e-13) == 0.5 * (0.5 + 1.0)
+        assert state == [0.5, 1.0, 0.25]
+        assert _newton_step(0.75, -0.1, 1.0, state, 1e-13) == 0.85
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan])
     def test_midpoint_without_a_positive_slope(self, slope):
-        bracket = [0.0, 2.0]
-        assert _newton_step(0.5, 0.1, slope, bracket, 1e-13) == 0.25
-        assert bracket == [0.0, 0.5]
+        state = [0.0, 2.0, math.inf]
+        assert _newton_step(0.5, 0.1, slope, state, 1e-13) == 0.25
+        assert state == [0.0, 0.5, 0.25]
 
     def test_converged_step_onto_the_bracket_end_is_accepted(self):
         # g > 0 moves the upper end onto x, and x - g / slope rounds back
         # onto it: not inside the bracket, but converged, so no midpoint.
-        bracket = [0.0, 2.0]
-        assert _newton_step(1.0, 1e-20, 1.0, bracket, 1e-13) is None
-        assert bracket == [0.0, 1.0]
+        state = [0.0, 2.0, math.inf]
+        assert _newton_step(1.0, 1e-20, 1.0, state, 1e-13) is None
+        assert state[:2] == [0.0, 1.0]
 
     def test_none_once_the_step_is_within_small(self):
-        assert _newton_step(1.0, 1e-14, 1.0, [0.0, 2.0], 1e-13) is None
-        assert _newton_step(1.0, 1e-12, 1.0, [0.0, 2.0], 1e-13) == 1.0 - 1e-12
+        assert _newton_step(1.0, 1e-14, 1.0, [0.0, 2.0, math.inf], 1e-13) is None
+        assert _newton_step(1.0, 1e-12, 1.0, [0.0, 2.0, math.inf], 1e-13) == 1.0 - 1e-12
+        # A converged step is taken whatever the previous one was.
+        assert _newton_step(1.0, 1e-14, 1.0, [0.0, 2.0, 0.0], 1e-13) is None
+
+
+@st.composite
+def steep_far_mixtures(draw):
+    """(w, theta, scale, df) of two t components: weight 1e-4 to 1e-2 on one
+    of scale 0.01 to 0.2, 5 to 15 scales from the other, on either side."""
+    eps = 10.0 ** draw(st.floats(-4.0, -2.0))
+    far = draw(st.floats(5.0, 15.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    df = [float(draw(st.integers(1, 30))) for _ in range(2)]
+    return (np.array([1.0 - eps, eps]), np.array([0.0, far]),
+            np.array([1.0, draw(st.floats(0.01, 0.2))]), np.array(df))
+
+
+class TestSteepFarComponent:
+    """Newton steps that alternate between the ends of a bracket: the
+    mixtures where the safeguard must also bound the step's length."""
+
+    # The interval case below, standardized and rounded to the digits
+    # shown: both root forms cycled to their cap on it without the length rule.
+    CYCLING = (np.array([1.0 - 6.97448625e-4, 6.97448625e-4]), np.array([0.0, 10.248975]),
+               np.array([1.0, 0.08448161412400584]), np.array([2.0, 3.0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(steep_far_mixtures())
+    @example(CYCLING)
+    def test_both_root_forms_converge_within_the_cap(self, mixture):
+        w, theta, scale, df = mixture
+        alpha = 0.01
+        roots, residuals = _solve_tails(w, theta, scale, df, (1.0 - alpha / 2.0, alpha / 2.0))
+        assert max(residuals) <= 1e-9
+
+        def mixture_cdf(x, u):
+            z = (x[:, None] - theta) / scale
+            return (w * stdtr(df, z)).sum(axis=-1) - u, (w / scale * _t_pdf(z, df)).sum(axis=-1)
+
+        u = np.array([alpha / 2.0, 1.0 - alpha / 2.0])
+        own = theta + scale * stdtrit(df, u[:, None])
+        x = _newton_roots(mixture_cdf, own @ w, own.min(axis=1), own.max(axis=1), u)
+        # The two forms solve the same equations, 1 - h(z) = u, to their tolerance.
+        np.testing.assert_allclose(x, roots, rtol=0.0, atol=1e-9)
+
+    def test_interval_at_alpha_01(self):
+        # The two-model design at rho .9999 with m 2 and BIC; y = X b + r
+        # with b[-1] = -10.25 sqrt(v_p), r orthogonal to X and |r|^2 = 2.
+        prob, v_p = two_model_problem(2, 4, 0.9999)
+        y = prob.X @ np.array([0.0, -10.25 * math.sqrt(v_p)]) + np.array([0.0, 0.0, 1.0, 1.0])
+        prob = RegressionProblem(prob.X, prob.a, q=1, y=y)
+        spec = WeightSpec(4, math.log(4))
+        wide, narrow = (solve_interval(MataRequest(prob, spec, alpha)) for alpha in (0.01, 0.05))
+        assert wide.lower < narrow.lower < narrow.upper < wide.upper
+        assert max(wide.h_residuals) <= 1e-9
 
 
 class TestRequestValidation:
