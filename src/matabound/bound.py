@@ -127,7 +127,8 @@ def upper_bound(
 
 def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
     """(gamma, coverage) of the lowest coverage integrated around the grid
-    minimum ``gammas[i]``, grid value included.
+    minimum ``gammas[i]``, grid value included, and of the earliest on a
+    tie: a minimum at 0 reports 0 where C(tol) rounds to C(0).
 
     The Newton iteration of the module docstring starts at the vertex of
     the parabola through the three grid values and stops once a step is
@@ -146,7 +147,7 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
     best = float(gammas[i]), values[i]
     for _ in range(_MAX_ITERATIONS):
         value, d1, d2 = grid.coverage_derivatives(x)
-        if value <= best[1]:
+        if value < best[1]:
             best = x, value
         x = _newton_step(x, d1, d2, state, tol)
         if x is None:

@@ -103,6 +103,13 @@ class TestUpperBound:
         scan = min(coverage_probability(g, res.cfg) for g in np.arange(0.0, 3.0 + 1e-9, 0.125))
         assert res.upper_bound <= scan + 1e-12
 
+    def test_minimum_at_zero_reports_zero_on_a_tie(self):
+        # C(1e-6), the polish's first point, equals C(0) bit for bit here:
+        # the grid point 0 is kept.
+        res = upper_bound(0.3, 5, 10**6, 2.0, 0.05)
+        assert res.gamma_star == 0.0
+        assert res.upper_bound == res.diagnostics[0][1]
+
     def test_convergence_check_passes(self):
         res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05)
         assert 0.0 < res.upper_bound < 1.0
