@@ -41,25 +41,24 @@ sufficient statistics, so the kernel draws those and never the noise: p + 1
 variates in place of n.  With X = QR, the noise-only least-squares
 coefficients are ``bn = R^-1 z`` for z ~ N(0, I_p), and the residual sum
 of squares is an independent ``rss`` ~ chi-square(n - p).  An audited
-replicate's noise is rebuilt as ``Q z + r``: r is a standard normal
-n-vector with its projection on the columns of Q removed, scaled to
-``|r|^2 = rss``.  The direction of that projection is uniform on the
-residual space's sphere and independent of its length, so ``Q z + r`` is
-exactly N(0, I_n) noise, and its least-squares fit returns ``bn`` and
-``rss`` to rounding.
+replicate's response is rebuilt from those two alone as
+``X (b + bn) + sqrt(rss) e``, with e one fixed unit vector orthogonal to
+the columns (``_residual_direction``).  It is not a draw of the noise, and
+nothing reads it as one: the fitted path sees a response only through
+``X'y``, which gives ``b + bn``, and its residual sums of squares, each
+``|r|^2`` plus a term in ``b + bn``; any residual r orthogonal to the
+columns with ``|r|^2 = rss`` gives the same fits, weights and interval.
 
-Each drawn quantity has its own counter-based Philox stream keyed by the
-scenario seed, 2^192 counter steps from the others: z and rss are drawn
-in replicate order, and replicate i's r at its own position, i * 2^64
-steps into the third stream.  The normal and chi-square samplers sometimes
-take more than one random word per draw, so a replicate's place in the
-z and rss streams depends on every draw before it, and those are drawn in
-blocks taken in order.  Blocks filled in order give the same stream as one
-large draw, and no replicate's arithmetic depends on the block it falls
-in, so an estimate is bit-reproducible for a given seed whatever the
-block size, and replicate i's draws, rebuilt response included, depend
-only on the seed and i: not on ``reps``, nor on which replicates are
-audited.
+z and rss each have their own counter-based Philox stream keyed by the
+scenario seed, 2^192 counter steps apart, drawn in replicate order.  The
+normal and chi-square samplers sometimes take more than one random word
+per draw, so a replicate's place in a stream depends on every draw before
+it, and those are drawn in blocks taken in order.  Blocks filled in order
+give the same stream as one large draw, and no replicate's arithmetic
+depends on the block it falls in, so an estimate is bit-reproducible for a
+given seed whatever the block size, and replicate i's draws, rebuilt
+response included, depend only on the seed and i: not on ``reps``, nor on
+which replicates are audited.
 """
 
 from __future__ import annotations
@@ -88,9 +87,9 @@ _MIN_SCAN_REPS = 1_000
 # kernels, and so its rounding, by the shape of a call (OpenBLAS switches
 # to other dgemm kernels for small products and single rows).
 _DRAW_ROWS = 512
-# Philox counters at which the kernel's three streams start (see the module
-# docstring): z, rss, and the audited replicates' residual directions.
-_Z_STREAM, _RSS_STREAM, _DIRECTION_STREAM = (j << 192 for j in range(3))
+# Philox counters at which the kernel's z and rss streams start (see the
+# module docstring).
+_Z_STREAM, _RSS_STREAM = 0, 1 << 192
 # Bytes of the largest temporary of a _SimKernel evaluation block: a
 # (rows, models) array or a (k, G, rows) forward substitution.
 _BLOCK_BYTES = 1 << 22
@@ -239,12 +238,12 @@ class _SimKernel:
     O(reps * p) plus one block's temporaries.  The evaluation uses only
     elementwise steps and reductions within a replicate, never a BLAS or
     LAPACK call across replicates, so a replicate's result does not depend
-    on the block it falls in.  Only the z of the replicates in ``keep`` is
-    stored; ``responses`` rebuilds their noise from it.
+    on the block it falls in.  ``responses`` rebuilds a replicate's data
+    from its ``bn`` and ``rss``.
     """
 
     def __init__(self, prob: RegressionProblem, spec: WeightSpec,
-                 alpha: float, reps: int, seed: int, keep=()):
+                 alpha: float, reps: int, seed: int):
         self.prob = prob
         self.spec = spec
         self.alpha = alpha
@@ -255,21 +254,16 @@ class _SimKernel:
         width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
         self.rows = max(1, _BLOCK_BYTES // (8 * width))
 
-        self.seed = seed
         z_rng, rss_rng = (np.random.Generator(np.random.Philox(key=seed, counter=c))
                           for c in (_Z_STREAM, _RSS_STREAM))
         self.rss = rss_rng.chisquare(prob.n - prob.p, reps)
         self.bn = np.empty((reps, prob.p))
-        self.kept = np.unique(np.asarray(keep, dtype=np.intp))
-        self.kept_z = np.empty((self.kept.size, prob.p))
         z = np.zeros((_DRAW_ROWS, prob.p))
         for start in range(0, reps, _DRAW_ROWS):
             m = min(_DRAW_ROWS, reps - start)
             z_rng.standard_normal(out=z[:m])
             z[m:] = 0.0
             self.bn[start:start + m] = (z @ prob.stats.rt_inv)[:m]
-            lo, hi = np.searchsorted(self.kept, (start, start + m))
-            self.kept_z[lo:hi] = z[self.kept[lo:hi] - start]
 
     def family_arrays(self, beta_over_sigma: np.ndarray, rows: slice = slice(None)):
         """(w, theta, scale) per replicate in ``rows`` and model, models in
@@ -303,32 +297,25 @@ class _SimKernel:
         return out
 
     def responses(self, rows, beta_over_sigma: np.ndarray) -> np.ndarray:
-        """Responses X b + Q z + r of kept replicates ``rows``, with r drawn
-        at each replicate's own place in the direction stream (see the
-        module docstring)."""
+        """Responses ``X (b + bn) + sqrt(rss) e`` of replicates ``rows``,
+        whose fits give their ``bn`` and ``rss`` (see the module docstring)."""
         rows = np.asarray(rows, dtype=np.intp)
-        pos = np.searchsorted(self.kept, rows)
-        if np.any(pos >= self.kept.size) or np.any(self.kept[pos] != rows):
-            raise ValueError("responses asked for a replicate whose noise was not kept")
-        Q = self.prob.stats.Q
-        bitgen = np.random.Philox(key=self.seed, counter=_DIRECTION_STREAM)
-        rng = np.random.Generator(bitgen)
-        state = bitgen.state
-        g = np.empty((rows.size, self.prob.n))
-        for out, i in zip(g, rows.tolist()):
-            state["state"]["counter"][1] = i  # counter _DIRECTION_STREAM + i * 2^64
-            bitgen.state = state
-            rng.standard_normal(out=out)
-        # Replicates on the last axis from here on.
-        r = g.T.copy()
-        r -= _sum_of_terms(Q.T, _sum_of_terms(Q, r))
-        norm2 = r[0] * r[0]
-        for rk in r[1:]:
-            norm2 += rk * rk
-        r *= np.sqrt(self.rss[rows] / norm2)
-        r += _sum_of_terms(Q.T, self.kept_z[pos].T)
-        r += (self.prob.X @ np.asarray(beta_over_sigma, dtype=float))[:, None]
-        return r.T
+        b_hat = self.bn[rows] + np.asarray(beta_over_sigma, dtype=float)
+        # Replicates on the last axis.
+        y = _sum_of_terms(self.prob.X.T, b_hat.T)
+        y += _residual_direction(self.prob.stats.Q)[:, None] * np.sqrt(self.rss[rows])
+        return y.T
+
+
+def _residual_direction(Q: np.ndarray) -> np.ndarray:
+    """Unit n-vector orthogonal to the columns of ``Q``: the basis vector
+    e_k of least leverage ``|Q[k]|^2`` less its projection ``Q Q[k]``,
+    normalised.  Its squared length before that is ``1 - |Q[k]|^2``, at
+    least 1 - p/n > 0."""
+    k = int(np.argmin((Q * Q).sum(axis=1)))
+    e = -(Q @ Q[k])
+    e[k] += 1.0
+    return e / math.sqrt(e @ e)
 
 
 def _sum_of_terms(B: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -351,15 +338,17 @@ def _estimate(p_hat: float, reps: int, seed: int, **audit) -> CoverageEstimate:
 def simulate_coverage(sc: SimScenario) -> CoverageEstimate:
     """Estimate coverage of the averaged interval under the scenario.
 
-    Every replicate is judged through the h-event; the audit subsample is
-    also run through ``solve_interval`` and the two verdicts must match.
+    Every replicate is judged through the h-event; the audit subsample,
+    every ``1 / audit_fraction``-th replicate, is also run through
+    ``solve_interval`` on responses rebuilt from its ``bn`` and ``rss``, and
+    the two verdicts must match.
     """
     audited = np.arange(0)
     if sc.audit_fraction:
         # A stride capped at reps: a fraction below 1/reps audits replicate 0.
         stride = max(1, int(round(min(sc.reps, 1.0 / sc.audit_fraction))))
         audited = np.arange(0, sc.reps, stride)
-    kernel = _SimKernel(sc.prob, sc.spec, sc.alpha, sc.reps, sc.seed, keep=audited)
+    kernel = _SimKernel(sc.prob, sc.spec, sc.alpha, sc.reps, sc.seed)
     covered = kernel.covered(sc.beta_over_sigma)
     p_hat = float(np.mean(covered))
     if not audited.size:

@@ -11,6 +11,7 @@ from scipy.special import stdtr
 
 from matabound import (
     MataInterval,
+    MataRequest,
     ModelSubset,
     RegressionProblem,
     SimScenario,
@@ -21,6 +22,7 @@ from matabound import (
     min_coverage_scan,
     model_weights,
     simulate_coverage,
+    solve_interval,
     w1_decay_scan,
 )
 from matabound import suites
@@ -33,6 +35,7 @@ from matabound.mcverify import (
     _TABLE_RANGE,
     _TABLE_STEP,
     _h_event,
+    _residual_direction,
     _SimKernel,
     _TCdfTable,
 )
@@ -137,6 +140,20 @@ class TestSimulateCoverage:
         with pytest.raises(EventMismatch, match="replicate"):
             simulate_coverage(sc)
 
+    def test_audit_detects_broken_kernel(self, monkeypatch):
+        # A kernel-side fault: every standard error 1% too wide.
+        sc = two_model_scenario(5, 7, 0.5, 0.8, 2.0, 0.05,
+                                reps=10_000, seed=5, audit_fraction=0.1)
+        family_arrays = _SimKernel.family_arrays
+
+        def widened(self, *args):
+            w, theta, scale = family_arrays(self, *args)
+            return w, theta, 1.01 * scale
+
+        monkeypatch.setattr(_SimKernel, "family_arrays", widened)
+        with pytest.raises(EventMismatch, match="replicate"):
+            simulate_coverage(sc)
+
     def test_reps_floor_enforced(self):
         prob = random_problem(505, with_y=False)
         with pytest.raises(ValueError, match="reps"):
@@ -194,7 +211,7 @@ class TestSimKernelProperties:
         prob = random_problem(seed, n=p + extra, p=p, q=q, with_y=False)
         beta = np.array(beta[:p])
         spec = WeightSpec.gic(prob.n, d)
-        kernel = _SimKernel(prob, spec, 0.05, reps=8, seed=seed, keep=range(8))
+        kernel = _SimKernel(prob, spec, 0.05, reps=8, seed=seed)
         w, theta_k, scale = kernel.family_arrays(beta)
         theta = float(prob.a @ beta)
         h_theta = h(w, theta_k, scale, kernel.df, theta)
@@ -268,20 +285,6 @@ class TestSimKernelBlocks:
         # One (40,000 x 64) float array alone is 20 MB.
         assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
-    def test_responses_only_for_kept_replicates(self):
-        prob = random_problem(521, n=10, p=3, q=1, with_y=False)
-        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 1_200, 31,
-                            keep=[1_100, 5, 600])
-        beta = np.array([1.0, -1.0, 0.5])
-        np.testing.assert_array_equal(kernel.kept, [5, 600, 1_100])
-        full = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 1_200, 31,
-                          keep=range(1_200))
-        np.testing.assert_array_equal(kernel.responses([600, 5], beta),
-                                      full.responses([600, 5], beta))
-        for rows in ([4], [5, 1_199], [1_200]):
-            with pytest.raises(ValueError, match="not kept"):
-                kernel.responses(rows, beta)
-
 
 class TestSimKernelDraws:
     def test_audited_responses_reproduce_the_kernel_statistics(self):
@@ -290,7 +293,7 @@ class TestSimKernelDraws:
         prob = random_problem(523, n=14, p=4, q=1, with_y=False)
         beta = np.array([0.5, -1.0, 0.8, 0.2])
         rows = np.arange(3, 2_000, 97)
-        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 2_000, 37, keep=rows)
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 2_000, 37)
         Y = kernel.responses(rows, beta)
         # A row does not depend on the others asked for with it.
         np.testing.assert_array_equal(kernel.responses(rows[3:4], beta), Y[3:4])
@@ -299,6 +302,46 @@ class TestSimKernelDraws:
         scale = np.linalg.norm(bn, axis=1, keepdims=True)
         assert np.all(np.abs(fits.beta[:, 0] - beta - bn) <= 1e-12 * scale)
         np.testing.assert_allclose(fits.rss[:, 0], kernel.rss[rows], rtol=1e-12, atol=0.0)
+
+    def test_any_residual_direction_gives_the_same_fits_and_interval(self):
+        # The audit puts each residual along one fixed unit vector e
+        # orthogonal to X; another such vector must give the same fits and
+        # containment.  The ones vector lies in the intercept design's
+        # column space; the correlated design's zero rows make e a basis
+        # vector.
+        rng = np.random.default_rng(527)
+        X = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
+        designs = [RegressionProblem(X, np.array([0.0, 1.0, 0.0, 0.0]), q=2),
+                   _correlated_design(4, 12, 0.9, q=1)]
+        for prob in designs:
+            e = _residual_direction(prob.stats.Q)
+            assert abs(np.linalg.norm(e) - 1.0) <= 1e-15
+            assert np.linalg.norm(prob.X.T @ e) <= 1e-13 * np.linalg.norm(prob.X)
+            other = rng.standard_normal(prob.n)
+            other -= prob.stats.Q @ (prob.stats.Q.T @ other)
+            other /= np.linalg.norm(other)
+            spec = WeightSpec(prob.n, 2.0)
+            kernel = _SimKernel(prob, spec, 0.05, 200, 41)
+            beta = np.array([0.0, 0.0, 1.5, -2.0])
+            rows = np.arange(200)
+            Y = kernel.responses(rows, beta)
+            b_hat = kernel.bn + beta
+            Y_other = b_hat @ prob.X.T + np.sqrt(kernel.rss)[:, None] * other
+            fits, fits_other = (fit_family(prob, None, y) for y in (Y, Y_other))
+            scale = np.abs(fits.beta).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(fits.beta - fits_other.beta) <= 1e-12 * scale)
+            np.testing.assert_allclose(fits_other.rss, fits.rss, rtol=1e-12, atol=0.0)
+            theta = float(prob.a @ beta)
+            req = MataRequest(prob, spec, 0.05)
+            contained = []
+            for f in (fits, fits_other):
+                weights = spec.weights(f.u[:, 1:] / f.rss[:, :1], kernel.card)
+                ivs = (solve_interval(req, fits=f.models(r),
+                                      weights=dict(zip(f.subsets, weights[r].tolist())))
+                       for r in rows)
+                contained.append([iv.lower <= theta <= iv.upper for iv in ivs])
+            assert contained[0] == contained[1] and not all(contained[0])
+        assert np.count_nonzero(e) == 1
 
     def test_draws_have_the_sufficient_statistics_law(self):
         # bn ~ N(0, (X'X)^-1) and rss ~ chi-square(n - p): the sample
