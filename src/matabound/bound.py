@@ -17,9 +17,11 @@ minimum within 0.89 of it.  Past gamma = 3 the curve stays at least
 1.3e-5 above the minimum; the further local minima a 0.25-step grid finds
 there are ripples under 4e-12 deep.  A grid minimum at gamma = 0, where
 evenness gives C'(0) = 0, is polished on [0, 1].  The bound is the lowest
-coverage integrated, grid or polish.  The search takes no options; a grid
-minimum on the right edge raises ``QuadratureError``.  ``bound_curve``
-always runs its cells on a thread pool sized from the CPUs.
+coverage integrated, grid or polish, but a minimum at 0 that the polish
+moves by no more than its tolerance is reported as gamma = 0 and C(0).
+The search takes no options; a grid minimum on the right edge raises
+``QuadratureError``.  ``bound_curve`` always runs its cells on a thread
+pool sized from the CPUs.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ def upper_bound(
 def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
     """(gamma, coverage) of the lowest coverage integrated around the grid
     minimum ``gammas[i]``, grid value included, and of the earliest on a
-    tie: a minimum at 0 reports 0 where C(tol) rounds to C(0).
+    tie.  A grid minimum at 0 whose best polish point lies within
+    ``gamma_refine_tol`` of 0 gives (0, C(0)): C is even, so the polish
+    cannot place a minimum nearer 0 than its tolerance, and C(tol) can
+    round an ulp below C(0).
 
     The Newton iteration of the module docstring starts at the vertex of
     the parabola through the three grid values and stops once a step is
@@ -151,6 +156,8 @@ def _polish(grid: CoverageGrid, gammas, values, i: int) -> tuple[float, float]:
             best = x, value
         x = _newton_step(x, d1, d2, state, tol)
         if x is None:
+            if i == 0 and best[0] <= tol:
+                return 0.0, values[0]
             return best
     raise QuadratureError(f"gamma polish unconverged after {_MAX_ITERATIONS} steps")
 

@@ -110,6 +110,12 @@ class TestUpperBound:
         assert res.gamma_star == 0.0
         assert res.upper_bound == res.diagnostics[0][1]
 
+    def test_minimum_at_zero_reports_zero_below_the_polish_tolerance(self):
+        # C(1e-6), the polish's first point, rounds one ulp below C(0) here.
+        res = upper_bound(0.3, 1, 10**6, 2.0, 0.05)
+        assert res.gamma_star == 0.0
+        assert res.upper_bound == res.diagnostics[0][1]
+
     def test_convergence_check_passes(self):
         res = upper_bound(0.9, m=8, n=12, d=2.0, alpha=0.05)
         assert 0.0 < res.upper_bound < 1.0
