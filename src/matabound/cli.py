@@ -258,12 +258,17 @@ def _parse_rho_grid(text: str) -> list[float]:
             raise ValueError("--rho-grid start and stop must lie in [0, 1)")
         if not 0.0 < step < math.inf:
             raise ValueError("--rho-grid step must be finite and positive")
+        if stop < start:
+            raise ValueError("--rho-grid range stop must not lie below its start")
         span = (stop - start) / step + 1e-9
         if not span < _RHO_GRID_MAX:  # also an infinite span
             raise ValueError(f"--rho-grid range gives more than {_RHO_GRID_MAX} values")
         count = math.floor(span) + 1
         return [round(start + i * step, 12) for i in range(count)]
-    return [float(v) for v in _parse_vector(text, "--rho-grid")]
+    values = [float(v) for v in _parse_vector(text, "--rho-grid")]
+    if not values:
+        raise ValueError("--rho-grid must give at least one value")
+    return values
 
 
 def cmd_curve(args) -> int:
@@ -271,6 +276,8 @@ def cmd_curve(args) -> int:
         n_list = [int(v) for v in args.n.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --n {args.n!r}: comma-separated integers expected") from None
+    if not n_list:
+        raise ValueError("--n must give at least one sample size")
     if any(n <= args.p for n in n_list):
         raise ValueError("every --n must exceed --p")
     rho_grid = _parse_rho_grid(args.rho_grid)

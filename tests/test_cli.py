@@ -157,9 +157,13 @@ class TestCurveCommand:
         ("nan:0.5:0.1", "--rho-grid start and stop must lie in [0, 1)"),
         ("0:nan:0.1", "--rho-grid start and stop must lie in [0, 1)"),
         ("0:0.5:nan", "--rho-grid step must be finite and positive"),
-        ("0:0.5:inf", "--rho-grid step must be finite and positive")])
+        ("0:0.5:inf", "--rho-grid step must be finite and positive"),
+        ("0.5:0.1:0.1", "--rho-grid range stop must not lie below its start"),
+        (",", "--rho-grid must give at least one value"),
+        # Flags after the grid win: this one empties --n.
+        ("0.5 --n ,", "--n must give at least one sample size")])
     def test_malformed_grid_rejected(self, capsys, grid, message):
-        assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", grid]) == 2
+        assert main(["curve", "--p", "4", "--n", "12", "--rho-grid", *grid.split(" ")]) == 2
         assert message in capsys.readouterr().err
 
     def test_oversized_range_refused_before_building(self, capsys, monkeypatch):
