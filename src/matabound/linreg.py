@@ -11,7 +11,10 @@ column indices; ``K`` is encoded as a bitmask over columns ``q .. p-1``
 All fits are driven by one QR decomposition of ``X``; contractions of
 ``(X'X)^-1`` go through triangular solves rather than normal-equation
 inverses, which matters for the near-collinear designs this package is
-aimed at.
+aimed at.  Each restricted model is then fitted from its parent, the model
+with one coefficient fewer set to zero, by one rank-one downdate of the
+parent's coefficients and covariance factor (the SWEEP operator of
+all-subsets enumeration; see ``family_table``).
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import (
 )
 
 # Cap on the droppable-coefficient count: the family has 2^(p-q) members.
-# fit_family + model_weights at n = p + 30 and 20 free (2^20 models) took
-# 10 s and 2.0 GB peak RSS with one BLAS thread on a 2-core x86-64 VM;
-# memory roughly doubles per added column.
+# fit_family + model_weights at p = 22, q = 2, n = p + 30 (2^20 models)
+# took 15 s and 1.2 GB peak RSS with one BLAS thread on a 2-core x86-64
+# VM; memory roughly doubles per added column.
 MAX_FREE_COEFFICIENTS = 20
 
 _RANK_RTOL = 1e-10
@@ -211,14 +214,35 @@ class DesignStats:
 
 
 def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = None):
-    """Sort, check and decode a model family (default: all subsets) once.
+    """Sort, check and decode a model family (default: all subsets) once,
+    and derive each model's fit from its parent's.
 
-    Returns its distinct members in mask order; each model's ``|K|`` and
-    variance factor ``v`` of ``a @ beta_K`` (M,); and one block
-    ``(pos, idx, L, c)`` per cardinality k > 0: the models' places ``pos``
-    (G,), zeroed columns ``idx`` (G, k), Cholesky factors ``L`` (G, k, k)
-    of ``D_K = (X'X)^-1`` restricted to K, and ``c = L^-1 g`` (k, G) for
-    the entries ``g`` of ``(X'X)^-1 a`` in K, so ``v = v_theta - c'c``.
+    A model's parent is the model that frees its highest zeroed column j
+    again.  Setting ``beta_j = 0`` in the parent's fit, whose covariance
+    factor is S (``(X'X)^-1`` for the full model), is a rank-one downdate
+    (the SWEEP operator): with ``e = S[:, j] / S_jj`` and ``r = 1 / S_jj``,
+
+        beta' = beta - beta_j e,   u' = u + beta_j^2 r,
+        S' = S - S[:, j] e',       v' = v - (S a)_j^2 r.
+
+    Returns the family's distinct members in mask order; their places
+    ``keep`` (M,) among the fitted models, which add every missing parent
+    (down to the full model, at place 0) and are in mask order too; each
+    fitted model's ``|K|`` and variance factor ``v`` of ``a @ beta_K``;
+    and one step block ``(pos, parent, j, e, r)`` per cardinality k > 0:
+    the models' places ``pos`` (G,), their parents' places ``parent``
+    (G,), the zeroed columns ``j`` (G,), ``e`` (G, p) and ``r`` (G,).
+    ``_downdate`` applies the blocks to a response's full-model fit.
+
+    S is held for one cardinality at a time, and only for the models that
+    are parents.  ``e_j = S_jj / S_jj`` is exactly 1, so ``beta'_j``, column
+    j of S' and entry j of S' a are exact zeros; row j of S' is set to
+    exact zeros.  So every later ``e`` is exactly 0 at the columns already
+    zeroed, and ``beta`` keeps its exact zeros.  Each step is elementwise
+    per model: a model's values depend only on its own chain of parents,
+    not on the rest of the family.  ``S_jj <= 0``, which a full-rank design
+    never gives, raises ``SingularRestriction``.
+
     Masks are read as Python ints, so a design may have any width; a member
     zeroing a protected or out-of-range column raises ``ValueError``.
     """
@@ -231,37 +255,71 @@ def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = Non
         if K.mask & ~allowed:
             raise ValueError(f"{K} constrains protected or out-of-range columns "
                              f"(allowed columns are {q}..{p - 1})")
+    # Masks as big-endian bytes, compared as raw bytes: byte order is mask
+    # order, and bit 8 * width - 1 - c of a row is column c.
     width = (p + 7) // 8
-    packed = np.frombuffer(b"".join(K.mask.to_bytes(width, "little") for K in subsets),
-                           dtype=np.uint8).reshape(len(subsets), width)
-    zeroed = np.unpackbits(packed, axis=1, count=p, bitorder="little").view(bool)
-    card = zeroed.sum(axis=1)
-    v = np.full(len(subsets), stats.v_theta)
+    key = np.dtype((np.void, width))
+    members = np.frombuffer(b"".join(K.mask.to_bytes(width, "big") for K in subsets), dtype=key)
+    fitted = np.unique(np.concatenate([np.zeros(1, key), members]))
+    while True:
+        bits = np.unpackbits(fitted.view(np.uint8).reshape(len(fitted), width), axis=1)
+        top = bits.argmax(axis=1)  # the highest zeroed column; 0 on the full model
+        parent_bits = bits.copy()
+        parent_bits[np.arange(len(fitted)), top] = 0
+        parents = np.packbits(parent_bits, axis=1).view(key)[:, 0]
+        parent = np.searchsorted(fitted, parents)  # a parent's mask is below its child's
+        found = fitted[parent] == parents
+        if found.all():
+            break
+        fitted = np.unique(np.concatenate([fitted, parents[~found]]))
+    keep = np.searchsorted(fitted, members)
+    card = np.count_nonzero(bits, axis=1)
+    j_of = 8 * width - 1 - top
+    v = np.full(len(fitted), stats.v_theta)
+    is_parent = np.zeros(len(fitted), dtype=bool)
+    is_parent[parent[1:]] = True
+    # Row of each parent in the current cardinality's S and S a.
+    row = np.zeros(len(fitted), dtype=np.intp)
+    S, Sa = stats.xtx_inv[None], stats.xtx_inv_a[None]
     blocks = []
-    for k in np.unique(card[card > 0]):
+    for k in range(1, card.max(initial=0) + 1):
         pos = np.flatnonzero(card == k)
-        idx = np.nonzero(zeroed[pos])[1].reshape(len(pos), k)
-        try:
-            L = np.linalg.cholesky(stats.xtx_inv[idx[:, :, None], idx[:, None, :]])
-        except np.linalg.LinAlgError as exc:  # unreachable for full-rank X
-            raise SingularRestriction(f"a restriction of {k} columns is singular") from exc
-        c, cc = forward(L, stats.xtx_inv_a[idx.T][:, :, None])
-        v[pos] = stats.v_theta - cc[:, 0]
-        blocks.append((pos, idx, L, c[:, :, 0]))
-    return subsets, card, v, blocks
+        par, j = parent[pos], j_of[pos]
+        at = row[par]
+        col = S[at, :, j]
+        s_jj = col[np.arange(len(pos)), j]
+        if not np.all(s_jj > 0.0):  # unreachable for full-rank X
+            raise SingularRestriction(f"a restriction of {k} columns is singular")
+        r = 1.0 / s_jj
+        e = col / s_jj[:, None]
+        sa_j = Sa[at, j]
+        v[pos] = v[par] - sa_j * sa_j * r
+        blocks.append((pos, par, j, e, r))
+        # S' and S' a of the models that are parents.
+        h = np.flatnonzero(is_parent[pos])
+        row[pos[h]] = np.arange(len(h))
+        S = S[at[h]]
+        S -= col[h, :, None] * e[h, None, :]
+        S[np.arange(len(h)), j[h]] = 0.0
+        Sa = Sa[at[h]] - e[h] * sa_j[h, None]
+    return subsets, keep, card, v, blocks
 
 
-def forward(L: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``z = L^-1 b`` in place and ``z'z`` (G, R) for lower-triangular ``L``
-    (G, k, k) and ``b`` (k, G, R), by elementwise forward substitution, so
-    no entry depends on the other columns of ``b`` or on their number."""
-    zz = np.zeros(b.shape[1:])
-    for i in range(L.shape[-1]):
-        for j in range(i):
-            b[i] -= L[:, i, j, None] * b[j]
-        b[i] /= L[:, i, i, None]
-        zz += b[i] * b[i]
-    return b, zz
+def _downdate(beta: np.ndarray, u: np.ndarray, blocks) -> None:
+    """Fill every restricted model's coefficients ``beta`` (M, w, R) and
+    restriction statistic ``u`` (M, R) in place from model 0's, the full
+    fit, by ``family_table``'s step blocks, one cardinality at a time.
+
+    The last axis holds R responses.  The w values carried may be any
+    linear functions of beta, given blocks whose ``e`` holds their steps
+    and whose ``j`` indexes the carried value of each zeroed coefficient.
+    Each entry is elementwise in its model and response, so no value
+    depends on the other responses or their number.
+    """
+    for pos, parent, j, e, r in blocks:
+        b_j = beta[parent, j]
+        beta[pos] = beta[parent] - e[:, :, None] * b_j[:, None, :]
+        u[pos] = u[parent] + b_j * b_j * r[:, None]
 
 
 @dataclass(frozen=True)
@@ -299,11 +357,12 @@ def fit_family(
     returning a mask-ordered dict of ``ModelFit``, or to each row of a
     response matrix ``responses`` (R, n), returning their ``FamilyFit``.
 
-    One QR solve gives every response's full-model coefficients; the
-    restricted models of each cardinality share one stacked Cholesky
-    factorization and one forward substitution.  Every (response, model)
-    fit is checked against ``rss_K = rss + u_K`` with ``rss_K`` recomputed
-    from its residuals.
+    One QR solve gives every response's full-model coefficients; each
+    restricted model's coefficients and ``u`` follow from its parent's by
+    one downdate step of ``family_table`` (``_downdate``), all models of one
+    cardinality at once.  Parents missing from ``family`` are fitted and left
+    out of the result.  Every (response, model) fit is checked against
+    ``rss_K = rss + u_K`` with ``rss_K`` recomputed from its residuals.
     """
     single = responses is None
     if single and prob.y is None:
@@ -311,20 +370,18 @@ def fit_family(
     Y = prob.y[None, :] if single else np.asarray(responses, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != prob.n:
         raise ValueError(f"responses must have shape (R, n={prob.n}), got {Y.shape}")
-    subsets, card, v, blocks = family_table(prob, family)
-    stats = prob.stats
+    subsets, keep, card, v, blocks = family_table(prob, family)
 
-    B = stats.solve_ls(Y)
+    B = prob.stats.solve_ls(Y)
     resid = Y - B @ prob.X.T
     rss_full = np.einsum("ri,ri->r", resid, resid)
-    beta = np.repeat(B[:, None, :], len(subsets), axis=1)
-    u = np.zeros((Y.shape[0], len(subsets)))
-    for pos, idx, L, _ in blocks:
-        z, zz = forward(L, B.T[idx.T])  # z = L^-1 b_K, u_K = z'z
-        u[:, pos] = zz.T
-        # beta_K = b - E'z with E = L^-1 (X'X)^-1[K, :]
-        beta[:, pos] -= np.einsum("kgp,kgr->rgp", forward(L, stats.xtx_inv[idx.T])[0], z)
-        beta[:, pos[:, None], idx] = 0.0
+    beta = np.empty((len(card), prob.p, Y.shape[0]))
+    u = np.empty((len(card), Y.shape[0]))
+    beta[0], u[0] = B.T, 0.0
+    _downdate(beta, u, blocks)
+    # The family's members only, responses first.
+    beta = np.ascontiguousarray(beta[keep].transpose(2, 0, 1))
+    u, card, v = np.ascontiguousarray(u[keep].T), card[keep], v[keep]
     df = prob.n - prob.p + card
     rss = _direct_rss(Y, beta, prob.X)
     expected = rss_full[:, None] + u

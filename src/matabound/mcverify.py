@@ -28,9 +28,10 @@ the exact one: the event is bit-identical to the one read off ``h``.
 
 A deterministic audit
 subsample is fitted again as one response matrix by ``fit_family``, which
-shares only the family table (``linreg.family_table``) and
-``linreg.forward`` with the kernel: its full-model fit (QR), each model's
-RSS (from residuals) and the endpoints (``solve_interval``) are its own.
+shares only the family table's downdate steps (``linreg.family_table``) and
+the helper that applies them (``linreg._downdate``) with the kernel: its
+full-model fit (QR), each model's RSS (from residuals) and the endpoints
+(``solve_interval``) are its own.
 Containment must agree with the h-event replicate by replicate;
 disagreement raises ``EventMismatch`` and means a bug, not bad luck.
 
@@ -74,9 +75,9 @@ from .interval import MataRequest, _check_alpha, _t_pdf, h, solve_interval
 from .linreg import (
     _RESIDUAL_BLOCK,
     RegressionProblem,
+    _downdate,
     family_table,
     fit_family,
-    forward,
 )
 from .weights import WeightSpec, w1
 
@@ -90,8 +91,8 @@ _DRAW_ROWS = 512
 # Philox counters at which the kernel's z and rss streams start (see the
 # module docstring).
 _Z_STREAM, _RSS_STREAM = 0, 1 << 192
-# Bytes of the largest temporary of a _SimKernel evaluation block: a
-# (rows, models) array or a (k, G, rows) forward substitution.
+# Bytes of the largest temporary of a _SimKernel evaluation block: the
+# (models, p - q + 1, rows) values the downdate steps carry.
 _BLOCK_BYTES = 1 << 22
 # The h-event's t-cdf table (see the module docstring): node step,
 # half-width, and the distance from a cut point within which the exact
@@ -225,9 +226,12 @@ class _SimKernel:
     statistics (see the module docstring); changing the coefficient vector
     is a shift, so scanning a parameter grid reuses the same draws (common
     random numbers).  The restricted fits are formed here from those
-    shifts, not through ``fit_family``; the two share only
-    ``linreg.family_table`` and ``linreg.forward``.  Weights and ``h`` are the package's single
-    implementations, with replicates on the leading axis.  ``covered``
+    shifts, not through ``fit_family``; the two share only the downdate
+    steps of ``linreg.family_table`` and ``linreg._downdate``, which
+    applies them.  The kernel carries only ``beta[q:]`` and ``theta = a @
+    beta`` through the steps, whose ``e`` it cuts to ``e[q:]`` and ``a @
+    e``.  Weights and ``h`` are the package's single implementations, with
+    replicates on the leading axis.  ``covered``
     decides most replicates from ``table``, the t-cdf interpolants of the
     family's k + 1 distinct df (built here, about 1 ms each), and calls
     ``h`` only for those within ``_TABLE_MARGIN`` of a cut point or outside
@@ -247,12 +251,16 @@ class _SimKernel:
         self.prob = prob
         self.spec = spec
         self.alpha = alpha
-        self.family, card, self.v, self.blocks = family_table(prob)
+        # all_subsets holds every parent, so each fitted model is a member.
+        self.family, _, card, self.v, blocks = family_table(prob)
         self.df = (prob.n - prob.p + card).astype(float)
         self.card = card[1:]
         self.table = _TCdfTable(self.df)
-        width = max([len(self.family)] + [idx.size for _, idx, *_ in self.blocks])
-        self.rows = max(1, _BLOCK_BYTES // (8 * width))
+        # The steps of beta[q:] and of theta = a @ beta, the carried values.
+        q = prob.q
+        self.blocks = [(pos, parent, j - q, np.column_stack([e[:, q:], e @ prob.a]), r)
+                       for pos, parent, j, e, r in blocks]
+        self.rows = max(1, _BLOCK_BYTES // (8 * len(self.family) * (prob.p - q + 1)))
 
         z_rng, rss_rng = (np.random.Generator(np.random.Philox(key=seed, counter=c))
                           for c in (_Z_STREAM, _RSS_STREAM))
@@ -270,16 +278,14 @@ class _SimKernel:
         mask order, for data y = X b + noise with b = beta/sigma."""
         b_hat = self.bn[rows] + np.asarray(beta_over_sigma, dtype=float)
         rss = self.rss[rows]
-        theta0 = (b_hat * self.prob.a).sum(axis=1)
-        theta = np.repeat(theta0[:, None], len(self.family), axis=1)
-        u = np.zeros(theta.shape)
-        for pos, idx, L, c in self.blocks:
-            z, zz = forward(L, b_hat.T[idx.T])  # (k, G, rows): L^-1 b_K
-            cz = c[0, :, None] * z[0]
-            for zi, ci in zip(z[1:], c[1:]):
-                cz += ci[:, None] * zi
-            u[:, pos] = zz.T
-            theta[:, pos] -= cz.T
+        q = self.prob.q
+        carried = np.empty((len(self.family), self.prob.p - q + 1, len(rss)))
+        carried[0, :-1] = b_hat[:, q:].T
+        carried[0, -1] = (b_hat * self.prob.a).sum(axis=1)
+        u = np.empty((len(self.family), len(rss)))
+        u[0] = 0.0
+        _downdate(carried, u, self.blocks)
+        theta, u = np.ascontiguousarray(carried[:, -1].T), np.ascontiguousarray(u.T)
         w = self.spec.weights(u[:, 1:] / rss[:, None], self.card)
         scale = np.sqrt((rss[:, None] + u) / self.df * self.v)
         return w, theta, scale

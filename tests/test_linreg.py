@@ -14,7 +14,7 @@ from matabound import (
 )
 import matabound.linreg as linreg
 from matabound.errors import MissingResponse, RankDeficient, SingularRestriction
-from matabound.linreg import MAX_FREE_COEFFICIENTS, family_table, forward
+from matabound.linreg import MAX_FREE_COEFFICIENTS, _downdate, family_table
 
 from helpers import random_problem
 
@@ -30,6 +30,17 @@ def fit_full(prob):
 def fit_restricted(prob, K):
     """The fit of model K alone, through fit_family."""
     return fit_family(prob, [FULL, K])[K]
+
+
+def downdate(prob, B, family=None):
+    """Coefficients (M, p, R) and u (M, R) of every fitted model of
+    ``family`` from full-model coefficients ``B`` (R, p), through the
+    steps ``fit_family`` applies, and the members' places."""
+    _, keep, card, _, blocks = family_table(prob, family)
+    beta, u = np.empty((len(card), prob.p, len(B))), np.empty((len(card), len(B)))
+    beta[0], u[0] = B.T, 0.0
+    _downdate(beta, u, blocks)
+    return beta, u, keep
 
 
 class TestFitFull:
@@ -166,13 +177,17 @@ class TestFitRestricted:
 class TestSingularRestriction:
     """Raised defensively: a full-rank design reaches neither raise."""
 
-    def test_failed_cholesky(self, monkeypatch):
+    def test_nonpositive_pivot(self, monkeypatch):
+        # (X'X)^-1 with an indefinite free block: freeing column 2 leaves
+        # S_33 = 1 - 2^2 < 0 for the step that then zeroes column 3.
         prob = random_problem(131, n=20, p=4, q=2)
-
-        def fail(matrix):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        S = np.eye(4)
+        S[2, 3] = S[3, 2] = 2.0
+        monkeypatch.setattr(prob.stats, "xtx_inv", S)
+        monkeypatch.setattr(prob.stats, "xtx_inv_a", S @ prob.a)
+        with pytest.raises(SingularRestriction, match="a restriction of 2 columns is singular"):
+            fit_family(prob)
+        S[3, 3] = 0.0
         with pytest.raises(SingularRestriction, match="a restriction of 1 columns is singular"):
             fit_family(prob)
 
@@ -251,8 +266,8 @@ class TestNoncentrality:
     # true coefficients is twice the noncentrality of the restriction.
     @staticmethod
     def u_of(prob, K, b):
-        *_, ((_, idx, L, _),) = family_table(prob, [FULL, K])
-        return float(forward(L, b[idx.T][:, :, None])[1][0, 0])
+        _, u, keep = downdate(prob, b[None, :], [FULL, K])
+        return float(u[keep[1], 0])
 
     def test_zero_at_restricted_truth(self):
         prob = random_problem(59, p=5, q=2)
@@ -275,18 +290,49 @@ class TestNoncentrality:
         assert lam2 == pytest.approx(2.0 * lam, rel=1e-12)
 
 
-class TestForwardSubstitution:
+class TestDowndate:
     def test_rows_do_not_depend_on_the_call_size(self):
-        # A coefficient row's z = L^-1 b_K and u_K must not depend on how
-        # many rows share the call (LAPACK and BLAS pick kernels by shape).
-        prob = random_problem(67, n=30, p=12, q=2, with_y=False)
+        # A response's restricted fits must not depend on how many
+        # responses share the call (BLAS picks kernels by shape).
+        prob = random_problem(67, n=30, p=6, q=2, with_y=False)
         B = np.random.default_rng(68).standard_normal((5000, prob.p))
-        for _, idx, L, _ in family_table(prob)[3]:
-            z, u = forward(L, B.T[idx.T])
-            for rows in (1, 7, 513):
-                z_r, u_r = forward(L, B[:rows].T[idx.T])
-                np.testing.assert_array_equal(z_r, z[:, :, :rows])
-                np.testing.assert_array_equal(u_r, u[:, :rows])
+        beta, u, _ = downdate(prob, B)
+        for rows in (1, 7, 513):
+            beta_r, u_r, _ = downdate(prob, B[:rows])
+            np.testing.assert_array_equal(beta_r, beta[:, :, :rows])
+            np.testing.assert_array_equal(u_r, u[:, :rows])
+
+    def test_every_model_of_a_collinear_design_matches_lstsq(self):
+        # 1,024 models; every pair of columns past the intercept has
+        # correlation .95.
+        rng = np.random.default_rng(69)
+        n, p, q = 40, 12, 2
+        Z = rng.standard_normal((n, p - 1))
+        factor = rng.standard_normal(n)
+        X = np.column_stack([np.ones(n), np.sqrt(0.05) * Z + np.sqrt(0.95) * factor[:, None]])
+        prob = RegressionProblem(X, np.eye(p)[1], q=q, y=rng.standard_normal(n))
+        fits = fit_family(prob)
+        assert len(fits) == 1024
+        for K, fit in fits.items():
+            kept = [i for i in range(p) if i not in K.indices]
+            beta_kept, *_ = np.linalg.lstsq(X[:, kept], prob.y, rcond=None)
+            oracle = np.zeros(p)
+            oracle[kept] = beta_kept
+            assert np.all(fit.beta_hat[list(K.indices)] == 0.0)
+            np.testing.assert_allclose(fit.beta_hat, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+            rss = float(np.sum((prob.y - X[:, kept] @ beta_kept) ** 2))
+            assert fit.rss == pytest.approx(rss, rel=1e-12)
+
+    def test_missing_parents_leave_a_fit_unchanged(self):
+        # K's parents {2, 4} and {2} are fitted but not returned; K's fit
+        # depends only on that chain, so it is the all-subsets one, bit for bit.
+        prob = random_problem(79, n=30, p=6, q=2)
+        K = ModelSubset.from_indices([2, 4, 5])
+        alone = fit_family(prob, [FULL, K])
+        assert list(alone) == [FULL, K]
+        fit, ref = alone[K], fit_family(prob)[K]
+        np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
+        assert (fit.rss, fit.u, fit.v, fit.df) == (ref.rss, ref.u, ref.v, ref.df)
 
 
 class TestSubsets:

@@ -246,7 +246,7 @@ class TestSimKernelBlocks:
 
         default, expected = outputs()
         assert default.rows >= sc.reps
-        width = max([len(default.family)] + [idx.size for _, idx, *_ in default.blocks])
+        width = len(default.family) * (prob.p - prob.q + 1)
         monkeypatch.setattr(mcv, "_BLOCK_BYTES", 7 * 8 * width)
         small, got = outputs()
         assert small.rows == 7 and sc.reps % 7 != 0
