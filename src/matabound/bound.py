@@ -63,7 +63,8 @@ class CurveResult:
     """One ``BoundResult`` per cell plus per-curve monotonicity diagnostics.
 
     ``max_increase`` maps each (m, n) curve to the largest increase of the
-    bound along the rho grid (0.0 for a perfectly nonincreasing curve).
+    bound along the rho grid taken in ascending order, whatever the order of
+    the rows (0.0 for a perfectly nonincreasing curve).
     """
 
     rows: list[BoundResult]
@@ -199,8 +200,9 @@ def bound_curve(
         results = list(pool.map(run, cells))
 
     max_increase: dict[tuple[int, int], float] = {}
+    ascending = np.argsort(rho_grid, kind="stable")
     for m, n in m_n_pairs:
         vals = [r.upper_bound for r in results if (r.cfg.m, r.cfg.n) == (m, n)]
-        diffs = np.diff(vals)
+        diffs = np.diff(np.array(vals)[ascending])
         max_increase[(m, n)] = float(max(0.0, diffs.max())) if len(diffs) else 0.0
     return CurveResult(rows=results, max_increase=max_increase)

@@ -327,6 +327,20 @@ class TestBoundCurve:
         with pytest.raises(ValueError, match="repeated"):
             bound_curve([0.0, 0.9], [(8, 12), (8, 12)], "aic", 0.05)
 
+    def test_monotonicity_ignores_the_grid_order(self, monkeypatch):
+        # Bounds 0.92, 0.94 and 0.86 at rho .3, .6 and .9: one rise of 0.02.
+        def fake_bound(rho, m, n, d, alpha):
+            cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
+            return BoundResult(0.95 - 0.1 * rho + 0.05 * (rho == 0.6), 0.0, rho, cfg, 0.0)
+
+        monkeypatch.setattr(bound, "upper_bound", fake_bound)
+        for grid in ([0.3, 0.6, 0.9], [0.9, 0.3, 0.6], [0.6, 0.9, 0.3]):
+            curve = bound_curve(grid, [(8, 12)], "aic", 0.05)
+            assert [r.rho_max_abs for r in curve.rows] == grid
+            assert curve.max_increase[(8, 12)] == pytest.approx(0.02)
+        curve = bound_curve([0.9, 0.3], [(8, 12)], "aic", 0.05)
+        assert curve.max_increase == {(8, 12): 0.0}
+
     def test_non_integral_sizes_refused(self, monkeypatch):
         def fake_bound(rho, m, n, d, alpha):
             cfg = TwoModelConfig(m=m, n=n, rho=rho, d=d, alpha=alpha)
