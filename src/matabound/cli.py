@@ -89,9 +89,22 @@ def read_csv_matrix(path: str, header: str = "auto") -> np.ndarray:
     return np.asarray(data)
 
 
+def _split_entries(text: str, what: str) -> list[str]:
+    """The comma-separated entries of flag ``what``: none if ``text`` holds
+    only commas and blanks; an empty entry among others is refused, so that
+    no entry shifts into another's place."""
+    entries = [t.strip() for t in text.split(",")]
+    if not any(entries):
+        return []
+    if not all(entries):
+        raise ValueError(f"{what} has an empty entry in {text!r}")
+    return entries
+
+
 def _parse_vector(text: str, what: str) -> np.ndarray:
+    entries = _split_entries(text, what)
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        return np.array([float(t) for t in entries])
     except ValueError as exc:
         raise ValueError(f"cannot parse {what} {text!r}: comma-separated numbers expected") from exc
 
@@ -272,8 +285,9 @@ def _parse_rho_grid(text: str) -> list[float]:
 
 
 def cmd_curve(args) -> int:
+    entries = _split_entries(args.n, "--n")
     try:
-        n_list = [int(v) for v in args.n.split(",") if v.strip()]
+        n_list = [int(v) for v in entries]
     except ValueError:
         raise ValueError(f"cannot parse --n {args.n!r}: comma-separated integers expected") from None
     if not n_list:

@@ -160,6 +160,8 @@ class TestCurveCommand:
         ("0:0.5:inf", "--rho-grid step must be finite and positive"),
         ("0.5:0.1:0.1", "--rho-grid range stop must not lie below its start"),
         (",", "--rho-grid must give at least one value"),
+        ("0.3,,0.5", "--rho-grid has an empty entry in '0.3,,0.5'"),
+        ("0.5 --n 12,,30", "--n has an empty entry in '12,,30'"),
         # Flags after the grid win: this one empties --n.
         ("0.5 --n ,", "--n must give at least one sample size")])
     def test_malformed_grid_rejected(self, capsys, grid, message):
@@ -283,6 +285,9 @@ class TestIntervalCommand:
         write_problem_csv(data, random_problem(609, n=12, p=3, q=1))
         assert main(["interval", "--data", str(data), "--a", "1,zero,0", "--q", "1"]) == 2
         assert "cannot parse --a" in capsys.readouterr().err
+        # An empty entry is refused, not dropped: 1,,0.5 is no 2-vector.
+        assert main(["interval", "--data", str(data), "--a=1,,0.5", "--q", "1"]) == 2
+        assert "--a has an empty entry in '1,,0.5'" in capsys.readouterr().err
 
     def test_ragged_csv_rejected(self, tmp_path, capsys):
         data = tmp_path / "ragged.csv"
