@@ -22,6 +22,7 @@ def test_identical_records_compare_clean():
     lines, code = digest.compare(dict(old), old)
     assert code == 0
     assert lines == ["entries 7: 0 differ", "  by prefix: interval 0, mc 0, panels 0, bound 0",
+                     "  endpoints 1: max relative move 0, bit-identical 1",
                      "  bounds 2: max |bound diff| 0, max |gamma* diff| 0, bit-identical 2"]
 
 
@@ -32,10 +33,25 @@ def test_report_counts_prefixes_and_bound_moves():
     del new["panels/k0"]
     lines, code = digest.compare(new, old)
     assert code == 1
-    assert lines[:3] == [
+    assert lines[:4] == [
         "entries 9: 5 differ",
         "  by prefix: interval 0, mc 0, bound 3, covered 1, panels 1",
+        "  endpoints 1: max relative move 0, bit-identical 1",
         "  bounds 3: max |bound diff| 3e-12, max |gamma* diff| 1e-06, bit-identical 1",
     ]
-    assert lines[3:] == [f"  {k}: {old.get(k)} -> {new.get(k)}" for k in (
+    assert lines[4:] == [f"  {k}: {old.get(k)} -> {new.get(k)}" for k in (
         "bound/k0/bound", "bound/k1/gamma_star", "bound/k2/bound", "covered/m5", "panels/k0")]
+
+
+def test_report_gives_the_largest_relative_endpoint_move():
+    old = record([0.9], [1.0])
+    old["interval/0/upper"], old["interval/1/lower"] = (2.0).hex(), (0.0).hex()
+    old["interval/0/h_residual_lo"] = (1e-12).hex()
+    new = dict(old)
+    new["interval/0/lower"] = (-1.5 * (1.0 + 4e-14)).hex()
+    new["interval/0/upper"] = math.nextafter(2.0, 3.0).hex()
+    new["interval/0/h_residual_lo"] = (1e-6).hex()  # not an endpoint
+    new["interval/2/lower"] = (1.0).hex()  # on one side only
+    lines, code = digest.compare(new, old)
+    assert code == 1
+    assert lines[2] == "  endpoints 3: max relative move 4e-14, bit-identical 1"

@@ -32,9 +32,10 @@ It prints the seconds the 64 bounds took.  ``--compare`` reads an earlier
 run of this tool, prints how many entries differ (or are missing on one
 side), how many of them fall under each key prefix (``interval``,
 ``fits``, ``weights``, ``mc``, ``covered``, ``panels`` and ``bound``),
-the largest bound and gamma* moves and the count of bit-identical bounds
-over the configs both runs hold, and the first 10 differing keys, and
-exits 1 if any entry differs.
+the largest relative move and the count of bit-identical values over the
+interval endpoints both runs hold, the same for the bound and gamma*
+moves (absolute) over the configs both runs hold, and the first 10
+differing keys, and exits 1 if any entry differs.
 """
 
 from __future__ import annotations
@@ -186,6 +187,12 @@ def compare(new: dict[str, str], old: dict[str, str]) -> tuple[list[str], int]:
     prefixes = dict.fromkeys(k.split("/")[0] for k in (*new, *old))
     lines = [f"entries {len(new)}: {len(differing)} differ",
              "  by prefix: " + ", ".join(f"{p} {counts[p]}" for p in prefixes)]
+    ends = [(float.fromhex(new[k]), float.fromhex(old[k])) for k in new
+            if k.startswith("interval/") and k.endswith(("/lower", "/upper")) and k in old]
+    moves = [abs(a - b) / max(abs(a), abs(b)) for a, b in ends if a != b]
+    if ends:
+        lines.append(f"  endpoints {len(ends)}: max relative move {max(moves, default=0):.3g}, "
+                     f"bit-identical {len(ends) - len(moves)}")
     bounds, gammas = ([(float.fromhex(new[k]), float.fromhex(old[k])) for k in new
                        if k.startswith("bound/") and k.endswith(f"/{name}") and k in old]
                       for name in ("bound", "gamma_star"))
