@@ -249,18 +249,21 @@ def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = Non
     p, q, stats = prob.p, prob.q, prob.stats
     if family is None:
         family = all_subsets(p, q)
-    subsets = tuple(sorted(set(family), key=lambda K: K.mask))
+    by_mask = {K.mask: K for K in family}
+    masks = sorted(by_mask)
+    subsets = tuple(by_mask[m] for m in masks)
     allowed = ((1 << (p - q)) - 1) << q
-    for K in subsets:
-        if K.mask & ~allowed:
-            raise ValueError(f"{K} constrains protected or out-of-range columns "
+    for m in masks:
+        if m & ~allowed:
+            raise ValueError(f"{by_mask[m]} constrains protected or out-of-range columns "
                              f"(allowed columns are {q}..{p - 1})")
     # Masks as big-endian bytes, compared as raw bytes: byte order is mask
     # order, and bit 8 * width - 1 - c of a row is column c.
     width = (p + 7) // 8
     key = np.dtype((np.void, width))
-    members = np.frombuffer(b"".join(K.mask.to_bytes(width, "big") for K in subsets), dtype=key)
-    fitted = np.unique(np.concatenate([np.zeros(1, key), members]))
+    members = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks), dtype=key)
+    # The full model comes first, fitted even where it is not a member.
+    fitted = members if masks[:1] == [0] else np.concatenate([np.zeros(1, key), members])
     while True:
         bits = np.unpackbits(fitted.view(np.uint8).reshape(len(fitted), width), axis=1)
         top = bits.argmax(axis=1)  # the highest zeroed column; 0 on the full model
