@@ -14,9 +14,12 @@ file may start with the subcommand itself: ``matabound @run.args
 --rho-max 0.3``.
 
 Exit codes: 0 success, 2 validation/input error, 3 numerical failure
-(including a failed verify suite).  Summary lines print at 6 significant
-digits; CSV payloads are written at full precision so that re-reading
-them reproduces the computed values bit for bit.
+(including a failed verify suite).  The exception's type decides the code:
+a ``ValueError`` (``RankDeficient`` among them) is bad input and exits 2, a
+``MatacoverError`` is a computation that failed its own check and exits 3.
+Summary lines print at 6 significant digits; CSV payloads are written at
+full precision so that re-reading them reproduces the computed values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -194,11 +197,7 @@ def _problem_from_args(args, with_response: bool) -> RegressionProblem:
         X, y = data[:, :-1], data[:, -1]
     else:
         X, y = data, None
-    a = _parse_vector(args.a, "--a")
-    try:
-        return RegressionProblem(X, a, q=args.q, y=y)
-    except MatacoverError as exc:
-        raise ValueError(str(exc)) from exc
+    return RegressionProblem(X, _parse_vector(args.a, "--a"), q=args.q, y=y)
 
 
 def cmd_interval(args) -> int:

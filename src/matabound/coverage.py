@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, stdtr, stdtrit
 
-from .errors import DomainError, QuadratureError, _check_integer
+from .errors import QuadratureError, _check_integer
 from .interval import _MAX_ITERATIONS, _STEP_RTOL, _check_alpha, _t_pdf
 from .weights import w1
 
@@ -129,10 +129,8 @@ class TwoModelConfig:
     alpha: float
 
     def __post_init__(self):
-        _check_integer(self.m, "m")
+        _check_integer(self.m, "m", 1)
         _check_integer(self.n, "n")
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
         if self.n <= self.m:
             raise ValueError("need n > m (implied p = n - m >= 1)")
         if not abs(self.rho) < 1.0:
@@ -167,11 +165,14 @@ def f_m_pdf(y, m: int):
         f(y) = 2 (m/2)^(m/2) y^(m-1) exp(-m y^2 / 2) / Gamma(m/2)
 
     evaluated in log space; vectorized over ``y`` (all entries must be
-    positive).
+    positive and finite).  ``m`` is refused as ``TwoModelConfig`` refuses it.
     """
     ya = np.asarray(y, dtype=float)
-    if np.any(ya <= 0.0):
-        raise DomainError("f_m_pdf requires y > 0")
+    if not np.all(ya > 0.0):  # also a NaN
+        raise ValueError("f_m_pdf requires y > 0")
+    if not np.all(ya < math.inf):
+        raise ValueError("f_m_pdf requires a finite y")
+    _check_integer(m, "m", 1)
     out = _f_m_pdf_positive(ya, m)
     return float(out) if out.ndim == 0 else out
 
@@ -226,10 +227,13 @@ def delta_u(x, y, u, cfg: TwoModelConfig):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     u = np.asarray(u, dtype=float)
-    if np.any(y <= 0.0):
-        raise DomainError("delta_u requires y > 0")
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise DomainError("delta_u requires 0 < u < 1")
+    # Positive forms of the tests, so that a NaN fails them.
+    if not np.all(y > 0.0):
+        raise ValueError("delta_u requires y > 0")
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("delta_u requires 0 < u < 1")
+    if not (np.all(np.isfinite(x)) and np.all(y < math.inf)):
+        raise ValueError("delta_u requires a finite x and y")
 
     upper = u > 0.5
     u = np.where(upper, 1.0 - u, u)
@@ -453,6 +457,8 @@ class CoverageGrid:
         coverage's estimate, until the rest carry at most half the
         tolerance.
         """
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, not {gamma!r}")
         (a, b, tail), roots = self.panels, self.roots
         value = error = 0.0
         derivs = np.zeros(2 if derivatives else 0)

@@ -1,26 +1,35 @@
-"""Exception hierarchy and the integer check shared across the package."""
+"""Exception hierarchy and the integer check shared across the package.
+
+The type of an exception carries the CLI's exit-code rule.  Bad input
+raises ``ValueError`` (exit 2), ``RankDeficient`` included.  A
+``MatacoverError`` means that a computation on valid input failed its own
+check (exit 3).
+"""
 
 import numbers
 
 
-def _check_integer(value, name: str) -> int:
-    """``value`` as an int; a value that is not an integer (numpy's pass)
-    raises ``ValueError`` naming it as ``name``."""
+def _check_integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an int; a value that is not an integer (numpy's pass),
+    or lies below ``least`` if that is given, raises ``ValueError`` naming
+    it as ``name``."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
     return int(value)
 
 
 class MatacoverError(Exception):
-    """Base class for all errors raised by this package."""
+    """A computation on valid input failed its own check.
+
+    Bad input is a ``ValueError`` instead, and no subclass of this one is.
+    """
 
 
-class RankDeficient(MatacoverError):
-    """Design matrix does not have full column rank."""
-
-
-class MissingResponse(MatacoverError):
-    """Operation needs a response vector but the problem has none."""
+class RankDeficient(ValueError):
+    """Design matrix does not have full column rank: bad input, so a
+    ``ValueError`` and not a ``MatacoverError``."""
 
 
 class SingularRestriction(MatacoverError):
@@ -36,10 +45,6 @@ class DegenerateFit(MatacoverError):
 
 class BracketFailure(MatacoverError):
     """A tail-area root solve missed its residual tolerance or iteration cap."""
-
-
-class DomainError(MatacoverError):
-    """Argument outside the mathematical domain of the function."""
 
 
 class QuadratureError(MatacoverError):

@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    MissingResponse,
-    RankDeficient,
-    SingularRestriction,
-    _check_integer,
-)
+from .errors import RankDeficient, SingularRestriction, _check_integer
 
 # Cap on the droppable-coefficient count: the family has 2^(p-q) members.
 # fit_family + model_weights at p = 22, q = 2, n = p + 30 (2^20 models)
@@ -171,10 +166,13 @@ def all_subsets(p: int, q: int) -> list[ModelSubset]:
     """Enumerate every subset of the droppable columns ``q .. p-1``.
 
     Ordered by mask value; first element is the full model.  Refuses
-    ``p - q > MAX_FREE_COEFFICIENTS`` before building anything, and sizes
-    that are not integers.
+    ``p - q > MAX_FREE_COEFFICIENTS`` before building anything, sizes that
+    are not integers, and a ``q`` outside ``0 .. p``.
     """
-    free = _check_integer(p, "p") - _check_integer(q, "q")
+    p, q = _check_integer(p, "p"), _check_integer(q, "q")
+    if not 0 <= q <= p:
+        raise ValueError(f"need 0 <= q <= p, got q={q}, p={p}")
+    free = p - q
     if free > MAX_FREE_COEFFICIENTS:
         raise ValueError(
             f"p - q = {free} exceeds the enumeration cap of "
@@ -369,7 +367,7 @@ def fit_family(
     """
     single = responses is None
     if single and prob.y is None:
-        raise MissingResponse("fitting requires a response vector")
+        raise ValueError("fitting requires a response vector")
     Y = prob.y[None, :] if single else np.asarray(responses, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != prob.n:
         raise ValueError(f"responses must have shape (R, n={prob.n}), got {Y.shape}")

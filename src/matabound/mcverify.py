@@ -104,13 +104,6 @@ _TABLE_MARGIN = 1e-8
 _T_PDF_D3_MAX = 1.487
 
 
-def _check_reps(reps: int, least: int, name: str) -> None:
-    """Refuse a replicate count that is not an integer (numpy's pass) or
-    is below ``least``; ``name`` names it in the message."""
-    if _check_integer(reps, name) < least:
-        raise ValueError(f"{name} must be at least {least}")
-
-
 def _check_seed(seed: int) -> None:
     """Refuse a seed that is not an integer (numpy's pass) or lies outside
     [0, 2**64), the seeds every simulation takes."""
@@ -142,7 +135,7 @@ class SimScenario:
             raise ValueError(f"beta_over_sigma must have length p={self.prob.p}")
         if not np.isfinite(beta).all():
             raise ValueError("beta_over_sigma must be finite")
-        _check_reps(self.reps, _MIN_REPS, "reps")
+        _check_integer(self.reps, "reps", _MIN_REPS)
         _check_seed(self.seed)
         _check_alpha(self.alpha)
         if not 0.0 <= self.audit_fraction <= 1.0:
@@ -307,8 +300,11 @@ class _SimKernel:
         whose fits give their ``bn`` and ``rss`` (see the module docstring)."""
         rows = np.asarray(rows, dtype=np.intp)
         b_hat = self.bn[rows] + np.asarray(beta_over_sigma, dtype=float)
-        # Replicates on the last axis.
-        y = _sum_of_terms(self.prob.X.T, b_hat.T)
+        # Replicates on the last axis.  A running sum adds the p terms in
+        # order (a BLAS call or a pairwise sum would not), so each column
+        # depends on its own replicate alone, whatever the row count.
+        terms = np.multiply(self.prob.X.T[:, :, None], b_hat.T[:, None, :], order="C")
+        y = np.cumsum(terms, axis=0, out=terms)[-1]
         y += _residual_direction(self.prob.stats.Q)[:, None] * np.sqrt(self.rss[rows])
         return y.T
 
@@ -322,19 +318,6 @@ def _residual_direction(Q: np.ndarray) -> np.ndarray:
     e = -(Q @ Q[k])
     e[k] += 1.0
     return e / math.sqrt(e @ e)
-
-
-def _sum_of_terms(B: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """``B' A`` (m, R) for B (k, m) and A (k, R), as the terms
-    ``B[j, :, None] * A[j]`` added in order of j.  A BLAS call's kernels,
-    and so its rounding, depend on its shape; here each column of the
-    result depends on that column of A alone."""
-    out = B[0][:, None] * A[0]
-    term = np.empty_like(out)
-    for b, a in zip(B[1:], A[1:]):
-        np.multiply(b[:, None], a, out=term)
-        out += term
-    return out
 
 
 def _estimate(p_hat: float, reps: int, seed: int, **audit) -> CoverageEstimate:
@@ -413,7 +396,7 @@ def min_coverage_scan(
         raise ValueError(f"grid vectors must have length p - q = {free}")
     if not all(np.isfinite(v).all() for v in grid):
         raise ValueError("grid vectors must be finite")
-    _check_reps(reps, _MIN_SCAN_REPS, "scan reps")
+    _check_integer(reps, "scan reps", _MIN_SCAN_REPS)
     _check_seed(seed)
     _check_alpha(alpha)
 
@@ -463,8 +446,7 @@ def w1_decay_scan(
     same (Z, Q) draws serve every (n, gamma) cell.  The weight is BIC's,
     with penalty d = ln n at each n, as in Theorem 4.
     """
-    if _check_integer(m, "m") < 1:
-        raise ValueError("m must be at least 1")
+    _check_integer(m, "m", 1)
     ns = tuple(_check_integer(n, "n") for n in n_list)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_list must be strictly increasing")
@@ -475,7 +457,7 @@ def w1_decay_scan(
         raise ValueError("gamma_grid must be finite")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    _check_reps(reps, _MIN_SCAN_REPS, "reps")
+    _check_integer(reps, "reps", _MIN_SCAN_REPS)
     _check_seed(seed)
 
     rng = np.random.Generator(np.random.Philox(key=seed))

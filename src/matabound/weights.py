@@ -36,9 +36,7 @@ class WeightSpec:
     d: float
 
     def __post_init__(self):
-        _check_integer(self.n, "sample size n")
-        if self.n < 2:
-            raise ValueError("sample size n must be at least 2")
+        _check_integer(self.n, "sample size n", 2)
         if not 0.0 <= self.d < math.inf:
             raise ValueError("penalty constant d must be finite and nonnegative")
 
@@ -95,8 +93,8 @@ def model_weights(
     subsets = sorted(fits, key=lambda K: K.mask)
     restricted = subsets[1:]
     x = np.array([fits[K].u for K in restricted], dtype=float) / rss_full
-    if np.any(x < 0.0):
-        raise ValueError("negative restriction statistic u_K")
+    if not np.all(x >= 0.0):
+        raise ValueError("negative restriction statistic u_K (or a NaN) in fits")
     card = np.array([K.cardinality for K in restricted], dtype=int)
     return dict(zip(subsets, map(float, spec.weights(x, card))))
 
@@ -107,11 +105,13 @@ def w1(z: float | np.ndarray, m: int, n: int, d: float) -> float | np.ndarray:
         w1(z) = 1 / (1 + (1 + z/m)^(n/2) * exp(-d/2))
 
     the submodel slot of ``WeightSpec(n, d).weights(z / m, 1)``, so it
-    refuses the sample sizes and penalties that ``WeightSpec`` refuses.
-    ``z`` is the squared scaled coefficient estimate; vectorized over ``z``.
+    refuses the sample sizes and penalties that ``WeightSpec`` refuses, and
+    the ``m`` that ``TwoModelConfig`` refuses.  ``z`` is the squared scaled
+    coefficient estimate; vectorized over ``z``.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
+    if not np.all(z >= 0):  # also a NaN
         raise ValueError("z must be nonnegative")
+    _check_integer(m, "m", 1)
     out = WeightSpec(n, d).weights((z / m)[..., None], 1)[..., 1]
     return float(out) if out.ndim == 0 else out

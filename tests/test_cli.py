@@ -252,6 +252,27 @@ class TestIntervalCommand:
         assert "numerical failure: endpoints crossed" in captured.err
         assert captured.out == ""
 
+    def test_rank_deficient_design_exits_2(self, tmp_path, capsys):
+        # bad input is a ValueError, RankDeficient included: exit 2
+        prob = random_problem(611, n=20, p=4, q=2)
+        X = prob.X.copy()
+        X[:, 3] = X[:, 2]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in np.column_stack([X, prob.y])) + "\n")
+        assert main(["interval", "--data", str(data), "--a=1,0.5,0,0", "--q", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: design matrix is numerically rank deficient")
+
+    def test_perfect_fit_exits_3(self, tmp_path, capsys):
+        # valid input on which the computation fails its own check: exit 3
+        prob = random_problem(611, n=20, p=4, q=2)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in np.column_stack([prob.X, prob.X.sum(axis=1)])) + "\n")
+        assert main(["interval", "--data", str(data), "--a=1,0.5,0,0", "--q", "2"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_refuses_oversized_family(self, tmp_path, capsys):
         rng = np.random.default_rng(603)
         X = rng.standard_normal((40, 33))

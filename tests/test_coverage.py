@@ -27,7 +27,7 @@ from matabound import (
 import matabound.coverage as coverage
 from matabound.bound import resolve_d
 from matabound.coverage import _NODES, _W_GAUSS, _W_KRONROD, _panel_nodes
-from matabound.errors import DomainError, QuadratureError
+from matabound.errors import QuadratureError
 
 from helpers import w1_closed_form
 
@@ -68,10 +68,17 @@ class TestFmPdf:
         assert f_m_pdf(mode, m) > f_m_pdf(mode - 0.05, m)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="f_m_pdf requires y > 0"):
             f_m_pdf(0.0, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="f_m_pdf requires y > 0"):
             f_m_pdf(np.array([0.5, -1.0]), 3)
+
+    @pytest.mark.parametrize("y, m, message", [
+        (math.nan, 3, "requires y > 0"), (math.inf, 3, "requires a finite y"),
+        (1.0, 0, "m must be at least 1"), (1.0, 2.5, "m must be an integer")])
+    def test_rejects_nan_inf_and_the_m_two_model_config_rejects(self, y, m, message):
+        with pytest.raises(ValueError, match=message):
+            f_m_pdf(y, m)
 
 
 class TestDeltaU:
@@ -123,10 +130,15 @@ class TestDeltaU:
 
     def test_domain_errors(self):
         cfg = make_cfg()
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="delta_u requires y > 0"):
             delta_u(0.0, -1.0, 0.5, cfg)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="delta_u requires 0 < u < 1"):
             delta_u(0.0, 1.0, 1.0, cfg)
+
+    def test_infinite_y_rejected(self):
+        # it returned -inf
+        with pytest.raises(ValueError, match="delta_u requires a finite x and y"):
+            delta_u(1.0, math.inf, 0.025, make_cfg())
 
 
 @st.composite

@@ -13,7 +13,7 @@ from matabound import (
     fit_family,
 )
 import matabound.linreg as linreg
-from matabound.errors import MissingResponse, RankDeficient, SingularRestriction
+from matabound.errors import RankDeficient, SingularRestriction
 from matabound.linreg import MAX_FREE_COEFFICIENTS, _downdate, family_table
 
 from helpers import random_problem
@@ -74,7 +74,7 @@ class TestFitFull:
 
     def test_missing_response_raises(self):
         prob = random_problem(0, with_y=False)
-        with pytest.raises(MissingResponse):
+        with pytest.raises(ValueError, match="fitting requires a response vector"):
             fit_full(prob)
 
     def test_rank_deficient_raises(self):

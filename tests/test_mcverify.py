@@ -303,6 +303,23 @@ class TestSimKernelDraws:
         assert np.all(np.abs(fits.beta[:, 0] - beta - bn) <= 1e-12 * scale)
         np.testing.assert_allclose(fits.rss[:, 0], kernel.rss[rows], rtol=1e-12, atol=0.0)
 
+    def test_responses_add_the_design_terms_in_order(self):
+        # numpy's sum along the contiguous axis adds 8 or more terms
+        # pairwise; a response must be the ordered sum, the loop below, at
+        # any row count.  p is 9.
+        prob = random_problem(531, n=20, p=9, q=2, with_y=False)
+        beta = np.linspace(-1.0, 1.0, prob.p)
+        kernel = _SimKernel(prob, WeightSpec(prob.n, 2.0), 0.05, 600, 43)
+        rows = np.arange(600)
+        Y = kernel.responses(rows, beta)
+        e = _residual_direction(prob.stats.Q)
+        for i, b in zip(rows, kernel.bn + beta):
+            y = prob.X[:, 0] * b[0]
+            for j in range(1, prob.p):
+                y = y + prob.X[:, j] * b[j]
+            np.testing.assert_array_equal(Y[i], y + e * math.sqrt(kernel.rss[i]))
+        np.testing.assert_array_equal(kernel.responses(rows[5:6], beta), Y[5:6])
+
     def test_any_residual_direction_gives_the_same_fits_and_interval(self):
         # The audit puts each residual along one fixed unit vector e
         # orthogonal to X; another such vector must give the same fits and

@@ -118,6 +118,15 @@ class TestModelWeights:
         with pytest.raises(ValueError, match="negative restriction statistic"):
             model_weights(fits, fits[ModelSubset(0)].rss, spec)
 
+    def test_nan_u_rejected(self):
+        # a NaN u gave every model a NaN weight
+        prob = random_problem(41)
+        K = ModelSubset.from_indices([3])
+        fits = fit_family(prob, [ModelSubset(0), K])
+        fits[K] = replace(fits[K], u=math.nan)
+        with pytest.raises(ValueError, match="negative restriction statistic"):
+            model_weights(fits, fits[ModelSubset(0)].rss, WeightSpec(prob.n, 2.0))
+
     def test_rss_full_must_be_the_full_models(self):
         prob = random_problem(7, n=30, p=5, q=2)
         fits = fit_family(prob)
@@ -216,6 +225,13 @@ class TestW1:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             w1(-0.5, m=5, n=20, d=2.0)
+
+    @pytest.mark.parametrize("z, m, message", [
+        (np.array([0.0, 1.0]), 0, "m must be at least 1"), (1.0, 2.5, "m must be an integer"),
+        (math.nan, 5, "z must be nonnegative")])
+    def test_refuses_nan_z_and_the_m_two_model_config_refuses(self, z, m, message):
+        with pytest.raises(ValueError, match=message):
+            w1(z, m, 20, 2.0)
 
     @pytest.mark.parametrize("n, d", [(20.5, 2.0), (20, -1.0), (20, math.nan)])
     def test_refuses_what_weight_spec_refuses(self, n, d):
