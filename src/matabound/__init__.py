@@ -24,9 +24,8 @@ from .mcverify import (
     SimScenario,
     min_coverage_scan,
     simulate_coverage,
-    w1_decay_scan,
 )
-from .weights import WeightSpec, model_weights, w1
+from .weights import WeightSpec, model_weights, w1, w1_exceedance
 
 __all__ = [
     "BoundResult",
@@ -55,7 +54,7 @@ __all__ = [
     "solve_interval",
     "upper_bound",
     "w1",
-    "w1_decay_scan",
+    "w1_exceedance",
 ]
 
 __version__ = "0.1.0"

@@ -201,9 +201,15 @@ def solve_interval(
     are recomputed from the request otherwise); injected weights make it
     possible to study degenerate mixtures, but ``|h - target|`` above
     ``_RESIDUAL_TOL`` at an endpoint (say, weights summing to 1/2) raises.
+    A response that the full model fits to rounding raises ``DegenerateFit``.
     """
     if fits is None:
         fits = fit_family(req.prob, req.resolved_family())
+        full, y = fits.get(ModelSubset(0)), req.prob.y
+        # An exact fit leaves an rss of rounding, about n eps^2 |y|^2 or below.
+        if full is not None and full.rss <= req.prob.n * np.finfo(float).eps ** 2 * (y @ y):
+            raise DegenerateFit("zero residual scale: the full model fits the response "
+                                f"exactly (rss {full.rss:.3g} is rounding)")
     if weights is None:
         # model_weights refuses a family without the full model
         full = fits.get(ModelSubset(0))

@@ -79,7 +79,7 @@ from .linreg import (
     family_table,
     fit_family,
 )
-from .weights import WeightSpec, w1
+from .weights import WeightSpec
 
 _MIN_REPS = 10_000
 _MIN_SCAN_REPS = 1_000
@@ -409,68 +409,3 @@ def min_coverage_scan(
         if p_hat < best_p:
             best_p, best_v = p_hat, v
     return _estimate(best_p, reps, seed), best_v
-
-
-@dataclass(frozen=True)
-class W1DecayTable:
-    """Estimated P(w1(gamma_hat^2) >= eps) over (n, gamma) with one draw set.
-
-    ``probs[i, j]`` estimates the probability at ``ns[i]``, ``gammas[j]``.
-    The gamma = 0 column (``sup_gamma_index``) is the theoretical supremum
-    over gamma for every n.
-    """
-
-    m: int
-    eps: float
-    ns: tuple[int, ...]
-    gammas: tuple[float, ...]
-    probs: np.ndarray
-    ses: np.ndarray
-    reps: int
-    seed: int
-    sup_gamma_index: int | None
-
-
-def w1_decay_scan(
-    m: int,
-    n_list,
-    gamma_grid,
-    eps: float,
-    reps: int,
-    seed: int,
-) -> W1DecayTable:
-    """Estimate how fast the single-constraint weight dies as n grows.
-
-    ``gamma_hat^2`` is simulated as U / (Q/m) with U = (Z + gamma)^2,
-    Z standard normal and Q chi-square with m degrees of freedom; the
-    same (Z, Q) draws serve every (n, gamma) cell.  The weight is BIC's,
-    with penalty d = ln n at each n, as in Theorem 4.
-    """
-    _check_integer(m, "m", 1)
-    ns = tuple(_check_integer(n, "n") for n in n_list)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_list must be strictly increasing")
-    gammas = tuple(float(g) for g in gamma_grid)
-    if not gammas or not ns:
-        raise ValueError("n_list and gamma_grid must be nonempty")
-    if not np.isfinite(gammas).all():
-        raise ValueError("gamma_grid must be finite")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    _check_integer(reps, "reps", _MIN_SCAN_REPS)
-    _check_seed(seed)
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal(reps)
-    q = rng.chisquare(m, reps)
-    probs = np.empty((len(ns), len(gammas)))
-    for i, n in enumerate(ns):
-        for j, g in enumerate(gammas):
-            gamma_hat_sq = (z + g) ** 2 / (q / m)
-            probs[i, j] = np.mean(w1(gamma_hat_sq, m, n, math.log(n)) >= eps)
-    ses = np.sqrt(probs * (1.0 - probs) / reps)
-    sup_idx = gammas.index(0.0) if 0.0 in gammas else None
-    return W1DecayTable(
-        m=m, eps=eps, ns=ns, gammas=gammas, probs=probs, ses=ses,
-        reps=reps, seed=seed, sup_gamma_index=sup_idx,
-    )

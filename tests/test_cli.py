@@ -273,6 +273,16 @@ class TestIntervalCommand:
         assert main(["interval", "--data", str(data), "--a=1,0.5,0,0", "--q", "2"]) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    def test_perfect_fit_names_the_zero_residual_scale(self, tmp_path, capsys):
+        # it used to report tail-area residuals far above their tolerance
+        prob = random_problem(611, n=20, p=4, q=2)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in np.column_stack([prob.X, prob.X.sum(axis=1)])) + "\n")
+        assert main(["interval", "--data", str(data), "--a=1,0.5,0,0", "--q", "2"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: zero residual scale: the full model fits the response exactly")
+
     def test_refuses_oversized_family(self, tmp_path, capsys):
         rng = np.random.default_rng(603)
         X = rng.standard_normal((40, 33))

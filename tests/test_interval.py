@@ -428,6 +428,22 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="WeightSpec has n=300 but the problem has n=30"):
             MataRequest(prob, WeightSpec(300, 2.0))
 
+    def test_near_exact_fit_is_not_called_exact(self):
+        # y + 1e-8 noise leaves rss / |y|^2 near 1e-17, far above the rounding
+        # floor n eps^2 |y|^2 of an exact fit (rss / |y|^2 near 4e-32 here).
+        # At this scale the tail solve can miss its absolute 1e-9 residual
+        # tolerance, a limit of its own; only the exact-fit refusal is checked.
+        prob = random_problem(611, n=20, p=4, q=2)
+        y = prob.X.sum(axis=1)
+        with pytest.raises(DegenerateFit, match="fits the response exactly"):
+            solve_interval(MataRequest(replace(prob, y=y), WeightSpec(prob.n, 2.0)))
+        for seed in range(10):
+            noisy = y + 1e-8 * np.random.default_rng(seed).standard_normal(prob.n)
+            try:
+                solve_interval(MataRequest(replace(prob, y=noisy), WeightSpec(prob.n, 2.0)))
+            except BracketFailure as exc:
+                assert "tail-area residuals" in str(exc)
+
     def test_zero_residual_scale_rejected(self):
         prob = random_problem(403)
         fits = fit_family(prob)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import stdtr
+from scipy.special import ndtr, stdtr
 
 from matabound import (
     MataInterval,
@@ -23,7 +25,8 @@ from matabound import (
     model_weights,
     simulate_coverage,
     solve_interval,
-    w1_decay_scan,
+    w1,
+    w1_exceedance,
 )
 from matabound import suites
 from matabound.bound import resolve_d
@@ -529,45 +532,88 @@ class TestMinCoverageScan:
         np.testing.assert_array_equal(argmin, grid[int(np.argmin(p_hats))])
 
 
-class TestW1DecayScan:
-    def test_probability_decays_in_n(self):
-        table = w1_decay_scan(5, [100, 10_000], [0.0, 2.0], eps=0.01,
-                              reps=50_000, seed=7)
-        p_small, p_large = table.probs[0, 0], table.probs[1, 0]
-        assert p_large < p_small - 3.0 * math.hypot(table.ses[0, 0],
-                                                    table.ses[1, 0])
+def theorem4_threshold(eps, m, n, d):
+    """c^2 with w1(z) >= eps exactly when z <= c^2."""
+    return m * math.expm1(2.0 / n * (math.log((1.0 - eps) / eps) + 0.5 * d))
 
-    def test_gamma_zero_dominates(self):
-        table = w1_decay_scan(5, [100, 1_000], [0.0, 1.0, 2.0], eps=0.01,
-                              reps=50_000, seed=8)
-        assert table.sup_gamma_index == 0
-        for i in range(len(table.ns)):
-            for j in (1, 2):
-                combined = 3.0 * math.hypot(table.ses[i, j], table.ses[i, 0])
-                assert table.probs[i, j] <= table.probs[i, 0] + combined
+
+def exceedance_by_quadrature(eps, gamma, m, n, d):
+    """P(|Z + gamma| <= c sqrt(Q/m)) as an integral over Q ~ chi-square(m),
+    apart from the Poisson-beta sum of ``w1_exceedance``."""
+    c = math.sqrt(theorem4_threshold(eps, m, n, d))
+    value, _ = quad(lambda q: stats.chi2.pdf(q, m) * (ndtr(c * math.sqrt(q / m) - gamma)
+                                                      - ndtr(-c * math.sqrt(q / m) - gamma)),
+                    0.0, math.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
+    return value
+
+
+# The theorem4 suite's cells (BIC, m 5, eps 0.01), an AIC cell and two m = 1
+# cells, as (eps, gamma, m, n, d).
+THEOREM4_CELLS = ([(0.01, g, 5, n, math.log(n)) for n in (100, 10_000) for g in (0.0, 1.0, 2.0)]
+                  + [(0.01, 1.0, 5, 100, 2.0), (0.1, 0.5, 1, 100, math.log(100)),
+                     (0.01, 1.0, 1, 10_000, math.log(10_000))])
+
+
+class TestW1DecayScan:
+    """Theorem 4's decay of P(w1 >= eps) over n and gamma, now exact
+    (``w1_exceedance``)."""
+
+    @pytest.mark.parametrize("eps, gamma, m, n, d", THEOREM4_CELLS)
+    def test_matches_quadrature(self, eps, gamma, m, n, d):
+        assert abs(w1_exceedance(eps, gamma, m, n, d)
+                   - exceedance_by_quadrature(eps, gamma, m, n, d)) <= 1e-10
+
+    @pytest.mark.parametrize("eps, gamma, m, n, d", THEOREM4_CELLS)
+    def test_threshold_splits_the_weight(self, eps, gamma, m, n, d):
+        c2 = theorem4_threshold(eps, m, n, d)
+        assert w1(c2 * (1.0 - 1e-9), m, n, d) >= eps > w1(c2 * (1.0 + 1e-9), m, n, d)
+
+    def test_probability_decays_in_n(self):
+        ns = (100, 1_000, 10_000, 100_000, 1_000_000)
+        p = [w1_exceedance(0.01, 0.0, 5, n, math.log(n)) for n in ns]
+        assert all(b < a for a, b in zip(p, p[1:])), p
+        assert p[-1] < 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(-40.0, 40.0), st.integers(1, 200),
+           st.integers(2, 10**6), st.floats(0.0, 30.0))
+    def test_gamma_zero_dominates(self, eps, gamma, m, n, d):
+        p, p0 = w1_exceedance(eps, [gamma, -gamma], m, n, d), w1_exceedance(eps, 0.0, m, n, d)
+        assert p[0] <= p0
+        assert abs(p[0] - p[1]) <= 1e-15
 
     def test_bic_weight_cap_makes_exceedance_exactly_zero(self):
         # with d = ln n, w1 <= 1 / (1 + n^(-1/2)) <= 10/11 for n <= 100, so
-        # no replicate reaches eps = 0.95 and the estimate is exactly 0
-        table = w1_decay_scan(5, [50, 100], [0.0], eps=0.95, reps=20_000, seed=9)
-        assert np.all(table.probs == 0.0)
+        # w1 never reaches eps = 0.95 and the probability is exactly 0
+        for n in (50, 100):
+            p = w1_exceedance(0.95, [0.0, 1.0, -3.0], 5, n, math.log(n))
+            np.testing.assert_array_equal(p, 0.0)
+
+    def test_vectorized_over_gamma(self):
+        gammas = np.array([[0.0, 1.0], [2.0, -0.5]])
+        p = w1_exceedance(0.01, gammas, 5, 100, 2.0)
+        assert p.shape == (2, 2)
+        assert [w1_exceedance(0.01, g, 5, 100, 2.0) for g in gammas.ravel()] == p.ravel().tolist()
+        assert isinstance(w1_exceedance(0.01, 1.0, 5, 100, 2.0), float)
 
     def test_at_least_one_residual_df(self):
         with pytest.raises(ValueError, match="m must be at least 1"):
-            w1_decay_scan(0, [100], [0.0], eps=0.1, reps=2_000, seed=1)
-
-    def test_requires_increasing_n(self):
-        with pytest.raises(ValueError, match="increasing"):
-            w1_decay_scan(5, [100, 100], [0.0], eps=0.1, reps=2_000, seed=1)
+            w1_exceedance(0.1, 0.0, 0, 100, 2.0)
 
     def test_non_integral_sizes_refused(self):
         with pytest.raises(ValueError, match="m must be an integer, not 5.5"):
-            w1_decay_scan(5.5, [100], [0.0], eps=0.1, reps=2_000, seed=1)
-        with pytest.raises(ValueError, match="n must be an integer, not 100.7"):
-            w1_decay_scan(5, [100.7], [0.0], eps=0.1, reps=2_000, seed=1)
+            w1_exceedance(0.1, 0.0, 5.5, 100, 2.0)
+        with pytest.raises(ValueError, match="sample size n must be an integer, not 100.7"):
+            w1_exceedance(0.1, 0.0, 5, 100.7, 2.0)
         # numpy integers pass
-        table = w1_decay_scan(np.int64(5), [np.int64(100)], [0.0], eps=0.1, reps=2_000, seed=1)
-        assert table.ns == (100,)
+        assert w1_exceedance(0.1, 0.0, np.int64(5), np.int64(100), 2.0) == \
+            w1_exceedance(0.1, 0.0, 5, 100, 2.0)
+
+    def test_suite_rows(self):
+        rows = suites.theorem4_suite(reps=100_000, seed=20240800)
+        assert len(rows) == 11 and all(r.passed for r in rows), rows
+        # the decay and sup rows compare exact values
+        assert [r.tolerance for r in rows[:5]] == [0.0] * 5
 
 
 class TestScenarioValidation:
@@ -597,8 +643,8 @@ class TestScenarioValidation:
                         audit_fraction=0.0)
         with pytest.raises(ValueError, match="grid vectors must be finite"):
             min_coverage_scan(prob, spec, 0.05, [np.zeros(3), beta[2:]], reps=2_000, seed=1)
-        with pytest.raises(ValueError, match="gamma_grid must be finite"):
-            w1_decay_scan(5, [100], [0.0, bad], eps=0.1, reps=2_000, seed=1)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            w1_exceedance(0.1, [0.0, bad], 5, 100, 2.0)
 
     def test_non_integral_reps_refused(self):
         prob = random_problem(511, with_y=False)
@@ -609,13 +655,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="scan reps must be an integer"):
             min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=2_000.5, seed=1)
         with pytest.raises(ValueError, match="reps must be an integer"):
-            w1_decay_scan(5, [100], [0.0], eps=0.1, reps=2_000.5, seed=1)
+            suites.theorem4_suite(reps=2_000.5, seed=1)
         # numpy integers pass
         SimScenario(prob=prob, beta_over_sigma=np.zeros(prob.p), reps=np.int64(10_000), seed=1,
                     spec=spec)
-        assert w1_decay_scan(5, [100], [0.0], eps=0.1, reps=np.int64(2_000), seed=1).reps == 2_000
+        assert len(suites.theorem4_suite(reps=np.int64(2_000), seed=1)) == 11
 
-    @pytest.mark.parametrize("entry", ["SimScenario", "min_coverage_scan", "w1_decay_scan"])
+    @pytest.mark.parametrize("entry", ["SimScenario", "min_coverage_scan", "theorem4_suite"])
     def test_non_integral_seed_refused(self, entry):
         # A fractional seed used to run another seed's stream.
         prob = random_problem(511, with_y=False)
@@ -625,8 +671,7 @@ class TestScenarioValidation:
                                                     reps=10_000, seed=seed, spec=spec),
             "min_coverage_scan": lambda seed: min_coverage_scan(prob, spec, 0.05, [np.zeros(3)],
                                                                 reps=1_000, seed=seed),
-            "w1_decay_scan": lambda seed: w1_decay_scan(5, [100], [0.0], eps=0.1, reps=1_000,
-                                                        seed=seed),
+            "theorem4_suite": lambda seed: suites.theorem4_suite(reps=1_000, seed=seed),
         }[entry]
         with pytest.raises(ValueError, match="seed must be an integer, not 1.5"):
             run(1.5)
@@ -637,14 +682,11 @@ class TestScenarioValidation:
         spec = WeightSpec(prob.n, 2.0)
         with pytest.raises(ValueError, match="scan reps"):
             min_coverage_scan(prob, spec, 0.05, [np.zeros(3)], reps=999, seed=1)
-        with pytest.raises(ValueError, match="reps"):
-            w1_decay_scan(5, [100], [0.0], eps=0.1, reps=999, seed=1)
-        for eps in (0.0, 1.0):
+        with pytest.raises(ValueError, match="reps must be at least 1000"):
+            suites.theorem4_suite(reps=999, seed=1)
+        for eps in (0.0, 1.0, math.nan):
             with pytest.raises(ValueError, match="eps"):
-                w1_decay_scan(5, [100], [0.0], eps=eps, reps=2_000, seed=1)
-        for ns, gammas in (([], [0.0]), ([100], [])):
-            with pytest.raises(ValueError, match="nonempty"):
-                w1_decay_scan(5, ns, gammas, eps=0.1, reps=2_000, seed=1)
+                w1_exceedance(eps, 0.0, 5, 100, 2.0)
 
     def test_spec_for_another_sample_size_rejected(self, monkeypatch):
         import matabound.mcverify as mcv

@@ -34,7 +34,7 @@ def test_public_names():
         "SimScenario", "TwoModelConfig", "WeightSpec", "all_subsets", "bound_curve",
         "correlation_profile", "coverage_probability", "delta_u", "f_m_pdf", "fit_family",
         "min_coverage_scan", "model_weights", "simulate_coverage", "solve_interval",
-        "upper_bound", "w1", "w1_decay_scan",
+        "upper_bound", "w1", "w1_exceedance",
     ]
     namespace = {}
     for name in matabound.__all__:

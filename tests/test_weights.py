@@ -240,6 +240,12 @@ class TestW1:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("x", [math.nan, -1e-300])
+    def test_nan_or_negative_ratio_refused(self, x):
+        # a NaN ratio gave a NaN weight in every slot
+        with pytest.raises(ValueError, match="negative restriction statistic"):
+            WeightSpec(10, 2.0).weights(np.array([[0.5, x]]), np.array([1, 2]))
+
     def test_sample_size_at_least_two(self):
         with pytest.raises(ValueError, match="at least 2"):
             WeightSpec(1, 2.0)

@@ -26,12 +26,17 @@ entries are equal bit for bit:
     regime cuts, so a cut that moves by one ulp shows even where no bound
     changes;
   - under ``bound/``, ``upper_bound``'s bound, gamma*, error estimate and
-    the integrals it took (calls of ``CoverageGrid._integrate``).
+    the integrals it took (calls of ``CoverageGrid._integrate``);
+* under ``theorem4/``, the exact P(w1 >= eps) and its simulated estimate in
+  each of the six cells of the ``theorem4`` suite, at the suite's default
+  replicates and seed, so that a change to ``w1`` or ``WeightSpec.weights``
+  shows.
 
 It prints the seconds the 64 bounds took.  ``--compare`` reads an earlier
 run of this tool, prints how many entries differ (or are missing on one
 side), how many of them fall under each key prefix (``interval``,
-``fits``, ``weights``, ``mc``, ``covered``, ``panels`` and ``bound``),
+``fits``, ``weights``, ``mc``, ``covered``, ``panels``, ``bound`` and
+``theorem4``),
 the largest relative move and the count of bit-identical values over the
 interval endpoints both runs hold, the same for the bound and gamma*
 moves (absolute) over the configs both runs hold, and the first 10
@@ -55,10 +60,12 @@ from matabound import fit_family, model_weights, simulate_coverage, solve_interv
 from matabound.bound import resolve_d, upper_bound
 from matabound.coverage import CoverageGrid, TwoModelConfig
 from matabound.mcverify import _SimKernel
-from matabound.suites import _correlated_design
+from matabound.suites import _correlated_design, theorem4_suite
 
 ALPHA = 0.05
 MC_REPS = 100_000
+# The defaults of ``matabound verify``.
+SUITE_REPS, SUITE_SEED = 100_000, 20240800
 # (name, m, n, d rule, rho, gamma, far): ``far`` > 0 adds the two
 # orthogonal droppable columns.
 DESIGNS = (
@@ -151,6 +158,15 @@ def kernel_entries() -> dict[str, str]:
     return out
 
 
+def theorem4_entries() -> dict[str, str]:
+    out = {}
+    for row in theorem4_suite(SUITE_REPS, SUITE_SEED)[-6:]:  # its six formula rows
+        cell = "-".join(row.name.split()[2:4])  # n=<n>-gamma=<gamma>
+        out[f"theorem4/{cell}/exact"] = float(row.reference).hex()
+        out[f"theorem4/{cell}/simulated"] = float(row.value).hex()
+    return out
+
+
 def sweep_entries() -> tuple[dict[str, str], float]:
     """The panel and bound entries of the sweep, and the seconds its
     ``upper_bound`` calls took."""
@@ -211,7 +227,8 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", help="earlier JSON of this tool to compare against")
     args = ap.parse_args(argv)
     sweep, seconds = sweep_entries()
-    digest = {**interval_entries(), **mc_entries(), **kernel_entries(), **sweep}
+    digest = {**interval_entries(), **mc_entries(), **kernel_entries(), **sweep,
+              **theorem4_entries()}
     text = json.dumps(digest, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
