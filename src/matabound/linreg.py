@@ -121,6 +121,8 @@ class ModelSubset:
     mask: int
 
     def __post_init__(self):
+        if type(self.mask) is not int:  # ints skip it: all_subsets makes 2^(p-q)
+            object.__setattr__(self, "mask", _check_integer(self.mask, "mask"))
         if self.mask < 0:
             raise ValueError("mask must be nonnegative")
 
@@ -215,10 +217,11 @@ def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = Non
     """Sort, check and decode a model family (default: all subsets) once,
     and derive each model's fit from its parent's.
 
-    A model's parent is the model that frees its highest zeroed column j
-    again.  Setting ``beta_j = 0`` in the parent's fit, whose covariance
-    factor is S (``(X'X)^-1`` for the full model), is a rank-one downdate
-    (the SWEEP operator): with ``e = S[:, j] / S_jj`` and ``r = 1 / S_jj``,
+    A model's parent frees its highest zeroed column j again: for mask m,
+    j is ``m.bit_length() - 1`` and the parent's mask ``m ^ (1 << j)``.
+    Setting ``beta_j = 0`` in the parent's fit, whose covariance factor is
+    S (``(X'X)^-1`` for the full model), is a rank-one downdate (the SWEEP
+    operator): with ``e = S[:, j] / S_jj`` and ``r = 1 / S_jj``,
 
         beta' = beta - beta_j e,   u' = u + beta_j^2 r,
         S' = S - S[:, j] e',       v' = v - (S a)_j^2 r.
@@ -255,32 +258,22 @@ def family_table(prob: RegressionProblem, family: list[ModelSubset] | None = Non
         if m & ~allowed:
             raise ValueError(f"{by_mask[m]} constrains protected or out-of-range columns "
                              f"(allowed columns are {q}..{p - 1})")
-    # Masks as big-endian bytes, compared as raw bytes: byte order is mask
-    # order, and bit 8 * width - 1 - c of a row is column c.
-    width = (p + 7) // 8
-    key = np.dtype((np.void, width))
-    members = np.frombuffer(b"".join(m.to_bytes(width, "big") for m in masks), dtype=key)
-    # The full model comes first, fitted even where it is not a member.
-    fitted = members if masks[:1] == [0] else np.concatenate([np.zeros(1, key), members])
-    while True:
-        bits = np.unpackbits(fitted.view(np.uint8).reshape(len(fitted), width), axis=1)
-        top = bits.argmax(axis=1)  # the highest zeroed column; 0 on the full model
-        parent_bits = bits.copy()
-        parent_bits[np.arange(len(fitted)), top] = 0
-        parents = np.packbits(parent_bits, axis=1).view(key)[:, 0]
-        parent = np.searchsorted(fitted, parents)  # a parent's mask is below its child's
-        found = fitted[parent] == parents
-        if found.all():
-            break
-        fitted = np.unique(np.concatenate([fitted, parents[~found]]))
-    keep = np.searchsorted(fitted, members)
-    card = np.count_nonzero(bits, axis=1)
-    j_of = 8 * width - 1 - top
-    v = np.full(len(fitted), stats.v_theta)
-    is_parent = np.zeros(len(fitted), dtype=bool)
+    # Each member's chain of parents, down to the full model or one already fitted.
+    fitted = {0}
+    for m in masks:
+        while m not in fitted:
+            fitted.add(m)
+            m ^= 1 << (m.bit_length() - 1)
+    place = {m: i for i, m in enumerate(sorted(fitted))}  # in mask order
+    keep = np.array([place[m] for m in masks], dtype=np.intp)
+    card = np.array([m.bit_count() for m in place])
+    j_of = np.array([m.bit_length() - 1 for m in place])  # -1 on the full model
+    parent = np.array([place[m ^ (1 << j) if m else 0] for m, j in zip(place, j_of.tolist())])
+    v = np.full(len(place), stats.v_theta)
+    is_parent = np.zeros(len(place), dtype=bool)
     is_parent[parent[1:]] = True
     # Row of each parent in the current cardinality's S and S a.
-    row = np.zeros(len(fitted), dtype=np.intp)
+    row = np.zeros(len(place), dtype=np.intp)
     S, Sa = stats.xtx_inv[None], stats.xtx_inv_a[None]
     blocks = []
     for k in range(1, card.max(initial=0) + 1):

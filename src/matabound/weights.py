@@ -162,5 +162,5 @@ def w1_exceedance(eps: float, gamma, m: int, n: int, d: float) -> float | np.nda
         a, b = k + 0.5, 0.5 * m
         beta = (betainc(a, b, max(0.0, -math.expm1(-s))) if s <= math.log(2.0)
                 else 1.0 - betainc(b, a, math.exp(-s)))
-        out[i] = w @ beta / w.sum()
+        out[i] = min(w @ beta / w.sum(), 1.0)  # rounds above 1 where every beta is ~1
     return float(out) if out.ndim == 0 else out

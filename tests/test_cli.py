@@ -283,6 +283,17 @@ class TestIntervalCommand:
         assert capsys.readouterr().err.startswith(
             "numerical failure: zero residual scale: the full model fits the response exactly")
 
+    def test_near_exact_fit_exits_0(self, tmp_path, capsys):
+        # 1e-8 noise: an endpoint misses the 1e-9 residual tolerance, but it
+        # is the root to one ulp, so the interval is printed
+        prob = random_problem(611, n=20, p=4, q=2)
+        y = prob.X.sum(axis=1) + 1e-8 * np.random.default_rng(1).standard_normal(prob.n)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in np.column_stack([prob.X, y])) + "\n")
+        assert main(["interval", "--data", str(data), "--a=1,0.5,0,0", "--q", "2"]) == 0
+        assert "interval lower = " in capsys.readouterr().out
+
     def test_refuses_oversized_family(self, tmp_path, capsys):
         rng = np.random.default_rng(603)
         X = rng.standard_normal((40, 33))

@@ -431,18 +431,21 @@ class TestRequestValidation:
     def test_near_exact_fit_is_not_called_exact(self):
         # y + 1e-8 noise leaves rss / |y|^2 near 1e-17, far above the rounding
         # floor n eps^2 |y|^2 of an exact fit (rss / |y|^2 near 4e-32 here).
-        # At this scale the tail solve can miss its absolute 1e-9 residual
-        # tolerance, a limit of its own; only the exact-fit refusal is checked.
-        prob = random_problem(611, n=20, p=4, q=2)
+        # At this scale one ulp of an endpoint moves h by more than the 1e-9
+        # residual tolerance (16 of these 40 endpoint pairs miss it), so each
+        # endpoint must be the root to one ulp: target - h changes sign
+        # between its neighbouring doubles.
+        prob = replace(random_problem(611, n=20, p=4, q=2), a=[1.0, 0.5, 0.0, 0.0])
         y = prob.X.sum(axis=1)
         with pytest.raises(DegenerateFit, match="fits the response exactly"):
             solve_interval(MataRequest(replace(prob, y=y), WeightSpec(prob.n, 2.0)))
-        for seed in range(10):
-            noisy = y + 1e-8 * np.random.default_rng(seed).standard_normal(prob.n)
-            try:
-                solve_interval(MataRequest(replace(prob, y=noisy), WeightSpec(prob.n, 2.0)))
-            except BracketFailure as exc:
-                assert "tail-area residuals" in str(exc)
+        for seed in range(40):
+            noisy = replace(prob, y=y + 1e-8 * np.random.default_rng(seed).standard_normal(prob.n))
+            iv = solve_interval(MataRequest(noisy, WeightSpec(prob.n, 2.0)))
+            arrays = _family_arrays(fit_family(noisy), iv.weights_used, noisy.a)
+            for z, target in ((iv.lower, 0.975), (iv.upper, 0.025)):
+                g = target - h(*arrays, np.nextafter(z, [-math.inf, math.inf]))
+                assert g[0] <= 0.0 <= g[1], (seed, z)
 
     def test_zero_residual_scale_rejected(self):
         prob = random_problem(403)

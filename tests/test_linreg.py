@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matabound import (
     ModelSubset,
@@ -19,6 +21,14 @@ from matabound.linreg import MAX_FREE_COEFFICIENTS, _downdate, family_table
 from helpers import random_problem
 
 FULL = ModelSubset(0)
+# The second design's masks need more than 64 bits.
+NARROW, WIDE = random_problem(79, n=30, p=6, q=2), random_problem(83, n=90, p=70, q=3)
+
+
+def families(prob):
+    """(prob, 1-12 distinct members over prob's droppable columns)."""
+    member = st.integers(0, (1 << (prob.p - prob.q)) - 1).map(lambda t: ModelSubset(t << prob.q))
+    return st.tuples(st.just(prob), st.lists(member, min_size=1, max_size=12, unique=True))
 
 
 def fit_full(prob):
@@ -323,16 +333,24 @@ class TestDowndate:
             rss = float(np.sum((prob.y - X[:, kept] @ beta_kept) ** 2))
             assert fit.rss == pytest.approx(rss, rel=1e-12)
 
-    def test_missing_parents_leave_a_fit_unchanged(self):
-        # K's parents {2, 4} and {2} are fitted but not returned; K's fit
-        # depends only on that chain, so it is the all-subsets one, bit for bit.
-        prob = random_problem(79, n=30, p=6, q=2)
-        K = ModelSubset.from_indices([2, 4, 5])
-        alone = fit_family(prob, [FULL, K])
-        assert list(alone) == [FULL, K]
-        fit, ref = alone[K], fit_family(prob)[K]
-        np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
-        assert (fit.rss, fit.u, fit.v, fit.df) == (ref.rss, ref.u, ref.v, ref.df)
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(families(NARROW), families(WIDE)))
+    def test_missing_parents_leave_a_fit_unchanged(self, case):
+        # Missing parents are fitted but not returned; a member's steps depend
+        # only on its own chain of parents, so its beta_hat, u, v and df are
+        # the same in any family, bit for bit.  rss is recomputed from the
+        # residuals by one BLAS product over the family's models, whose
+        # rounding depends on their number (the one-member family of the
+        # full model differs from all subsets in the last bit).
+        prob, family = case
+        fits = fit_family(prob, family)
+        assert list(fits) == sorted(family)
+        refs = [fit_family(prob)] if prob is NARROW else []
+        for K, fit in fits.items():
+            for ref in [fit_family(prob, [K])[K], *(r[K] for r in refs)]:
+                np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
+                assert (fit.u, fit.v, fit.df) == (ref.u, ref.v, ref.df)
+                assert fit.rss == pytest.approx(ref.rss, rel=1e-12, abs=0)
 
 
 class TestSubsets:
@@ -373,10 +391,21 @@ class TestSubsets:
         assert ModelSubset.from_indices(K.indices) == K
 
     def test_negative_mask_and_index_rejected(self):
-        with pytest.raises(ValueError, match="mask must be nonnegative"):
-            ModelSubset(-1)
+        for bad in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="mask must be nonnegative"):
+                ModelSubset(bad)
         with pytest.raises(ValueError, match="indices must be nonnegative"):
             ModelSubset.from_indices([2, -1])
+
+    def test_mask_is_any_integer(self):
+        K = ModelSubset(np.int64(4))
+        assert type(K.mask) is int and K == ModelSubset(4)
+        prob = random_problem(85, n=20, p=4, q=2)
+        fit, ref = fit_family(prob, [K])[K], fit_family(prob, [ModelSubset(4)])[ModelSubset(4)]
+        np.testing.assert_array_equal(fit.beta_hat, ref.beta_hat)
+        assert (fit.rss, fit.u, fit.v, fit.df) == (ref.rss, ref.u, ref.v, ref.df)
+        with pytest.raises(ValueError, match="mask must be an integer, not 4.0"):
+            ModelSubset(4.0)
 
 
 class TestProblemValidation:

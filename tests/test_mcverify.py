@@ -577,10 +577,18 @@ class TestW1DecayScan:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(-40.0, 40.0), st.integers(1, 200),
            st.integers(2, 10**6), st.floats(0.0, 30.0))
+    @example(0.5, 1.75, 7, 2, 23.0)  # the mixture summed to 1 + 2^-52 here
     def test_gamma_zero_dominates(self, eps, gamma, m, n, d):
         p, p0 = w1_exceedance(eps, [gamma, -gamma], m, n, d), w1_exceedance(eps, 0.0, m, n, d)
         assert p[0] <= p0
         assert abs(p[0] - p[1]) <= 1e-15
+
+    @pytest.mark.parametrize("m, d", [(7, 23.0), (200, 30.0)])
+    def test_probability_at_most_one(self, m, d):
+        # every incomplete beta is 1 or nearly so; the mixture's sum rounded
+        # above 1 at 51 and 737 of these gammas
+        p = w1_exceedance(0.5, np.linspace(0.0, 40.0, 4_001), m, 2, d)
+        assert np.all((p >= 0.0) & (p <= 1.0))
 
     def test_bic_weight_cap_makes_exceedance_exactly_zero(self):
         # with d = ln n, w1 <= 1 / (1 + n^(-1/2)) <= 10/11 for n <= 100, so

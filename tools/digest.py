@@ -30,17 +30,21 @@ entries are equal bit for bit:
 * under ``theorem4/``, the exact P(w1 >= eps) and its simulated estimate in
   each of the six cells of the ``theorem4`` suite, at the suite's default
   replicates and seed, so that a change to ``w1`` or ``WeightSpec.weights``
-  shows.
+  shows;
+* under ``family/``, a SHA-256 of each fitted model's ``beta_hat``, ``rss``,
+  ``u``, ``v`` and ``df`` in three hand-picked families (``FAMILIES``): one
+  on a p = 70, q = 3 design whose members' parents are missing two levels
+  down and whose masks reach 2^69, one without the full model, and all
+  subsets of a p = 64, q = 62 design.
 
 It prints the seconds the 64 bounds took.  ``--compare`` reads an earlier
 run of this tool, prints how many entries differ (or are missing on one
 side), how many of them fall under each key prefix (``interval``,
-``fits``, ``weights``, ``mc``, ``covered``, ``panels``, ``bound`` and
-``theorem4``),
-the largest relative move and the count of bit-identical values over the
-interval endpoints both runs hold, the same for the bound and gamma*
-moves (absolute) over the configs both runs hold, and the first 10
-differing keys, and exits 1 if any entry differs.
+``fits``, ``weights``, ``mc``, ``covered``, ``panels``, ``bound``,
+``theorem4`` and ``family``), the largest relative move and the count of
+bit-identical values over the interval endpoints both runs hold, the same
+for the bound and gamma* moves (absolute) over the configs both runs hold,
+and the first 10 differing keys, and exits 1 if any entry differs.
 """
 
 from __future__ import annotations
@@ -79,6 +83,12 @@ KERNEL_DESIGNS = DESIGNS + (("m1-n3-aic-rho0.5-g0.5", 1, 3, "aic", 0.5, 0.5, 0.0
 # The bound sweep's (m, n, rho, d rule) configs.
 SWEEP = tuple((m, n, rho, rule) for m in (1, 5, 44, 200) for rho in (0.3, 0.9, 0.99, 0.999999)
               for n in (m + 2, 1_000_000) for rule in ("aic", "bic"))
+# (name, (n, p, q), members as zeroed-column lists; None for all subsets)
+FAMILIES = (
+    ("p70-missing-parents", (90, 70, 3), ((), (69, 40), (65,), (69, 40, 5))),
+    ("p6-no-full-model", (12, 6, 2), ((2, 4, 5), (3,), (3, 5))),
+    ("p64-all-subsets", (80, 64, 62), None),
+)
 
 
 def dataset(seed: int) -> tuple[RegressionProblem, WeightSpec]:
@@ -167,6 +177,20 @@ def theorem4_entries() -> dict[str, str]:
     return out
 
 
+def family_entries() -> dict[str, str]:
+    out = {}
+    for i, (name, (n, p, q), members) in enumerate(FAMILIES):
+        rng = np.random.default_rng(2_000 + i)
+        a = np.zeros(p)
+        a[:q] = rng.standard_normal(q)
+        prob = RegressionProblem(rng.standard_normal((n, p)), a, q=q, y=rng.standard_normal(n))
+        family = None if members is None else [ModelSubset.from_indices(K) for K in members]
+        for K, fit in fit_family(prob, family).items():
+            key = "-".join(map(str, K.indices)) or "full"
+            out[f"family/{name}/{key}"] = sha256([*fit.beta_hat, fit.rss, fit.u, fit.v, fit.df])
+    return out
+
+
 def sweep_entries() -> tuple[dict[str, str], float]:
     """The panel and bound entries of the sweep, and the seconds its
     ``upper_bound`` calls took."""
@@ -228,7 +252,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sweep, seconds = sweep_entries()
     digest = {**interval_entries(), **mc_entries(), **kernel_entries(), **sweep,
-              **theorem4_entries()}
+              **theorem4_entries(), **family_entries()}
     text = json.dumps(digest, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
